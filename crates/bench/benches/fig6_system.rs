@@ -62,23 +62,10 @@ fn bench_system(c: &mut Criterion) {
         b.iter(|| sdc.process_request_phase1(&request, &mut rng).unwrap())
     });
 
-    group.bench_function("sdc_phase1_blinding_4threads", |b| {
-        let mut rng = StdRng::seed_from_u64(13);
-        b.iter(|| {
-            sdc.process_request_phase1_parallel(&request, 4, &mut rng)
-                .unwrap()
-        })
-    });
-
     let to_stp = sdc.process_request_phase1(&request, &mut rng).unwrap();
     group.bench_function("stp_key_conversion", |b| {
         let mut rng = StdRng::seed_from_u64(4);
         b.iter(|| stp.key_convert(&to_stp, &mut rng).unwrap())
-    });
-
-    group.bench_function("stp_key_conversion_4threads", |b| {
-        let mut rng = StdRng::seed_from_u64(14);
-        b.iter(|| stp.key_convert_parallel(&to_stp, 4, &mut rng).unwrap())
     });
 
     let (to_sdc, _) = stp.key_convert(&to_stp, &mut rng).unwrap();

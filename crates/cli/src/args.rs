@@ -54,10 +54,11 @@ commands:
                                trace; --replay re-runs the trace's storm and
                                byte-compares every frame (exit 1 on divergence)
   bench [--bits N] [--iters N] [--metrics] [--metrics-out FILE]
-        [--pool N] [--threads N]
+        [--pool N]
                                per-phase protocol timing (paper Tables 2-3);
                                --pool precomputes N randomizer factors per
-                               party offline, --threads fans phases out
+                               party offline; phases fan out over every CPU
+                               the process may use (pin with taskset)
   attack                       curious-SDC inference demo (WATCH vs PISA)
   info                         print the paper's Table I configuration
 
@@ -242,8 +243,6 @@ pub enum Command {
         /// Randomizer-pool capacity (0 = pools disabled); refilled
         /// between iterations, outside the timed phases.
         pool: usize,
-        /// Worker threads for the phase fan-outs.
-        threads: usize,
     },
     /// Golden-trace record/replay regression gate.
     Trace {
@@ -561,7 +560,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let (mut bits, mut iters) = (512usize, 4usize);
             let mut metrics = false;
             let mut metrics_out = None;
-            let (mut pool, mut threads) = (0usize, 1usize);
+            let mut pool = 0usize;
             let mut it = it.peekable();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -589,13 +588,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         let value = it.next().ok_or("flag --pool needs a value")?;
                         pool = parse_num(flag, value)?;
                     }
-                    "--threads" => {
-                        let value = it.next().ok_or("flag --threads needs a value")?;
-                        threads = parse_num(flag, value)?;
-                        if threads == 0 {
-                            return Err("--threads must be positive".into());
-                        }
-                    }
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
@@ -608,7 +600,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 metrics,
                 metrics_out,
                 pool,
-                threads,
             })
         }
         "--help" | "-h" | "help" => Err("help requested".into()),
@@ -1034,12 +1025,11 @@ mod tests {
                 metrics: false,
                 metrics_out: None,
                 pool: 0,
-                threads: 1,
             }
         );
         assert_eq!(
             parse(&argv(
-                "bench --bits 256 --iters 2 --metrics --metrics-out b.json --pool 128 --threads 4"
+                "bench --bits 256 --iters 2 --metrics --metrics-out b.json --pool 128"
             ))
             .unwrap(),
             Command::Bench {
@@ -1048,12 +1038,11 @@ mod tests {
                 metrics: true,
                 metrics_out: Some("b.json".into()),
                 pool: 128,
-                threads: 4,
             }
         );
         assert!(parse(&argv("bench --bits 63")).is_err());
         assert!(parse(&argv("bench --iters 0")).is_err());
-        assert!(parse(&argv("bench --threads 0")).is_err());
+        assert!(parse(&argv("bench --threads 4")).is_err());
         assert!(parse(&argv("bench --pool")).is_err());
         assert!(parse(&argv("bench --what 1")).is_err());
     }

@@ -100,8 +100,7 @@ pub fn run(cmd: Command) -> ExitCode {
             metrics,
             metrics_out,
             pool,
-            threads,
-        } => bench(bits, iters, metrics, metrics_out, pool, threads),
+        } => bench(bits, iters, metrics, metrics_out, pool),
         Command::Attack => done(attack),
         Command::Info => done(info),
     }
@@ -761,15 +760,13 @@ fn sim(opts: SimOpts) -> ExitCode {
 /// `pool > 0` precomputes that many `rⁿ` factors per party before each
 /// iteration (the paper's §VI-A offline/online split) so the timed
 /// phases pay one multiplication instead of one exponentiation per
-/// entry; `threads > 1` fans the SDC sign test and STP key conversion
-/// out over scoped workers.
+/// entry. Per-entry work fans out over every CPU the process may use.
 fn bench(
     bits: usize,
     iters: usize,
     metrics: bool,
     metrics_out: Option<String>,
     pool: usize,
-    threads: usize,
 ) -> ExitCode {
     use pisa_watch::WatchConfig;
 
@@ -777,9 +774,10 @@ fn bench(
     let cfg = SystemConfig::new(WatchConfig::small_test(), bits, 64, 64);
     println!(
         "bench: {} channels x {} blocks, {bits}-bit keys, {iters} iteration(s), \
-         pool {pool}, {threads} thread(s)\n",
+         pool {pool}, {} CPU(s)\n",
         cfg.channels(),
-        cfg.blocks()
+        cfg.blocks(),
+        std::thread::available_parallelism().map_or(1, usize::from)
     );
 
     let mut system = PisaSystem::setup(cfg, &mut rng);
@@ -788,7 +786,6 @@ fn bench(
     if pool > 0 {
         system.enable_pools(pool);
     }
-    system.set_threads(threads);
 
     pisa_obs::set_enabled(true);
     pisa_obs::reset();

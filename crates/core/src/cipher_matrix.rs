@@ -35,6 +35,9 @@ pub struct CipherMatrix {
 
 impl CipherMatrix {
     /// Encrypts every entry of a plaintext matrix with fresh randomness.
+    /// Byte-identical to encrypting entry by entry with `pk.encrypt`:
+    /// the nonces are drawn from `rng` in entry order, then the
+    /// exponentiations run across the host's cores.
     pub fn encrypt<R: rand::Rng + ?Sized>(
         m: &pisa_watch::IntMatrix,
         pk: &PaillierPublicKey,
@@ -43,38 +46,7 @@ impl CipherMatrix {
         CipherMatrix {
             channels: m.channels(),
             blocks: m.blocks(),
-            data: m
-                .as_slice()
-                .iter()
-                .map(|&v| pk.encrypt(&i128_to_ibig(v), rng))
-                .collect(),
-        }
-    }
-
-    /// Parallel variant of [`encrypt`](Self::encrypt): splits the
-    /// entries across `threads` scoped workers. Randomness is derived
-    /// *per entry* from a single draw on `rng`, so the output is
-    /// byte-identical for any thread count (it differs from the
-    /// sequential [`encrypt`](Self::encrypt), which streams `rng`
-    /// entry by entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn encrypt_parallel<R: rand::Rng + ?Sized>(
-        m: &pisa_watch::IntMatrix,
-        pk: &PaillierPublicKey,
-        threads: usize,
-        rng: &mut R,
-    ) -> Self {
-        let base = rng.next_u64();
-        CipherMatrix {
-            channels: m.channels(),
-            blocks: m.blocks(),
-            data: par_map(m.as_slice(), threads, |idx, &v| {
-                let mut erng = crate::sdc::entry_rng(base, idx);
-                pk.encrypt(&i128_to_ibig(v), &mut erng)
-            }),
+            data: encrypt_all(pk, m.as_slice(), rng),
         }
     }
 
@@ -162,32 +134,12 @@ impl CipherMatrix {
     ///
     /// Panics on shape mismatch.
     pub fn add(&self, other: &CipherMatrix, pk: &PaillierPublicKey) -> CipherMatrix {
-        self.zip(other, |a, b| pk.add(a, b))
-    }
-
-    /// Parallel ⊕ across `threads` scoped workers — same result as
-    /// [`add`](Self::add) (the operation is deterministic), just fanned
-    /// out row-wise for big matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, `threads == 0`, or a worker panic.
-    pub fn add_parallel(
-        &self,
-        other: &CipherMatrix,
-        pk: &PaillierPublicKey,
-        threads: usize,
-    ) -> CipherMatrix {
         self.check_shape(other);
-        CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |idx, a| pk.add(a, &other.data[idx])),
-        }
+        self.map_entries(|i, a| pk.add(a, &other.data[i]))
     }
 
-    /// Element-wise homomorphic subtraction ⊖. Fails on the first
-    /// non-unit (adversarial) ciphertext in `other`.
+    /// Element-wise homomorphic subtraction ⊖. Fails on a non-unit
+    /// (adversarial) ciphertext in `other`; every entry is checked.
     ///
     /// # Panics
     ///
@@ -197,130 +149,36 @@ impl CipherMatrix {
         other: &CipherMatrix,
         pk: &PaillierPublicKey,
     ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
-        self.try_zip(other, |a, b| pk.sub(a, b))
-    }
-
-    /// Parallel ⊖ across `threads` scoped workers; identical result to
-    /// [`sub`](Self::sub), and like it fails on any non-unit
-    /// (adversarial) ciphertext in `other` — every entry is checked, not
-    /// just the ones before the first failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, `threads == 0`, or a worker panic.
-    pub fn sub_parallel(
-        &self,
-        other: &CipherMatrix,
-        pk: &PaillierPublicKey,
-        threads: usize,
-    ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
         self.check_shape(other);
-        Ok(CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |idx, a| pk.sub(a, &other.data[idx]))
-                .into_iter()
-                .collect::<Result<_, _>>()?,
-        })
+        self.try_map_entries(|i, a| pk.sub(a, &other.data[i]))
     }
 
-    /// Scalar multiplication ⊗ of every entry by `k`. Fails on the first
+    /// Scalar multiplication ⊗ of every entry by `k`. Fails on a
     /// non-unit (adversarial) ciphertext when `k` is negative.
     pub fn scale(
         &self,
         k: &Ibig,
         pk: &PaillierPublicKey,
     ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
-        Ok(CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: self
-                .data
-                .iter()
-                .map(|c| pk.scalar_mul(c, k))
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// Parallel ⊗ across `threads` scoped workers; identical result to
-    /// [`scale`](Self::scale).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn scale_parallel(
-        &self,
-        k: &Ibig,
-        pk: &PaillierPublicKey,
-        threads: usize,
-    ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
-        Ok(CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |_, c| pk.scalar_mul(c, k))
-                .into_iter()
-                .collect::<Result<_, _>>()?,
-        })
+        self.try_map_entries(|_, c| pk.scalar_mul(c, k))
     }
 
     /// Re-randomizes every entry (the paper's cheap request refresh).
+    /// Byte-identical to `pk.rerandomize` entry by entry: the factors'
+    /// randomness is drawn from `rng` in entry order first.
     pub fn rerandomize<R: rand::Rng + ?Sized>(
         &self,
         pk: &PaillierPublicKey,
         rng: &mut R,
     ) -> CipherMatrix {
-        CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: self.data.iter().map(|c| pk.rerandomize(c, rng)).collect(),
-        }
-    }
-
-    /// Parallel re-randomization across `threads` scoped workers.
-    /// Randomness is derived *per entry* from a single draw on `rng`, so
-    /// the output is byte-identical for any thread count (it differs
-    /// from the sequential [`rerandomize`](Self::rerandomize), which
-    /// streams `rng` entry by entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn rerandomize_parallel<R: rand::Rng + ?Sized>(
-        &self,
-        pk: &PaillierPublicKey,
-        threads: usize,
-        rng: &mut R,
-    ) -> CipherMatrix {
-        let base = rng.next_u64();
-        CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: par_map(&self.data, threads, |idx, c| {
-                let mut erng = crate::sdc::entry_rng(base, idx);
-                pk.rerandomize(c, &mut erng)
-            }),
-        }
+        let draws: Vec<_> = self.data.iter().map(|_| pk.draw_randomizer(rng)).collect();
+        self.map_entries(|i, c| pk.rerandomize_precomputed(c, &pk.raise_randomizer(&draws[i])))
     }
 
     /// Decrypts every entry (test/diagnostic use by key holders).
     pub fn decrypt(&self, sk: &pisa_crypto::paillier::PaillierSecretKey) -> pisa_watch::IntMatrix {
-        pisa_watch::IntMatrix::from_fn(self.channels, self.blocks, |c, b| {
-            ibig_to_i128(&sk.decrypt(self.get(c, b)))
-        })
-    }
-
-    /// Parallel decryption across `threads` scoped workers; identical
-    /// result to [`decrypt`](Self::decrypt).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a worker panics.
-    pub fn decrypt_parallel(
-        &self,
-        sk: &pisa_crypto::paillier::PaillierSecretKey,
-        threads: usize,
-    ) -> pisa_watch::IntMatrix {
-        let plain = par_map(&self.data, threads, |_, c| ibig_to_i128(&sk.decrypt(c)));
+        let plain = fan_out(&self.data, |_, c| ibig_to_i128(&sk.decrypt(c)))
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         pisa_watch::IntMatrix::from_fn(self.channels, self.blocks, |c, b| {
             plain[c * self.blocks + b]
         })
@@ -349,38 +207,27 @@ impl CipherMatrix {
         );
     }
 
-    fn zip(
-        &self,
-        other: &CipherMatrix,
-        f: impl Fn(&Ciphertext, &Ciphertext) -> Ciphertext,
-    ) -> CipherMatrix {
-        self.check_shape(other);
+    /// Applies `f(index, entry)` to every entry across the host's cores.
+    fn map_entries(&self, f: impl Fn(usize, &Ciphertext) -> Ciphertext + Sync) -> CipherMatrix {
         CipherMatrix {
             channels: self.channels,
             blocks: self.blocks,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| f(a, b))
-                .collect(),
+            data: fan_out(&self.data, f).unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
         }
     }
 
-    fn try_zip<E>(
+    /// [`map_entries`](Self::map_entries) for a fallible `f`: every entry is computed,
+    /// then the first error in entry order is returned.
+    fn try_map_entries<E: Send>(
         &self,
-        other: &CipherMatrix,
-        f: impl Fn(&Ciphertext, &Ciphertext) -> Result<Ciphertext, E>,
+        f: impl Fn(usize, &Ciphertext) -> Result<Ciphertext, E> + Sync,
     ) -> Result<CipherMatrix, E> {
-        self.check_shape(other);
         Ok(CipherMatrix {
             channels: self.channels,
             blocks: self.blocks,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| f(a, b))
+            data: fan_out(&self.data, f)
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                .into_iter()
                 .collect::<Result<_, _>>()?,
         })
     }
@@ -392,42 +239,99 @@ impl fmt::Debug for CipherMatrix {
     }
 }
 
-/// Fans `f` out over `items` on `threads` scoped workers, preserving
-/// entry order. Entry `i` always receives index `i` regardless of which
-/// chunk it lands in, so index-derived randomness is invariant under the
-/// thread count. A worker panic is re-raised on the caller with its
-/// original payload.
-fn par_map<T: Sync, U: Send>(
+/// Runs `job(i, &items[i])` for every entry and returns the results in
+/// entry order — the one fan-out behind every per-entry Paillier loop.
+///
+/// The work runs on `min(available_parallelism, items.len())` scoped
+/// workers, the calling thread among them, so operators size it with
+/// `taskset` or cgroup CPU limits. Workers claim the next unclaimed
+/// index from a shared counter: an entry that runs long holds up only
+/// its own worker. `job` sees nothing but its entry, so the results do
+/// not depend on the width; callers that need randomness draw it in
+/// entry order before the fan-out or derive it from the index.
+///
+/// Every worker is joined before a panic is reported, and the `Err`
+/// carries the payload of the first panicking worker. A panicking
+/// worker stops claiming; the survivors claim the remaining entries.
+pub(crate) fn fan_out<T: Sync, U: Send>(
     items: &[T],
-    threads: usize,
-    f: impl Fn(usize, &T) -> U + Sync,
-) -> Vec<U> {
-    assert!(threads > 0, "need at least one worker");
-    let chunk_len = items.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(chunk_no, chunk)| {
-                let f = &f;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(k, item)| f(chunk_no * chunk_len + k, item))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+    job: impl Fn(usize, &T) -> U + Sync,
+) -> std::thread::Result<Vec<U>> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        // The counter only hands out indices; results come back through
+        // the joins, so no ordering beyond atomicity is needed.
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, job(i, item)));
         }
-        out
+    };
+    let parts: Vec<std::thread::Result<Vec<(usize, U)>>> = std::thread::scope(|scope| {
+        // A worker the OS refuses to start is simply missing: the
+        // others, the caller at least, claim its share.
+        let helpers: Vec<_> = (1..width(items.len()))
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, claim).ok())
+            .collect();
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(claim));
+        std::iter::once(own)
+            .chain(helpers.into_iter().map(|h| h.join()))
+            .collect()
+    });
+    let mut placed = Vec::with_capacity(items.len());
+    for part in parts {
+        placed.extend(part?);
+    }
+    placed.sort_unstable_by_key(|&(i, _)| i);
+    Ok(placed.into_iter().map(|(_, u)| u).collect())
+}
+
+/// Workers for a fan-out over `entries`: the host's parallelism (read
+/// once per process), capped by the entry count.
+fn width(entries: usize) -> usize {
+    #[cfg(test)]
+    if let Some(pinned) = PINNED_WIDTH.with(std::cell::Cell::get) {
+        return pinned.clamp(1, entries.max(1));
+    }
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let host = *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    host.min(entries).max(1)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pins [`width`] for fan-outs started on this thread.
+    static PINNED_WIDTH: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every fan-out it starts on this thread pinned to
+/// `workers`.
+#[cfg(test)]
+pub(crate) fn at_width<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+    PINNED_WIDTH.with(|w| w.set(Some(workers)));
+    let out = f();
+    PINNED_WIDTH.with(|w| w.set(None));
+    out
+}
+
+/// Encrypts `plain` under `pk`, byte-identical to a loop of
+/// `pk.encrypt(v, rng)`: every nonce is drawn from `rng` in entry order,
+/// then only the exponentiations fan out.
+pub(crate) fn encrypt_all<R: rand::Rng + ?Sized>(
+    pk: &PaillierPublicKey,
+    plain: &[i128],
+    rng: &mut R,
+) -> Vec<Ciphertext> {
+    let nonces: Vec<_> = plain.iter().map(|_| pk.draw_nonce(rng)).collect();
+    fan_out(&nonces, |i, nonce| {
+        pk.encrypt_with_nonce(&i128_to_ibig(plain[i]), nonce)
     })
+    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Converts a plaintext i128 into the signed big-integer domain.
@@ -528,74 +432,192 @@ mod tests {
         );
     }
 
+    /// `m`'s ciphertexts as one byte string.
+    fn bytes(m: &CipherMatrix) -> Vec<u8> {
+        m.ciphertexts()
+            .iter()
+            .flat_map(|c| c.as_raw().to_be_bytes())
+            .collect()
+    }
+
     #[test]
     fn parallel_row_ops_match_sequential() {
         let kp = kp();
+        let pk = kp.public();
         let mut rng = StdRng::seed_from_u64(14);
         let a = IntMatrix::from_fn(3, 5, |c, b| c as i128 * 7 - b as i128 * 3);
         let b = IntMatrix::from_fn(3, 5, |_, b| b as i128 + 1);
-        let ea = CipherMatrix::encrypt(&a, kp.public(), &mut rng);
-        let eb = CipherMatrix::encrypt(&b, kp.public(), &mut rng);
+        let ea = CipherMatrix::encrypt(&a, pk, &mut rng);
+        let eb = CipherMatrix::encrypt(&b, pk, &mut rng);
         let k = Ibig::from(-5i64);
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                ea.add_parallel(&eb, kp.public(), threads).ciphertexts(),
-                ea.add(&eb, kp.public()).ciphertexts(),
-                "add, {threads} threads"
-            );
-            assert_eq!(
-                ea.sub_parallel(&eb, kp.public(), threads)
-                    .unwrap()
-                    .ciphertexts(),
-                ea.sub(&eb, kp.public()).unwrap().ciphertexts(),
-                "sub, {threads} threads"
-            );
-            assert_eq!(
-                ea.scale_parallel(&k, kp.public(), threads)
-                    .unwrap()
-                    .ciphertexts(),
-                ea.scale(&k, kp.public()).unwrap().ciphertexts(),
-                "scale, {threads} threads"
-            );
-            assert_eq!(
-                ea.decrypt_parallel(kp.secret(), threads),
-                a,
-                "decrypt, {threads} threads"
-            );
+        let row_ops = || {
+            (
+                bytes(&ea.add(&eb, pk)),
+                bytes(&ea.sub(&eb, pk).unwrap()),
+                bytes(&ea.scale(&k, pk).unwrap()),
+                ea.decrypt(kp.secret()),
+            )
+        };
+        let sequential = at_width(1, row_ops);
+        assert_eq!(sequential.3, a, "decrypt");
+        for workers in [2usize, 8] {
+            let parallel = at_width(workers, row_ops);
+            assert_eq!(parallel.0, sequential.0, "add, {workers} workers");
+            assert_eq!(parallel.1, sequential.1, "sub, {workers} workers");
+            assert_eq!(parallel.2, sequential.2, "scale, {workers} workers");
+            assert_eq!(parallel.3, a, "decrypt, {workers} workers");
         }
     }
 
     #[test]
     fn parallel_encrypt_and_rerandomize_are_thread_count_invariant() {
         let kp = kp();
+        let pk = kp.public();
         let m = IntMatrix::from_fn(2, 6, |c, b| (c * 6 + b) as i128);
-        let one =
-            CipherMatrix::encrypt_parallel(&m, kp.public(), 1, &mut StdRng::seed_from_u64(15));
-        for threads in [2usize, 8] {
-            let many = CipherMatrix::encrypt_parallel(
-                &m,
-                kp.public(),
-                threads,
-                &mut StdRng::seed_from_u64(15),
+        let encrypt = || CipherMatrix::encrypt(&m, pk, &mut StdRng::seed_from_u64(15));
+        let one = at_width(1, encrypt);
+        for workers in [2usize, 8] {
+            assert_eq!(
+                bytes(&at_width(workers, encrypt)),
+                bytes(&one),
+                "{workers} workers"
             );
-            assert_eq!(one.ciphertexts(), many.ciphertexts(), "{threads} threads");
         }
         assert_eq!(one.decrypt(kp.secret()), m);
 
-        let re_one = one.rerandomize_parallel(kp.public(), 1, &mut StdRng::seed_from_u64(16));
-        for threads in [2usize, 8] {
-            let re_many =
-                one.rerandomize_parallel(kp.public(), threads, &mut StdRng::seed_from_u64(16));
+        let rerandomize = || one.rerandomize(pk, &mut StdRng::seed_from_u64(16));
+        let re_one = at_width(1, rerandomize);
+        for workers in [2usize, 8] {
             assert_eq!(
-                re_one.ciphertexts(),
-                re_many.ciphertexts(),
-                "{threads} threads"
+                bytes(&at_width(workers, rerandomize)),
+                bytes(&re_one),
+                "{workers} workers"
             );
         }
         for (a, b) in one.ciphertexts().iter().zip(re_one.ciphertexts()) {
             assert_ne!(a, b, "rerandomize must change every ciphertext");
         }
         assert_eq!(re_one.decrypt(kp.secret()), m);
+    }
+
+    /// A denied and a granted round through phase 1, key conversion and
+    /// phase 2, unpooled and pooled, as bytes. Returns the bytes and the
+    /// two rounds' decisions per pooling mode.
+    fn every_fanned_out_path() -> (Vec<Vec<u8>>, Vec<bool>) {
+        use crate::messages::PisaMessage;
+        use crate::{PuClient, SdcServer, StpServer, SuClient, SuId, SystemConfig};
+        use pisa_crypto::paillier::RandomizerPool;
+        use pisa_radio::tv::Channel;
+        use pisa_radio::BlockId;
+        use std::sync::Arc;
+
+        let mut out: Vec<Vec<u8>> = Vec::new();
+        let mut decisions = Vec::new();
+        for pooled in [false, true] {
+            let rng = &mut StdRng::seed_from_u64(0xe403);
+            let cfg = SystemConfig::small_test();
+            let mut stp = StpServer::new(rng, cfg.paillier_bits());
+            let mut sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.fan", rng);
+            let mut su = SuClient::new(SuId(0), BlockId(3), &cfg, rng);
+            stp.register_su(su.id(), su.public_key().clone());
+            // A PU next door on channel 0: channel 0 is denied, 1 granted.
+            let update = PuClient::new(0, BlockId(2)).tune(
+                Some(Channel(0)),
+                &cfg,
+                sdc.e_matrix(),
+                stp.public_key(),
+                rng,
+            );
+            sdc.handle_pu_update(0, update).unwrap();
+            if pooled {
+                let entries = cfg.channels() * cfg.blocks();
+                let beta = Arc::new(RandomizerPool::new(stp.public_key(), entries));
+                beta.refill(rng);
+                sdc.attach_beta_pool(beta).unwrap();
+                stp.enable_su_pool(su.id(), entries).unwrap().refill(rng);
+            }
+            let su_pk = su.public_key().clone();
+            for channel in [Channel(0), Channel(1)] {
+                let request = su.build_request(&cfg, stp.public_key(), &[channel], rng);
+                let query = sdc.process_request_phase1(&request, rng).unwrap();
+                let (reply, observed) = stp.key_convert(&query, rng).unwrap();
+                let response = sdc.process_request_phase2(&reply, &su_pk, rng).unwrap();
+                decisions.push(su.handle_response(&response, sdc.signing_public_key()));
+                out.push(format!("{:?}", observed.v_values).into_bytes());
+                for msg in [
+                    PisaMessage::SuRequest(request),
+                    PisaMessage::SdcToStp(query),
+                    PisaMessage::StpToSdc(reply),
+                    PisaMessage::SdcResponse(response),
+                ] {
+                    out.push(msg.encode().unwrap().to_vec());
+                }
+            }
+        }
+        (out, decisions)
+    }
+
+    #[test]
+    fn fan_out_width_never_changes_bytes() {
+        let (one, decisions) = at_width(1, every_fanned_out_path);
+        assert_eq!(decisions, [false, true, false, true]);
+        for workers in [2usize, 8] {
+            let (many, many_decisions) = at_width(workers, every_fanned_out_path);
+            assert_eq!(many_decisions, decisions, "{workers} workers");
+            for (k, (a, b)) in one.iter().zip(&many).enumerate() {
+                assert_eq!(a, b, "output {k} diverged with {workers} workers");
+            }
+            assert_eq!(one.len(), many.len());
+        }
+    }
+
+    #[test]
+    fn fan_out_joins_every_worker_before_reporting_a_panic() {
+        use std::sync::atomic::Ordering::SeqCst;
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+        /// Marks an entry finished when dropped, also while unwinding.
+        struct Running<'a>(&'a AtomicUsize);
+        impl Drop for Running<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, SeqCst);
+            }
+        }
+
+        for workers in [1usize, 2, 8] {
+            let running = AtomicUsize::new(0);
+            let started = AtomicUsize::new(0);
+            let panicking = AtomicBool::new(false);
+            let result = at_width(workers, || {
+                fan_out(&[(); 16], |i, ()| {
+                    running.fetch_add(1, SeqCst);
+                    let _running = Running(&running);
+                    if i == 0 {
+                        // Panic only while another worker holds an entry.
+                        while workers > 1 && started.load(SeqCst) == 0 {
+                            std::thread::yield_now();
+                        }
+                        panicking.store(true, SeqCst);
+                        panic!("entry 0 failed");
+                    }
+                    started.fetch_add(1, SeqCst);
+                    while !panicking.load(SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    i
+                })
+            });
+            let payload = result.expect_err("the panic is reported");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"entry 0 failed"));
+            assert_eq!(
+                running.load(SeqCst),
+                0,
+                "an entry outlived the call ({workers} workers)"
+            );
+            if workers > 1 {
+                assert_eq!(started.load(SeqCst), 15, "survivors claim the rest");
+            }
+        }
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub struct SdcSessionEngine {
     sdc: SdcServer,
     su_keys: HashMap<SuId, PaillierPublicKey>,
     sessions: HashMap<SuId, SessionPhase>,
-    workers: usize,
     metrics: NetMetrics,
     rng: StdRng,
 }
@@ -78,26 +77,17 @@ pub struct SdcSessionEngine {
 impl SdcSessionEngine {
     /// Wraps `sdc` with the session bookkeeping. `su_keys` maps each
     /// participating SU to its Paillier key (needed for phase 2);
-    /// `workers` sizes the parallel crypto paths (byte-identical to
-    /// sequential, so purely a throughput knob); `seed` starts the
-    /// engine's private RNG stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
+    /// `seed` starts the engine's private RNG stream.
     pub fn new(
         sdc: SdcServer,
         su_keys: HashMap<SuId, PaillierPublicKey>,
-        workers: usize,
         metrics: NetMetrics,
         seed: u64,
     ) -> Self {
-        assert!(workers > 0, "need at least one crypto worker");
         SdcSessionEngine {
             sdc,
             su_keys,
             sessions: HashMap::new(),
-            workers,
             metrics,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -166,33 +156,27 @@ impl SdcSessionEngine {
                         },
                     )),
                     Action::Reject => self.metrics.record_session_reject(session),
-                    Action::Fresh => {
-                        match self.sdc.process_request_phase1_parallel(
-                            &req,
-                            self.workers,
-                            &mut self.rng,
-                        ) {
-                            Ok(query) => {
-                                self.sessions.insert(
-                                    req.su_id,
-                                    SessionPhase::AwaitingStp {
-                                        attempt: frame.attempt,
-                                        digest,
-                                        query: query.clone(),
-                                    },
-                                );
-                                out.push((
-                                    Party::Stp,
-                                    SessionMsg {
-                                        session,
-                                        attempt: frame.attempt,
-                                        msg: PisaMessage::SdcToStp(query),
-                                    },
-                                ));
-                            }
-                            Err(_) => self.metrics.record_session_reject(session),
+                    Action::Fresh => match self.sdc.process_request_phase1(&req, &mut self.rng) {
+                        Ok(query) => {
+                            self.sessions.insert(
+                                req.su_id,
+                                SessionPhase::AwaitingStp {
+                                    attempt: frame.attempt,
+                                    digest,
+                                    query: query.clone(),
+                                },
+                            );
+                            out.push((
+                                Party::Stp,
+                                SessionMsg {
+                                    session,
+                                    attempt: frame.attempt,
+                                    msg: PisaMessage::SdcToStp(query),
+                                },
+                            ));
                         }
-                    }
+                        Err(_) => self.metrics.record_session_reject(session),
+                    },
                 }
             }
             PisaMessage::StpToSdc(reply) => {
@@ -398,22 +382,15 @@ const PHASE_COMPLETED: u8 = 2;
 /// each blinded sign-test query.
 pub struct StpSessionEngine {
     stp: StpServer,
-    workers: usize,
     metrics: NetMetrics,
     rng: StdRng,
 }
 
 impl StpSessionEngine {
     /// Wraps `stp`; parameters as for [`SdcSessionEngine::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn new(stp: StpServer, workers: usize, metrics: NetMetrics, seed: u64) -> Self {
-        assert!(workers > 0, "need at least one crypto worker");
+    pub fn new(stp: StpServer, metrics: NetMetrics, seed: u64) -> Self {
         StpSessionEngine {
             stp,
-            workers,
             metrics,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -423,25 +400,20 @@ impl StpSessionEngine {
     /// to send in response.
     pub fn handle(&mut self, frame: SessionMsg) -> Vec<(Party, SessionMsg)> {
         match frame.msg {
-            PisaMessage::SdcToStp(query) => {
-                match self
-                    .stp
-                    .key_convert_parallel(&query, self.workers, &mut self.rng)
-                {
-                    Ok((reply, _obs)) => vec![(
-                        Party::Sdc,
-                        SessionMsg {
-                            session: frame.session,
-                            attempt: frame.attempt,
-                            msg: PisaMessage::StpToSdc(reply),
-                        },
-                    )],
-                    Err(_) => {
-                        self.metrics.record_session_reject(frame.session);
-                        Vec::new()
-                    }
+            PisaMessage::SdcToStp(query) => match self.stp.key_convert(&query, &mut self.rng) {
+                Ok((reply, _obs)) => vec![(
+                    Party::Sdc,
+                    SessionMsg {
+                        session: frame.session,
+                        attempt: frame.attempt,
+                        msg: PisaMessage::StpToSdc(reply),
+                    },
+                )],
+                Err(_) => {
+                    self.metrics.record_session_reject(frame.session);
+                    Vec::new()
                 }
-            }
+            },
             _ => {
                 self.metrics.record_session_reject(frame.session);
                 Vec::new()

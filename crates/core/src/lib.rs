@@ -87,8 +87,8 @@ pub use netstorm::{
 };
 pub use privacy::LocationPrivacy;
 pub use protocol::{
-    run_concurrent_requests, run_request_direct, run_request_direct_tuned,
-    run_request_over_network, NetworkRun, RequestOutcome,
+    run_concurrent_requests, run_request_direct, run_request_over_network, NetworkRun,
+    RequestOutcome,
 };
 pub use pu::PuClient;
 pub use sdc::SdcServer;

@@ -253,7 +253,6 @@ impl SdcService {
             let mut machine = SdcSessionEngine::new(
                 sdc,
                 su_keys,
-                opts.engine.workers,
                 metrics,
                 durable::resume_seed(opts.seed ^ 0x5dc, ckpt.generation()),
             );
@@ -265,13 +264,7 @@ impl SdcService {
             generation = ckpt.generation() + 1;
             machine
         } else {
-            SdcSessionEngine::new(
-                fixture.sdc,
-                su_keys,
-                opts.engine.workers,
-                metrics,
-                opts.seed ^ 0x5dc,
-            )
+            SdcSessionEngine::new(fixture.sdc, su_keys, metrics, opts.seed ^ 0x5dc)
         };
         Ok(SdcService {
             node,
@@ -418,7 +411,6 @@ impl StpService {
             })?;
             let mut machine = StpSessionEngine::new(
                 fixture.stp,
-                opts.engine.workers,
                 metrics,
                 durable::resume_seed(opts.seed ^ 0x517, ckpt.generation()),
             );
@@ -429,7 +421,7 @@ impl StpService {
             generation = ckpt.generation() + 1;
             machine
         } else {
-            StpSessionEngine::new(fixture.stp, opts.engine.workers, metrics, opts.seed ^ 0x517)
+            StpSessionEngine::new(fixture.stp, metrics, opts.seed ^ 0x517)
         };
         Ok(StpService {
             node,
@@ -526,10 +518,6 @@ impl StpService {
 ///
 /// [`PisaError::UnknownSu`] on a malformed fixture,
 /// [`PisaError::EngineFailure`] if a session thread panics.
-///
-/// # Panics
-///
-/// Panics if `opts.engine.workers == 0` (fixture construction).
 pub fn run_su_storm(
     opts: &NetStormOpts,
     sdc_addr: &str,

@@ -83,61 +83,6 @@ pub fn run_request_direct<R: Rng + ?Sized>(
     })
 }
 
-/// [`run_request_direct`] with a worker-thread budget: `threads == 1`
-/// takes the sequential phase paths, `threads > 1` fans the SDC sign
-/// test and the STP key conversion out over that many scoped workers.
-/// Per-entry randomness is derived by index, so the outcome is
-/// byte-identical across thread counts (the `parallel_equivalence`
-/// guarantee).
-///
-/// # Errors
-///
-/// Propagates any [`PisaError`] from the SDC or STP steps.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn run_request_direct_tuned<R: Rng + ?Sized>(
-    su: &mut SuClient,
-    sdc: &mut SdcServer,
-    stp: &StpServer,
-    channels: &[Channel],
-    threads: usize,
-    rng: &mut R,
-) -> Result<RequestOutcome, PisaError> {
-    assert!(threads > 0, "need at least one worker");
-    if threads == 1 {
-        return run_request_direct(su, sdc, stp, channels, rng);
-    }
-    let cfg = sdc.config().clone();
-    let request = su.build_request(&cfg, stp.public_key(), channels, rng);
-    let request_bytes = request.wire_bytes();
-
-    let to_stp = sdc.process_request_phase1_parallel(&request, threads, rng)?;
-    let sdc_to_stp_bytes = to_stp.wire_bytes();
-
-    let (to_sdc, observation) = stp.key_convert_parallel(&to_stp, threads, rng)?;
-    let stp_to_sdc_bytes = to_sdc.wire_bytes();
-
-    let su_pk = stp
-        .su_key(su.id())
-        .ok_or(PisaError::UnknownSu(su.id()))?
-        .clone();
-    let response = sdc.process_request_phase2(&to_sdc, &su_pk, rng)?;
-    let response_bytes = response.wire_bytes();
-
-    let granted = su.handle_response(&response, sdc.signing_public_key());
-    Ok(RequestOutcome {
-        granted,
-        license: response.license,
-        request_bytes,
-        sdc_to_stp_bytes,
-        stp_to_sdc_bytes,
-        response_bytes,
-        stp_observation: observation,
-    })
-}
-
 /// A request round executed over the simulated network, with traffic
 /// metrics and a latency estimate.
 #[derive(Debug)]

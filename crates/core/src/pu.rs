@@ -68,13 +68,9 @@ impl PuClient {
             None => PuInput::off(self.block),
         };
         let w_column = input.w_column(cfg.watch(), e);
-        let ciphertexts = w_column
-            .iter()
-            .map(|&v| pk_g.encrypt(&crate::cipher_matrix::i128_to_ibig(v), rng))
-            .collect();
         PuUpdateMsg {
             block: self.block,
-            w_column: ciphertexts,
+            w_column: crate::cipher_matrix::encrypt_all(pk_g, &w_column, rng),
             ct_bytes: pk_g.ciphertext_bytes(),
         }
     }

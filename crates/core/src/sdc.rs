@@ -1,6 +1,6 @@
 //! The Spectrum Database Controller server.
 
-use crate::cipher_matrix::{i128_to_ibig, CipherMatrix};
+use crate::cipher_matrix::{fan_out, i128_to_ibig, CipherMatrix};
 use crate::config::SystemConfig;
 use crate::error::PisaError;
 use crate::keys::SuId;
@@ -149,8 +149,8 @@ impl SdcServer {
     }
 
     /// Pre-takes one pooled β factor per entry (empty when no pool is
-    /// attached), indexed by entry order so the sequential and parallel
-    /// phase-1 paths consume identical factors.
+    /// attached), indexed by entry order so every fan-out width consumes
+    /// identical factors.
     fn take_beta_factors(&self, entries: usize) -> Vec<Randomizer> {
         self.beta_pool
             .as_ref()
@@ -182,10 +182,17 @@ impl SdcServer {
     /// `Ñ ← Ñ ⊖ W̃_old ⊕ W̃_new` at the PU's block, realizing eqs.
     /// (8)–(10) incrementally.
     ///
+    /// The update is all or nothing: every new entry must be a unit
+    /// modulo `n²` (a non-unit could never be subtracted again), and the
+    /// touched columns of `Ñ` are computed in full before any state
+    /// changes, so a rejected update leaves the SDC exactly as it was.
+    ///
     /// # Errors
     ///
     /// [`PisaError::DimensionMismatch`] if the update does not carry
-    /// exactly `C` ciphertexts.
+    /// exactly `C` ciphertexts, [`PisaError::BadRegion`] for a block
+    /// outside the grid, and [`PisaError::Crypto`] for a non-unit entry
+    /// (new, or in a stored contribution restored from a snapshot).
     pub fn handle_pu_update(&mut self, pu_id: u64, msg: PuUpdateMsg) -> Result<(), PisaError> {
         let _span = pisa_obs::span("matrix_update");
         if msg.w_column.len() != self.cfg.channels() {
@@ -202,19 +209,45 @@ impl SdcServer {
                 region_blocks: msg.block.0,
                 blocks: self.cfg.blocks(),
             })?;
+        for w in &msg.w_column {
+            self.pk_g.check_unit(w)?;
+        }
 
         let b = msg.block.0;
-        // Subtract the PU's previous contribution, if any.
-        if let Some((old_block, old_col)) = self.contributions.remove(&pu_id) {
-            for (c, old) in old_col.iter().enumerate() {
-                let cur = self.pk_g.sub(self.n_matrix.get(c, old_block.0), old)?;
-                self.n_matrix.set(c, old_block.0, cur);
+        // Stage the PU's old block with its previous contribution removed,
+        // then the new block with the new one added on top.
+        let removed = match self.contributions.get(&pu_id) {
+            Some((old_block, old_col)) => Some((
+                old_block.0,
+                old_col
+                    .iter()
+                    .enumerate()
+                    .map(|(c, old)| self.pk_g.sub(self.n_matrix.get(c, old_block.0), old))
+                    .collect::<Result<Vec<_>, _>>()?,
+            )),
+            None => None,
+        };
+        let added: Vec<Ciphertext> = msg
+            .w_column
+            .iter()
+            .enumerate()
+            .map(|(c, new)| {
+                let cur = match &removed {
+                    Some((old_b, col)) if *old_b == b => col.get(c),
+                    _ => None,
+                };
+                self.pk_g
+                    .add(cur.unwrap_or_else(|| self.n_matrix.get(c, b)), new)
+            })
+            .collect();
+
+        if let Some((old_b, col)) = removed {
+            for (c, ct) in col.into_iter().enumerate() {
+                self.n_matrix.set(c, old_b, ct);
             }
         }
-        // Add the new one.
-        for (c, new) in msg.w_column.iter().enumerate() {
-            let cur = self.pk_g.add(self.n_matrix.get(c, b), new);
-            self.n_matrix.set(c, b, cur);
+        for (c, ct) in added.into_iter().enumerate() {
+            self.n_matrix.set(c, b, ct);
         }
         self.contributions.insert(pu_id, (msg.block, msg.w_column));
         Ok(())
@@ -248,10 +281,15 @@ impl SdcServer {
     /// `Ṽ = ε ⊗ (α ⊗ Ĩ ⊖ β̃)` (eq. 14), remembering ε and the license
     /// for phase 2.
     ///
+    /// The per-entry work runs across the host's cores — the paper notes
+    /// a production SDC "would normally utilize a much more powerful
+    /// hardware and can process the transmission request much faster".
+    ///
     /// # Errors
     ///
     /// [`PisaError::DimensionMismatch`] or [`PisaError::BadRegion`] on a
-    /// malformed request.
+    /// malformed request, [`PisaError::Crypto`] on a non-unit entry, and
+    /// [`PisaError::EngineFailure`] if a worker panics.
     pub fn process_request_phase1<R: Rng + ?Sized>(
         &mut self,
         msg: &SuRequestMsg,
@@ -272,26 +310,28 @@ impl SdcServer {
             });
         }
 
+        // Every entry's randomness derives from one draw and its index,
+        // and its pooled β factor (if any) is pre-taken in entry order, so
+        // the output does not depend on which worker runs the entry.
         let channels = self.cfg.channels();
-        let mut v_entries = Vec::with_capacity(channels * region);
-        let mut epsilons = Vec::with_capacity(channels * region);
-
         let base = rng.next_u64();
         let beta_factors = self.take_beta_factors(channels * region);
-        for c in 0..channels {
-            for b in 0..region {
-                let idx = c * region + b;
-                let mut erng = entry_rng(base, idx);
-                let (v, eps) = self.blind_entry(
-                    msg.f_matrix.get(c, b),
-                    (c, b),
-                    beta_factors.get(idx),
-                    &mut erng,
-                )?;
-                v_entries.push(v);
-                epsilons.push(eps);
-            }
-        }
+        let this = &*self;
+        let blinded = fan_out(msg.f_matrix.ciphertexts(), |idx, f_ct| {
+            let mut erng = entry_rng(base, idx);
+            this.blind_entry(
+                f_ct,
+                (idx / region, idx % region),
+                beta_factors.get(idx),
+                &mut erng,
+            )
+        })
+        .map_err(|_| PisaError::EngineFailure("phase-1 blinding worker panicked"))?;
+        let (v_entries, epsilons): (Vec<_>, Vec<_>) = blinded
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
 
         let license = License {
             su_id: msg.su_id,
@@ -354,126 +394,6 @@ impl SdcServer {
         Ok((v, factors.epsilon))
     }
 
-    /// Parallel variant of [`process_request_phase1`]: splits the
-    /// entries across `threads` worker threads. The paper notes that a
-    /// production SDC "would normally utilize a much more powerful
-    /// hardware and can process the transmission request much faster" —
-    /// the per-entry work is embarrassingly parallel, so this scales
-    /// nearly linearly with cores.
-    ///
-    /// Randomness is derived *per entry* from a single draw on `rng`
-    /// (splitmix64 over the draw and the entry index), so the output is
-    /// byte-identical to the sequential path for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`process_request_phase1`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    ///
-    /// [`process_request_phase1`]: Self::process_request_phase1
-    pub fn process_request_phase1_parallel<R: Rng + ?Sized>(
-        &mut self,
-        msg: &SuRequestMsg,
-        threads: usize,
-        rng: &mut R,
-    ) -> Result<SdcToStpMsg, PisaError> {
-        assert!(threads > 0, "need at least one worker");
-        let _span = pisa_obs::span("sign_test");
-        let region = msg.region_blocks;
-        if region == 0 || region > self.cfg.blocks() {
-            return Err(PisaError::BadRegion {
-                region_blocks: region,
-                blocks: self.cfg.blocks(),
-            });
-        }
-        if msg.f_matrix.channels() != self.cfg.channels() || msg.f_matrix.blocks() != region {
-            return Err(PisaError::DimensionMismatch {
-                got: (msg.f_matrix.channels(), msg.f_matrix.blocks()),
-                want: (self.cfg.channels(), region),
-            });
-        }
-
-        let channels = self.cfg.channels();
-        let indices: Vec<(usize, usize)> = (0..channels)
-            .flat_map(|c| (0..region).map(move |b| (c, b)))
-            .collect();
-        let chunk_len = indices.len().div_ceil(threads).max(1);
-        let base = rng.next_u64();
-        let beta_factors = self.take_beta_factors(indices.len());
-
-        // Immutable fan-out over &self; results keep entry order, and
-        // every entry gets the same derived RNG — and the same pooled β
-        // factor, if any — it would get on the sequential path,
-        // regardless of which chunk it lands in. Every handle is joined
-        // before any error is propagated so a poisoned worker cannot
-        // leak past the scope.
-        let results: Result<Vec<(Ciphertext, SignFlip)>, PisaError> = std::thread::scope(|scope| {
-            let handles: Vec<_> = indices
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(chunk_no, chunk)| {
-                    let this = &*self;
-                    let f = &msg.f_matrix;
-                    let beta_factors = &beta_factors;
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &(c, b))| {
-                                let idx = chunk_no * chunk_len + k;
-                                let mut erng = entry_rng(base, idx);
-                                this.blind_entry(
-                                    f.get(c, b),
-                                    (c, b),
-                                    beta_factors.get(idx),
-                                    &mut erng,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut entries = Vec::with_capacity(indices.len());
-            let mut worker_died = false;
-            for handle in handles {
-                match handle.join() {
-                    Ok(chunk) => entries.extend(chunk),
-                    Err(_) => worker_died = true,
-                }
-            }
-            if worker_died {
-                return Err(PisaError::EngineFailure("phase-1 blinding worker panicked"));
-            }
-            entries.into_iter().collect()
-        });
-
-        let (v_entries, epsilons): (Vec<_>, Vec<_>) = results?.into_iter().unzip();
-        let license = License {
-            su_id: msg.su_id,
-            issuer: self.issuer.clone(),
-            request_digest: License::digest_request(msg.f_matrix.ciphertexts()),
-            serial: self.serial,
-        };
-        self.serial += 1;
-        self.pending.insert(
-            msg.su_id,
-            PendingRequest {
-                license,
-                epsilons,
-                region_blocks: region,
-            },
-        );
-        Ok(SdcToStpMsg {
-            su_id: msg.su_id,
-            v_matrix: CipherMatrix::from_ciphertexts(channels, region, v_entries),
-            region_blocks: region,
-            ct_bytes: self.pk_g.ciphertext_bytes(),
-        })
-    }
-
     /// Phase 2 (Figure 5 steps 9–11): unblinds the STP's signs into
     /// `Q̃ ∈ {0, −2}` (eqs. 13, 16), signs the license, and gates the
     /// signature with `G̃ = S̃G ⊕ η ⊗ ΣQ̃` (eq. 17).
@@ -522,16 +442,25 @@ impl SdcServer {
         }
         let sum_q = sum_q.ok_or(PisaError::EngineFailure("decision matrix has no entries"))?;
 
-        // License signature, encrypted under the SU's key.
+        // License signature, encrypted under the SU's key, and the gate
+        // G = S̃G ⊕ η ⊗ ΣQ (eq. 17): ΣQ = 0 ⇒ G decrypts to SG;
+        // ΣQ = −2k ⇒ G decrypts to SG − 2kη, an invalid signature. The
+        // nonce and η are drawn in that order, then the two
+        // exponentiations run side by side.
         let signature = pending.license.sign(&self.rsa);
         let sg_plain = Ibig::from(signature.as_integer().clone());
-        let sg_cipher = su_pk.encrypt(&sg_plain, rng);
-
-        // G = S̃G ⊕ η ⊗ ΣQ (eq. 17): ΣQ = 0 ⇒ G decrypts to SG;
-        // ΣQ = −2k ⇒ G decrypts to SG − 2kη, an invalid signature.
-        let eta = sample_eta(rng, su_pk.modulus());
-        let gated = su_pk.scalar_mul(&sum_q, &Ibig::from(eta))?;
-        let g_cipher = su_pk.add(&sg_cipher, &gated);
+        let nonce = su_pk.draw_nonce(rng);
+        let eta = Ibig::from(sample_eta(rng, su_pk.modulus()));
+        let mut raised = fan_out(&[sg_plain, eta], |job, v| match job {
+            0 => Ok(su_pk.encrypt_with_nonce(v, &nonce)),
+            _ => su_pk.scalar_mul(&sum_q, v),
+        })
+        .map_err(|_| PisaError::EngineFailure("signature-release worker panicked"))?
+        .into_iter();
+        let (Some(sg_cipher), Some(gated)) = (raised.next(), raised.next()) else {
+            return Err(PisaError::EngineFailure("signature release lost a result"));
+        };
+        let g_cipher = su_pk.add(&sg_cipher?, &gated?);
 
         Ok(SdcResponseMsg {
             license: pending.license,
@@ -826,9 +755,8 @@ fn widen(v: u32) -> usize {
 }
 
 /// Derives the RNG for one matrix entry from a single base draw
-/// (splitmix64 over `base` and the flat entry index). Both the
-/// sequential and the parallel request paths use this, so their outputs
-/// are byte-identical for any thread count.
+/// (splitmix64 over `base` and the flat entry index), so the SDC and STP
+/// phases give the same bytes whichever worker runs an entry.
 pub(crate) fn entry_rng(base: u64, index: usize) -> rand::rngs::StdRng {
     let mut z = base ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -883,6 +811,71 @@ mod tests {
             sdc.handle_pu_update(0, msg),
             Err(PisaError::BadRegion { .. })
         ));
+    }
+
+    #[test]
+    fn rejected_pu_update_leaves_state_untouched() {
+        use crate::pu::PuClient;
+        use pisa_crypto::CryptoError;
+        use pisa_watch::{PuInput, WatchSdc};
+
+        let (cfg, stp, mut sdc, mut rng) = setup();
+        let pk = stp.public_key().clone();
+        let e = sdc.e_matrix().clone();
+        let mut mirror = WatchSdc::new(cfg.watch().clone());
+        let mut pu = PuClient::new(7, BlockId(2));
+        let first = pu.tune(Some(Channel(1)), &cfg, &e, &pk, &mut rng);
+        sdc.handle_pu_update(7, first.clone()).unwrap();
+        mirror.pu_update(7, PuInput::tuned(cfg.watch(), BlockId(2), Channel(1)));
+
+        let state = |sdc: &SdcServer| {
+            (
+                sdc.n_matrix().ciphertexts().to_vec(),
+                sdc.registered_pus(),
+                sdc.snapshot().unwrap(),
+            )
+        };
+        let before = state(&sdc);
+        // Zero and n are not units mod n²: neither could ever be
+        // subtracted again, so both must bounce off an existing and a
+        // new PU alike.
+        for evil in [Ubig::zero(), pk.modulus().clone()] {
+            let mut bad = pu.tune(Some(Channel(0)), &cfg, &e, &pk, &mut rng);
+            bad.w_column[0] = Ciphertext::from_raw(evil);
+            for id in [7, 8] {
+                assert_eq!(
+                    sdc.handle_pu_update(id, bad.clone()),
+                    Err(PisaError::Crypto(CryptoError::MalformedCiphertext))
+                );
+                assert!(
+                    state(&sdc) == before,
+                    "rejected update for PU {id} changed state"
+                );
+            }
+        }
+
+        // A stored non-unit (here planted through a snapshot) fails the
+        // removal half; nothing may be committed before that is known.
+        let ct_bytes = pk.ciphertext_bytes();
+        let mut frame = sdc.snapshot().unwrap().to_vec();
+        let planted = first.w_column[1].as_raw().to_be_bytes_padded(ct_bytes);
+        let at = frame
+            .windows(ct_bytes)
+            .position(|w| w == planted.as_slice())
+            .unwrap();
+        frame[at..at + ct_bytes].fill(0);
+        let mut poisoned = SdcServer::restore(cfg.clone(), pk.clone(), &frame).unwrap();
+        let poisoned_before = state(&poisoned);
+        let retune = pu.tune(Some(Channel(0)), &cfg, &e, &pk, &mut rng);
+        assert!(poisoned.handle_pu_update(7, retune).is_err());
+        assert!(state(&poisoned) == poisoned_before, "half-applied update");
+
+        // A valid update after the rejected ones lands as in WATCH.
+        let update = pu.tune(Some(Channel(0)), &cfg, &e, &pk, &mut rng);
+        sdc.handle_pu_update(7, update).unwrap();
+        mirror.pu_update(7, PuInput::tuned(cfg.watch(), BlockId(2), Channel(0)));
+        assert_eq!(&stp.audit_decrypt_matrix(sdc.n_matrix()), mirror.n_matrix());
+        assert_eq!(sdc.registered_pus(), 1);
     }
 
     #[test]
@@ -967,37 +960,31 @@ mod tests {
 
     #[test]
     fn pooled_phase1_parallel_matches_pooled_sequential() {
+        use crate::cipher_matrix::at_width;
+
         let (cfg, mut stp, mut sdc, mut rng) = setup();
         let mut su = SuClient::new(SuId(5), BlockId(0), &cfg, &mut rng);
         stp.register_su(SuId(5), su.public_key().clone());
         let request = su.build_request(&cfg, stp.public_key(), &[Channel(0)], &mut rng);
         let entries = cfg.channels() * cfg.blocks();
 
-        let primed_pool = || {
+        // Prime the pool identically before each run: the fan-out must
+        // consume the factors in the same entry order at every width.
+        let mut phase1 = |workers: usize| {
             let pool = Arc::new(RandomizerPool::new(stp.public_key(), entries));
             pool.refill(&mut StdRng::seed_from_u64(0xf00d));
-            pool
+            sdc.attach_beta_pool(pool).unwrap();
+            at_width(workers, || {
+                sdc.process_request_phase1(&request, &mut StdRng::seed_from_u64(0xaa))
+                    .unwrap()
+            })
         };
-        sdc.attach_beta_pool(primed_pool()).unwrap();
-        let sequential = sdc
-            .process_request_phase1(&request, &mut StdRng::seed_from_u64(0xaa))
-            .unwrap();
-
-        // Re-prime with identical factors: the parallel path must
-        // consume them in the same entry order for any thread count.
-        for threads in [1usize, 2, 8] {
-            sdc.attach_beta_pool(primed_pool()).unwrap();
-            let parallel = sdc
-                .process_request_phase1_parallel(
-                    &request,
-                    threads,
-                    &mut StdRng::seed_from_u64(0xaa),
-                )
-                .unwrap();
+        let sequential = phase1(1);
+        for workers in [2usize, 8] {
             assert_eq!(
-                parallel.v_matrix.ciphertexts(),
+                phase1(workers).v_matrix.ciphertexts(),
                 sequential.v_matrix.ciphertexts(),
-                "pooled phase 1 diverged with {threads} threads"
+                "pooled phase 1 diverged with {workers} workers"
             );
         }
     }

@@ -169,10 +169,6 @@ pub struct EngineConfig {
     /// Poll granularity of the SDC/STP service loops (how often they
     /// check the shutdown flag while idle).
     pub poll: Duration,
-    /// Worker threads the SDC and STP spend on per-entry crypto. The
-    /// parallel paths are byte-identical to sequential, so this is a
-    /// pure throughput knob. Must be at least 1.
-    pub workers: usize,
 }
 
 impl Default for EngineConfig {
@@ -181,7 +177,6 @@ impl Default for EngineConfig {
             timeout: Duration::from_millis(200),
             max_retries: 6,
             poll: Duration::from_millis(2),
-            workers: 4,
         }
     }
 }
@@ -196,12 +191,6 @@ impl EngineConfig {
     /// Sets the retry budget.
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the SDC/STP crypto worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -262,10 +251,6 @@ impl EngineReport {
 /// [`PisaError::UnknownSu`] if an SU never registered with the STP, and
 /// [`PisaError::EngineFailure`] if a party thread panics (every thread
 /// is still joined before the error is returned).
-///
-/// # Panics
-///
-/// Panics if `engine.workers == 0`.
 pub fn run_storm(
     sus: Vec<(SuClient, Vec<Channel>)>,
     sdc: SdcServer,
@@ -274,7 +259,6 @@ pub fn run_storm(
     engine: &EngineConfig,
     seed: u64,
 ) -> Result<(EngineReport, SdcServer, StpServer), PisaError> {
-    assert!(engine.workers > 0, "need at least one crypto worker");
     let cfg = sdc.config().clone();
     let pk_g = stp.public_key().clone();
     let signing = sdc.signing_public_key().clone();
@@ -310,8 +294,7 @@ pub fn run_storm(
     let sdc_handle = {
         let stop = Arc::clone(&stop);
         let poll = engine.poll;
-        let mut machine =
-            SdcSessionEngine::new(sdc, su_keys, engine.workers, metrics.clone(), seed ^ 0x5dc);
+        let mut machine = SdcSessionEngine::new(sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
         std::thread::spawn(move || {
             loop {
                 let Some(env) = sdc_ep.recv_timeout(poll) else {
@@ -332,7 +315,7 @@ pub fn run_storm(
     let stp_handle = {
         let stop = Arc::clone(&stop);
         let poll = engine.poll;
-        let mut machine = StpSessionEngine::new(stp, engine.workers, metrics.clone(), seed ^ 0x517);
+        let mut machine = StpSessionEngine::new(stp, metrics.clone(), seed ^ 0x517);
         std::thread::spawn(move || {
             loop {
                 let Some(env) = stp_ep.recv_timeout(poll) else {

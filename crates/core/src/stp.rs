@@ -1,6 +1,6 @@
 //! The Semi-trusted Third Party: key generation and key conversion.
 
-use crate::cipher_matrix::CipherMatrix;
+use crate::cipher_matrix::{fan_out, CipherMatrix};
 use crate::error::PisaError;
 use crate::keys::{GlobalKeys, SuId, SuKeyDirectory};
 use crate::messages::{SdcToStpMsg, StpToSdcMsg};
@@ -85,8 +85,8 @@ impl StpServer {
     }
 
     /// Pre-takes one pooled factor per entry (empty when the SU has no
-    /// pool), indexed by entry order so the sequential and parallel
-    /// conversion paths consume identical factors.
+    /// pool), indexed by entry order so every fan-out width consumes
+    /// identical factors.
     fn take_su_factors(&self, id: SuId, entries: usize) -> Vec<Randomizer> {
         self.pools
             .get(&id)
@@ -211,7 +211,8 @@ impl StpServer {
     ///
     /// # Errors
     ///
-    /// [`PisaError::UnknownSu`] if the SU never registered a key.
+    /// [`PisaError::UnknownSu`] if the SU never registered a key, and
+    /// [`PisaError::EngineFailure`] if a worker panics.
     pub fn key_convert<R: Rng + ?Sized>(
         &self,
         msg: &SdcToStpMsg,
@@ -223,123 +224,27 @@ impl StpServer {
             .lookup(msg.su_id)
             .ok_or(PisaError::UnknownSu(msg.su_id))?;
 
-        let mut v_values = Vec::with_capacity(msg.v_matrix.len());
-        let mut x_entries = Vec::with_capacity(msg.v_matrix.len());
+        // Per-entry RNGs and pre-taken pooled factors, both indexed by
+        // entry, keep the reply independent of which worker runs an entry.
         let base = rng.next_u64();
         let factors = self.take_su_factors(msg.su_id, msg.v_matrix.len());
-        for (idx, ct) in msg.v_matrix.ciphertexts().iter().enumerate() {
-            let mut erng = crate::sdc::entry_rng(base, idx);
-            let v = self.global.secret().decrypt(ct);
+        let sk = self.global.secret();
+        let converted = fan_out(msg.v_matrix.ciphertexts(), |idx, ct| {
+            let v = sk.decrypt(ct);
             let x = if v.is_positive() {
                 Ibig::from(1i64)
             } else {
                 Ibig::from(-1i64)
             };
-            x_entries.push(match factors.get(idx) {
+            let x_ct = match factors.get(idx) {
                 Some(f) => su_pk.encrypt_with_randomizer(&x, f),
-                None => su_pk.encrypt(&x, &mut erng),
-            });
-            v_values.push(v);
-        }
+                None => su_pk.encrypt(&x, &mut crate::sdc::entry_rng(base, idx)),
+            };
+            (x_ct, v)
+        })
+        .map_err(|_| PisaError::EngineFailure("key-conversion worker panicked"))?;
+        let (x_entries, v_values): (Vec<_>, Vec<_>) = converted.into_iter().unzip();
 
-        Ok((
-            StpToSdcMsg {
-                su_id: msg.su_id,
-                x_matrix: CipherMatrix::from_ciphertexts(
-                    msg.v_matrix.channels(),
-                    msg.v_matrix.blocks(),
-                    x_entries,
-                ),
-                region_blocks: msg.region_blocks,
-                ct_bytes: su_pk.ciphertext_bytes(),
-            },
-            StpObservation { v_values },
-        ))
-    }
-
-    /// Parallel key conversion: the per-entry decrypt + re-encrypt work
-    /// is independent, so it splits across `threads` worker threads.
-    /// Entry order is preserved, and randomness is derived *per entry*
-    /// from a single draw on `rng`, so the reply is byte-identical to
-    /// the sequential path for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`PisaError::UnknownSu`] if the SU never registered a key, and
-    /// [`PisaError::EngineFailure`] if a worker thread panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn key_convert_parallel<R: Rng + ?Sized>(
-        &self,
-        msg: &SdcToStpMsg,
-        threads: usize,
-        rng: &mut R,
-    ) -> Result<(StpToSdcMsg, StpObservation), PisaError> {
-        assert!(threads > 0, "need at least one worker");
-        let _span = pisa_obs::span("key_conversion");
-        let su_pk = self
-            .directory
-            .lookup(msg.su_id)
-            .ok_or(PisaError::UnknownSu(msg.su_id))?;
-
-        let cts = msg.v_matrix.ciphertexts();
-        let chunk_len = cts.len().div_ceil(threads).max(1);
-        let base = rng.next_u64();
-        // Pre-take the pooled factors before the fan-out, indexed by entry
-        // order, so a pooled parallel conversion is byte-identical to the
-        // pooled sequential one regardless of thread count.
-        let factors = self.take_su_factors(msg.su_id, cts.len());
-        let factors = &factors;
-
-        let results: Result<Vec<(pisa_crypto::paillier::Ciphertext, Ibig)>, PisaError> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = cts
-                    .chunks(chunk_len)
-                    .enumerate()
-                    .map(|(chunk_no, chunk)| {
-                        let sk = self.global.secret();
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(k, ct)| {
-                                    let idx = chunk_no * chunk_len + k;
-                                    let mut erng = crate::sdc::entry_rng(base, idx);
-                                    let v = sk.decrypt(ct);
-                                    let x = if v.is_positive() {
-                                        Ibig::from(1i64)
-                                    } else {
-                                        Ibig::from(-1i64)
-                                    };
-                                    let ct = match factors.get(idx) {
-                                        Some(f) => su_pk.encrypt_with_randomizer(&x, f),
-                                        None => su_pk.encrypt(&x, &mut erng),
-                                    };
-                                    (ct, v)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                // Join every handle before reporting a dead worker so the
-                // scope never re-raises a swallowed panic.
-                let mut entries = Vec::with_capacity(cts.len());
-                let mut worker_died = false;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(chunk) => entries.extend(chunk),
-                        Err(_) => worker_died = true,
-                    }
-                }
-                if worker_died {
-                    return Err(PisaError::EngineFailure("key-conversion worker panicked"));
-                }
-                Ok(entries)
-            });
-
-        let (x_entries, v_values): (Vec<_>, Vec<_>) = results?.into_iter().unzip();
         Ok((
             StpToSdcMsg {
                 su_id: msg.su_id,
@@ -438,6 +343,8 @@ mod tests {
 
     #[test]
     fn pooled_key_convert_parallel_matches_pooled_sequential() {
+        use crate::cipher_matrix::at_width;
+
         let mut rng = StdRng::seed_from_u64(4);
         let mut stp = StpServer::new(&mut rng, 256);
         let su_keys = PaillierKeyPair::generate(&mut rng, 256);
@@ -457,28 +364,24 @@ mod tests {
         };
 
         // Prime the pool identically before each run so the factor stream
-        // the conversion consumes is the same every time.
-        let prime = |stp: &mut StpServer| {
+        // the conversion consumes is the same at every width.
+        let mut convert = |workers: usize| {
             let pool = stp.enable_su_pool(SuId(0), values.len()).unwrap();
-            let mut prng = StdRng::seed_from_u64(0xf00d);
-            pool.refill(&mut prng);
+            pool.refill(&mut StdRng::seed_from_u64(0xf00d));
+            at_width(workers, || {
+                stp.key_convert(&msg, &mut StdRng::seed_from_u64(7))
+                    .unwrap()
+            })
         };
-
-        prime(&mut stp);
-        let mut seq_rng = StdRng::seed_from_u64(7);
-        let (seq, seq_obs) = stp.key_convert(&msg, &mut seq_rng).unwrap();
-        for threads in [1usize, 2, 8] {
-            prime(&mut stp);
-            let mut par_rng = StdRng::seed_from_u64(7);
-            let (par, par_obs) = stp
-                .key_convert_parallel(&msg, threads, &mut par_rng)
-                .unwrap();
+        let (seq, seq_obs) = convert(1);
+        for workers in [2usize, 8] {
+            let (par, par_obs) = convert(workers);
             assert_eq!(
                 seq.x_matrix.ciphertexts(),
                 par.x_matrix.ciphertexts(),
-                "threads = {threads}"
+                "workers = {workers}"
             );
-            assert_eq!(seq_obs.v_values, par_obs.v_values, "threads = {threads}");
+            assert_eq!(seq_obs.v_values, par_obs.v_values, "workers = {workers}");
         }
 
         // Pooled conversion still decrypts to the right signs.

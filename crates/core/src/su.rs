@@ -1,6 +1,6 @@
 //! The secondary-user client.
 
-use crate::cipher_matrix::{i128_to_ibig, CipherMatrix};
+use crate::cipher_matrix::{encrypt_all, fan_out, CipherMatrix};
 use crate::config::SystemConfig;
 use crate::keys::SuId;
 use crate::messages::{SdcResponseMsg, SuRequestMsg};
@@ -118,10 +118,11 @@ impl SuClient {
         );
         let f = request.f_matrix_restricted(cfg.watch(), region);
         // Encrypt only the covered region: C × region ciphertexts.
-        let cts = (0..cfg.channels())
+        let plain: Vec<i128> = (0..cfg.channels())
             .flat_map(|c| (0..region).map(move |b| (c, b)))
-            .map(|(c, b)| pk_g.encrypt(&i128_to_ibig(f.get(c, b)), rng))
+            .map(|(c, b)| f.get(c, b))
             .collect();
+        let cts = encrypt_all(pk_g, &plain, rng);
         let matrix = CipherMatrix::from_ciphertexts(cfg.channels(), region, cts);
         self.cached = Some(matrix.clone());
         SuRequestMsg {
@@ -147,9 +148,11 @@ impl SuClient {
             .as_ref()
             .expect("precompute_refresh requires a previously built request")
             .len();
-        self.refresh_pool.clear();
-        self.refresh_pool
-            .extend((0..needed).map(|_| pk_g.precompute_randomizer(rng)));
+        // Draw in entry order, then raise across the host's cores: the
+        // factors equal `needed` sequential `precompute_randomizer` calls.
+        let draws: Vec<_> = (0..needed).map(|_| pk_g.draw_randomizer(rng)).collect();
+        self.refresh_pool = fan_out(&draws, |_, draw| pk_g.raise_randomizer(draw))
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
     }
 
     /// Like [`precompute_refresh`](Self::precompute_refresh), but draws the

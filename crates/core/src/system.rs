@@ -4,7 +4,7 @@ use crate::config::SystemConfig;
 use crate::error::PisaError;
 use crate::keys::SuId;
 use crate::privacy::LocationPrivacy;
-use crate::protocol::{run_request_direct_tuned, RequestOutcome};
+use crate::protocol::{run_request_direct, RequestOutcome};
 use crate::pu::PuClient;
 use crate::sdc::SdcServer;
 use crate::stp::StpServer;
@@ -37,8 +37,6 @@ pub struct PisaSystem {
     pus: HashMap<u64, PuClient>,
     sus: HashMap<SuId, SuClient>,
     next_su: u32,
-    /// Worker threads per phase fan-out; 1 = sequential paths.
-    threads: usize,
     /// When set, randomizer pools of this capacity are kept primed for
     /// the SDC's β blinding and each registered SU's key conversion.
     pool_capacity: Option<usize>,
@@ -67,26 +65,8 @@ impl PisaSystem {
             pus: HashMap::new(),
             sus: HashMap::new(),
             next_su: 0,
-            threads: 1,
             pool_capacity: None,
         }
-    }
-
-    /// Sets the worker-thread budget for the phase fan-outs. Results are
-    /// byte-identical across thread counts (per-entry randomness is
-    /// derived by index), so this is purely a throughput knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads > 0, "need at least one worker");
-        self.threads = threads;
-    }
-
-    /// Current worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Enables randomizer pools of `capacity` factors: one on the SDC
@@ -213,15 +193,8 @@ impl PisaSystem {
         rng: &mut R,
     ) -> RequestOutcome {
         let su_client = self.sus.get_mut(&su).expect("registered SU");
-        run_request_direct_tuned(
-            su_client,
-            &mut self.sdc,
-            &self.stp,
-            channels,
-            self.threads,
-            rng,
-        )
-        .expect("self-consistent system")
+        run_request_direct(su_client, &mut self.sdc, &self.stp, channels, rng)
+            .expect("self-consistent system")
     }
 
     /// Runs a request with explicit per-channel EIRP.
@@ -240,18 +213,9 @@ impl PisaSystem {
         let msg = su_client.build_request_from(&cfg, self.stp.public_key(), request, rng);
         let request_bytes = pisa_net::WireSize::wire_bytes(&msg);
 
-        let to_stp = if self.threads == 1 {
-            self.sdc.process_request_phase1(&msg, rng)?
-        } else {
-            self.sdc
-                .process_request_phase1_parallel(&msg, self.threads, rng)?
-        };
+        let to_stp = self.sdc.process_request_phase1(&msg, rng)?;
         let sdc_to_stp_bytes = pisa_net::WireSize::wire_bytes(&to_stp);
-        let (to_sdc, observation) = if self.threads == 1 {
-            self.stp.key_convert(&to_stp, rng)?
-        } else {
-            self.stp.key_convert_parallel(&to_stp, self.threads, rng)?
-        };
+        let (to_sdc, observation) = self.stp.key_convert(&to_stp, rng)?;
         let stp_to_sdc_bytes = pisa_net::WireSize::wire_bytes(&to_sdc);
         let su_pk = self.stp.su_key(su).ok_or(PisaError::UnknownSu(su))?.clone();
         let response = self.sdc.process_request_phase2(&to_sdc, &su_pk, rng)?;
@@ -281,7 +245,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x9a1);
         let mut system = PisaSystem::setup(SystemConfig::small_test(), &mut rng);
         system.enable_pools(8);
-        system.set_threads(2);
         let su = system.register_su(BlockId(0), &mut rng);
         system.refill_pools(&mut rng);
         let outcome = system.request(su, &[Channel(0)], &mut rng);

@@ -228,8 +228,8 @@ pub fn record_storm(
     let engine_cfg = EngineConfig::default();
     let metrics = NetMetrics::new();
 
-    let mut sdc = SdcSessionEngine::new(fixture.sdc, su_keys, 1, metrics.clone(), seed ^ 0x5dc);
-    let mut stp = StpSessionEngine::new(fixture.stp, 1, metrics.clone(), seed ^ 0x517);
+    let mut sdc = SdcSessionEngine::new(fixture.sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
+    let mut stp = StpSessionEngine::new(fixture.stp, metrics.clone(), seed ^ 0x517);
 
     let mut records = Vec::new();
     let mut queue: VecDeque<(Party, Party, SessionMsg)> = VecDeque::new();

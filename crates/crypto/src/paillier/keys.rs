@@ -1,6 +1,6 @@
 //! Paillier key generation, encryption and decryption.
 
-use super::ops::{Ciphertext, Randomizer};
+use super::ops::{Ciphertext, Nonce, Randomizer, RandomizerDraw};
 use crate::error::CryptoError;
 use pisa_bigint::modular::{gcd, lcm, mod_inverse, FixedBasePow, MontCtx};
 use pisa_bigint::random::{random_bits, random_coprime};
@@ -141,10 +141,26 @@ impl PaillierPublicKey {
     ///
     /// Panics if `|m| > n/2`.
     pub fn encrypt<R: Rng + ?Sized>(&self, m: &Ibig, rng: &mut R) -> Ciphertext {
-        // `random_coprime` samples until gcd(r, n) = 1, so the unit
-        // precondition of `raw_encrypt` holds by construction.
-        let r = random_coprime(rng, &self.n);
-        self.raw_encrypt(m, &r)
+        self.encrypt_with_nonce(m, &self.draw_nonce(rng))
+    }
+
+    /// The sequential half of [`encrypt`](Self::encrypt): draws the
+    /// nonce `r ∈ Z_n*` from `rng`, exactly as `encrypt` would.
+    pub fn draw_nonce<R: Rng + ?Sized>(&self, rng: &mut R) -> Nonce {
+        // `random_coprime` samples until gcd(r, n) = 1, so every nonce
+        // meets the unit precondition of `raw_encrypt`.
+        Nonce(random_coprime(rng, &self.n))
+    }
+
+    /// The pure half of [`encrypt`](Self::encrypt): one exponentiation
+    /// under a nonce drawn by [`draw_nonce`](Self::draw_nonce). Use each
+    /// nonce for at most one ciphertext.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|m| > n/2`.
+    pub fn encrypt_with_nonce(&self, m: &Ibig, nonce: &Nonce) -> Ciphertext {
+        self.raw_encrypt(m, &nonce.0)
     }
 
     /// Encrypts with an explicit random factor `r` (deterministic; used
@@ -268,13 +284,36 @@ impl PaillierPublicKey {
     /// factor is `h_nˣ` for a short random `x` instead — the same
     /// exponentiation class, an order of magnitude cheaper.
     pub fn precompute_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> Randomizer {
-        obs_count!(ModExp);
-        if let Some(fast) = self.fast_rand.get() {
-            let x = random_bits(rng, fast.exp_bits);
-            return Randomizer(fast.table.pow(&x));
+        self.raise_randomizer(&self.draw_randomizer(rng))
+    }
+
+    /// The sequential half of
+    /// [`precompute_randomizer`](Self::precompute_randomizer): draws `r`
+    /// (or the short `x` under fast randomizers) from `rng`, exactly as
+    /// `precompute_randomizer` would.
+    pub fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> RandomizerDraw {
+        match self.fast_rand.get() {
+            Some(fast) => RandomizerDraw {
+                value: random_bits(rng, fast.exp_bits),
+                short: true,
+            },
+            None => RandomizerDraw {
+                value: random_coprime(rng, &self.n),
+                short: false,
+            },
         }
-        let r = random_coprime(rng, &self.n);
-        Randomizer(self.ctx_n2.pow(&r, &self.n))
+    }
+
+    /// The pure half of
+    /// [`precompute_randomizer`](Self::precompute_randomizer): the one
+    /// exponentiation. A short draw raised on a key without the fast
+    /// table (it was drawn under another key) falls back to `xⁿ`.
+    pub fn raise_randomizer(&self, draw: &RandomizerDraw) -> Randomizer {
+        obs_count!(ModExp);
+        match self.fast_rand.get() {
+            Some(fast) if draw.short => Randomizer(fast.table.pow(&draw.value)),
+            _ => Randomizer(self.ctx_n2.pow(&draw.value, &self.n)),
+        }
     }
 
     /// Online phase of request refresh: one modular multiplication —
@@ -351,6 +390,23 @@ impl PaillierPublicKey {
         obs_count!(ModMul);
         let encoded = self.encode(m);
         Ciphertext::from_raw((Ubig::one() + &encoded * &self.n) % &self.n_squared)
+    }
+
+    /// Checks that `c` is a unit modulo `n²` — what every later ⊖,
+    /// negative ⊗ or unblinding of it needs — at the cost of one gcd.
+    /// Lets a party reject an adversarial ciphertext before storing it.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::MalformedCiphertext`] if `gcd(c, n) ≠ 1`.
+    pub fn check_unit(&self, c: &Ciphertext) -> Result<(), CryptoError> {
+        // A residue is a unit mod n² iff it is a unit mod n; gcd(0, n) = n
+        // also rejects the zero ciphertext.
+        if gcd(c.as_raw(), &self.n).is_one() {
+            Ok(())
+        } else {
+            Err(CryptoError::MalformedCiphertext)
+        }
     }
 
     fn invert(&self, c: &Ciphertext) -> Result<Ubig, CryptoError> {

@@ -19,7 +19,7 @@ mod ops;
 mod pool;
 
 pub use keys::{PaillierKeyPair, PaillierPublicKey, PaillierSecretKey, MIN_KEY_BITS};
-pub use ops::{Ciphertext, Randomizer};
+pub use ops::{Ciphertext, Nonce, Randomizer, RandomizerDraw};
 pub use pool::{PoolStats, RandomizerPool, RefillHandle};
 
 #[cfg(test)]

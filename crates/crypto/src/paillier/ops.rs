@@ -1,5 +1,6 @@
 //! The ciphertext type.
 
+use pisa_bigint::zeroize::Zeroize;
 use pisa_bigint::Ubig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -79,5 +80,56 @@ impl pisa_bigint::zeroize::Zeroize for Randomizer {
     /// to the refresh event, so pooled factors are wiped when dropped.
     fn zeroize(&mut self) {
         self.0.zeroize();
+    }
+}
+
+/// The randomness of one [`encrypt`](super::PaillierPublicKey::encrypt):
+/// a unit `r ∈ Z_n*` drawn but not yet raised to `rⁿ`.
+///
+/// Drawn by [`draw_nonce`](super::PaillierPublicKey::draw_nonce) and
+/// consumed by
+/// [`encrypt_with_nonce`](super::PaillierPublicKey::encrypt_with_nonce):
+/// drawing every entry's nonce in order from one RNG and encrypting
+/// afterwards, on any thread, yields the bytes of a sequential
+/// `encrypt` loop. Anyone holding `r` can strip it from the ciphertext,
+/// so it is redacted in `Debug` and wiped on drop.
+pub struct Nonce(pub(crate) Ubig);
+
+impl fmt::Debug for Nonce {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Nonce(<redacted>)")
+    }
+}
+
+impl Drop for Nonce {
+    fn drop(&mut self) {
+        self.0.zeroize();
+    }
+}
+
+/// The randomness of one
+/// [`precompute_randomizer`](super::PaillierPublicKey::precompute_randomizer)
+/// call, drawn but not yet raised: a unit `r` (raised to `rⁿ`) or, with
+/// fast randomizers enabled, a short exponent `x` (raised to `h_nˣ`).
+///
+/// Drawn by [`draw_randomizer`](super::PaillierPublicKey::draw_randomizer)
+/// and raised by
+/// [`raise_randomizer`](super::PaillierPublicKey::raise_randomizer), with
+/// the same ordering guarantee as [`Nonce`]. Redacted and wiped on drop.
+pub struct RandomizerDraw {
+    pub(crate) value: Ubig,
+    /// `true` for a short DJN exponent, `false` for a full-width unit.
+    pub(crate) short: bool,
+}
+
+impl fmt::Debug for RandomizerDraw {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RandomizerDraw(<redacted>)")
+    }
+}
+
+impl Drop for RandomizerDraw {
+    fn drop(&mut self) {
+        self.value.zeroize();
     }
 }

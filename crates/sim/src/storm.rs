@@ -545,9 +545,8 @@ pub fn run_sim_storm_with(
     net.set_corruptor(Arc::new(corrupt_session_frame));
     let metrics = net.metrics().clone();
 
-    let sdc_engine =
-        SdcSessionEngine::new(sdc, su_keys, engine.workers, metrics.clone(), seed ^ 0x5dc);
-    let stp_engine = StpSessionEngine::new(stp, engine.workers, metrics.clone(), seed ^ 0x517);
+    let sdc_engine = SdcSessionEngine::new(sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
+    let stp_engine = StpSessionEngine::new(stp, metrics.clone(), seed ^ 0x517);
 
     let params = SuSessionParams {
         cfg: &cfg,

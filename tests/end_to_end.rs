@@ -394,17 +394,21 @@ fn snapshot_rejects_corruption() {
 
 #[test]
 fn parallel_processing_matches_sequential_decisions() {
-    // The multi-threaded SDC phase 1 and STP conversion must reach the
-    // same decisions as the sequential paths (different ciphertexts —
-    // fresh blinds — identical semantics).
+    // SDC phase 1 and the STP conversion fan out across cores; they must
+    // reach the decisions of the sequential plaintext WATCH computation.
     let mut r = rng(17);
     let cfg = SystemConfig::small_test();
     let mut stp = pisa::StpServer::new(&mut r, cfg.paillier_bits());
     let mut sdc = pisa::SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.par", &mut r);
+    let mut watch = pisa_watch::WatchSdc::new(cfg.watch().clone());
     let mut pu = pisa::PuClient::new(0, BlockId(12));
     let e = sdc.e_matrix().clone();
     let update = pu.tune(Some(Channel(1)), &cfg, &e, stp.public_key(), &mut r);
     sdc.handle_pu_update(0, update).unwrap();
+    watch.pu_update(
+        0,
+        pisa_watch::PuInput::tuned(cfg.watch(), BlockId(12), Channel(1)),
+    );
 
     let mut su = pisa::SuClient::new(pisa::SuId(0), BlockId(13), &cfg, &mut r);
     stp.register_su(pisa::SuId(0), su.public_key().clone());
@@ -412,13 +416,21 @@ fn parallel_processing_matches_sequential_decisions() {
 
     for (ch, expected) in [(Channel(1), false), (Channel(0), true)] {
         let request = su.build_request(&cfg, stp.public_key(), &[ch], &mut r);
-        let to_stp = sdc
-            .process_request_phase1_parallel(&request, 4, &mut r)
-            .unwrap();
-        let (to_sdc, obs) = stp.key_convert_parallel(&to_stp, 4, &mut r).unwrap();
+        let to_stp = sdc.process_request_phase1(&request, &mut r).unwrap();
+        let (to_sdc, obs) = stp.key_convert(&to_stp, &mut r).unwrap();
         assert_eq!(obs.v_values.len(), to_stp.v_matrix.len());
         let response = sdc.process_request_phase2(&to_sdc, &su_pk, &mut r).unwrap();
         let granted = su.handle_response(&response, sdc.signing_public_key());
-        assert_eq!(granted, expected, "parallel decision on {ch}");
+        let plain = watch.process_request(&pisa_watch::SuRequest::full_power(
+            cfg.watch(),
+            BlockId(13),
+            &[ch],
+        ));
+        assert_eq!(
+            granted,
+            plain.is_granted(),
+            "fanned-out vs plaintext on {ch}"
+        );
+        assert_eq!(granted, expected, "decision on {ch}");
     }
 }
