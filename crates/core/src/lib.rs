@@ -86,10 +86,7 @@ pub use netstorm::{
     StormFixture, StpService,
 };
 pub use privacy::LocationPrivacy;
-pub use protocol::{
-    run_concurrent_requests, run_request_direct, run_request_over_network, NetworkRun,
-    RequestOutcome,
-};
+pub use protocol::{run_request_direct, RequestOutcome};
 pub use pu::PuClient;
 pub use sdc::SdcServer;
 pub use session::{

@@ -22,9 +22,11 @@
 //! [`run_memory_baseline`] recomputes that reference for `--verify`.
 //!
 //! Fault injection ports to the socket layer unchanged: each process
-//! installs [`SocketFaults`] on its *outbound* traffic, which covers
-//! every directed link exactly once (SU→SDC in the SU process, SDC→STP
-//! and SDC→SU in the SDC process, STP→SDC in the STP process).
+//! runs its *outbound* traffic through the same
+//! [`FaultPipeline`](pisa_net::FaultPipeline) as the in-memory engine,
+//! which covers every directed link exactly once (SU→SDC in the SU
+//! process, SDC→STP and SDC→SU in the SDC process, STP→SDC in the STP
+//! process).
 //!
 //! Shutdown is in-band and cascades: `pisa su --halt` sends a shutdown
 //! frame to the SDC once its sessions are done; the SDC forwards it to
@@ -46,8 +48,7 @@ use crate::su::SuClient;
 use crate::SystemConfig;
 use pisa_crypto::paillier::PaillierPublicKey;
 use pisa_net::{
-    FaultConfig, NetMetrics, Party, SocketConfig, SocketError, SocketEvent, SocketFaults,
-    SocketNode,
+    FaultConfig, NetMetrics, Party, SocketConfig, SocketError, SocketEvent, SocketNode,
 };
 use pisa_radio::tv::Channel;
 use pisa_radio::BlockId;
@@ -57,7 +58,6 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::Arc;
 
 /// Everything a networked storm role needs to reconstruct the shared
 /// system state and its own behaviour.
@@ -114,12 +114,6 @@ impl NetStormOpts {
             socket: SocketConfig::default(),
             durable: DurableOpts::default(),
         }
-    }
-
-    fn socket_faults(&self, metrics: &NetMetrics) -> Option<Arc<SocketFaults>> {
-        self.faults
-            .clone()
-            .map(|config| Arc::new(SocketFaults::new(config, metrics.clone())))
     }
 }
 
@@ -227,9 +221,12 @@ impl SdcService {
         let fixture = storm_fixture(opts.sessions, opts.seed)?;
         let su_keys = fixture.su_keys()?;
         let metrics = NetMetrics::new();
-        let faults = opts.socket_faults(&metrics);
-        let node: SocketNode<SessionMsg> =
-            SocketNode::new(Party::Sdc, opts.socket.clone(), metrics.clone(), faults);
+        let node: SocketNode<SessionMsg> = SocketNode::new(
+            Party::Sdc,
+            opts.socket.clone(),
+            metrics.clone(),
+            opts.faults.clone(),
+        );
         node.add_peer(Party::Stp, stp_addr);
         node.bind(listen).map_err(net_err)?;
 
@@ -393,9 +390,12 @@ impl StpService {
     pub fn bind(opts: &NetStormOpts, listen: &str) -> Result<Self, PisaError> {
         let fixture = storm_fixture(opts.sessions, opts.seed)?;
         let metrics = NetMetrics::new();
-        let faults = opts.socket_faults(&metrics);
-        let node: SocketNode<SessionMsg> =
-            SocketNode::new(Party::Stp, opts.socket.clone(), metrics.clone(), faults);
+        let node: SocketNode<SessionMsg> = SocketNode::new(
+            Party::Stp,
+            opts.socket.clone(),
+            metrics.clone(),
+            opts.faults.clone(),
+        );
         node.bind(listen).map_err(net_err)?;
 
         let mut generation = 0u64;
@@ -532,12 +532,14 @@ pub fn run_su_storm(
         .as_ref()
         .is_some_and(FaultConfig::any_corruption);
 
-    let metrics = NetMetrics::new();
-    let faults = opts.socket_faults(&metrics);
     // The node's own party only names shutdown frames; sessions send
     // with their explicit SU address via per-party endpoints.
-    let node: SocketNode<SessionMsg> =
-        SocketNode::new(Party::Su(0), opts.socket.clone(), metrics, faults);
+    let node: SocketNode<SessionMsg> = SocketNode::new(
+        Party::Su(0),
+        opts.socket.clone(),
+        NetMetrics::new(),
+        opts.faults.clone(),
+    );
     node.add_peer(Party::Sdc, sdc_addr);
 
     // One mailbox per session; a dispatcher thread demultiplexes the

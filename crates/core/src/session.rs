@@ -1,11 +1,10 @@
 //! Concurrent multi-session protocol engine over the simulated network.
 //!
-//! [`protocol::run_concurrent_requests`](crate::run_concurrent_requests)
-//! drives N requests over a *reliable* network and panics on anything
-//! unexpected — fine for measuring Figure 6, useless for the "millions
-//! of users over real links" north star. This module is the resilient
-//! replacement: threaded SDC and STP **service loops** plus one thread
-//! per SU session, where
+//! [`run_request_direct`](crate::run_request_direct) runs one request
+//! by direct calls; a real SDC serves many SUs at once over links that
+//! lose, repeat, reorder and mangle frames. This module drives N
+//! sessions that way: threaded SDC and STP **service loops** plus one
+//! thread per SU session, where
 //!
 //! * every session is an explicit state machine ([`SessionPhase`]:
 //!   phase 1 blinding → STP sign test → phase 2 license release),
@@ -14,8 +13,11 @@
 //! * malformed, out-of-order, stale or duplicated messages are
 //!   *rejected and counted* — never panicked on — via
 //!   [`NetMetrics::record_session_reject`] and friends, and
-//! * the whole engine composes with the deterministic fault injection in
-//!   [`pisa_net::FaultConfig`] (drop / duplicate / reorder / corrupt).
+//! * the whole engine composes with the deterministic fault injection
+//!   that [`pisa_net::FaultConfig`] configures (drop / duplicate /
+//!   reorder / corrupt), run by the same
+//!   [`FaultPipeline`](pisa_net::FaultPipeline) as the socket and
+//!   virtual-time transports.
 //!
 //! ## Why retries are safe
 //!

@@ -156,12 +156,14 @@ impl SuClient {
     }
 
     /// Like [`precompute_refresh`](Self::precompute_refresh), but draws the
-    /// `rⁿ` factors from a shared [`RandomizerPool`] instead of computing
-    /// them inline. The pool must be built for the *global* key `pk_g` —
-    /// the cached request matrix is encrypted under it. Returns `false`
-    /// (leaving the local factor stash untouched) when the pool is for a
-    /// different key, no request was built yet, or the pool cannot cover a
-    /// full refresh, so the caller can fall back to the online path.
+    /// `rⁿ` factors from a shared
+    /// [`RandomizerPool`](pisa_crypto::paillier::RandomizerPool) instead
+    /// of computing them inline. The pool must be built for the *global*
+    /// key `pk_g` — the cached request matrix is encrypted under it.
+    /// Returns `false` (leaving the local factor stash untouched) when the
+    /// pool is for a different key, no request was built yet, or the pool
+    /// cannot cover a full refresh, so the caller can fall back to the
+    /// online path.
     pub fn precompute_refresh_from(
         &mut self,
         pk_g: &PaillierPublicKey,

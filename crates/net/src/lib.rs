@@ -13,8 +13,9 @@
 //! * a configurable latency model ([`LatencyModel`]) for estimating
 //!   end-to-end protocol latency from the accounted traffic, and
 //! * deterministic, seedable fault injection ([`FaultConfig`]) with
-//!   per-link drop/duplicate/reorder/corrupt probabilities and
-//!   absorbed-fault counters surfaced through [`NetMetrics`].
+//!   per-link drop/duplicate/reorder/corrupt probabilities, run by one
+//!   [`FaultPipeline`] behind every transport, with absorbed-fault
+//!   counters surfaced through [`NetMetrics`].
 //!
 //! # Examples
 //!
@@ -47,12 +48,10 @@ pub mod socket;
 mod transport;
 
 pub use error::NetError;
-pub use fault::{link_stream_seed, Corruptor, FaultConfig, FaultDraw, FaultLottery, FaultPlan};
+pub use fault::{Corruptor, FaultConfig, FaultPipeline, FaultPlan};
 pub use latency::LatencyModel;
 pub use metrics::{FaultKind, FaultStats, LinkStats, NetMetrics, SessionStats};
-pub use socket::{
-    FrameCodec, SocketConfig, SocketEndpoint, SocketError, SocketEvent, SocketFaults, SocketNode,
-};
+pub use socket::{FrameCodec, SocketConfig, SocketEndpoint, SocketError, SocketEvent, SocketNode};
 pub use transport::{Endpoint, Envelope, Network, Party, Transport};
 
 /// Serialized size of a message on the wire, in bytes.

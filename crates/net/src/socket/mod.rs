@@ -9,21 +9,20 @@
 //! * [`frame`] — `u32` length-prefixed frames with a hard size ceiling,
 //!   an incremental [`FrameBuffer`] deframer, and the envelope format
 //!   (kind, from-party, to-party, payload);
-//! * [`SocketFaults`] — the seeded drop/dup/reorder/corrupt pipeline
-//!   applied to encoded bytes at the sender, mirroring the in-memory
-//!   fault semantics stage for stage;
 //! * [`SocketNode`] — listener + per-peer connection pool with
 //!   reconnect/backoff, reader threads, learned reply routes, in-band
 //!   graceful shutdown, and a [`Transport`](crate::Transport) adapter
-//!   ([`SocketEndpoint`]) so the session engines run unmodified.
+//!   ([`SocketEndpoint`]) so the session engines run unmodified. Given
+//!   a [`FaultConfig`](crate::FaultConfig), it runs its outbound
+//!   envelope bytes through the same
+//!   [`FaultPipeline`](crate::FaultPipeline) as the in-memory
+//!   transports, and writes any held-back frame when it stops.
 //!
 //! Everything is `std` networking — no new dependencies.
 
-mod faults;
 pub mod frame;
 mod node;
 
-pub use faults::SocketFaults;
 pub use frame::{FrameBuffer, FrameCodec};
 pub use node::{SocketEndpoint, SocketEvent, SocketNode};
 

@@ -16,16 +16,23 @@
 //! Shutdown is in-band (a control frame), so a remote operator can
 //! drain a fleet gracefully: the accept loop polls a stop flag, reader
 //! threads wake on their read timeout and exit.
+//!
+//! Outbound data frames run through the shared
+//! [`FaultPipeline`](crate::FaultPipeline) as **encoded envelope
+//! bytes**, just before they are written. Corruption flips one
+//! tweak-chosen bit of the *payload* region — the exact bytes the
+//! in-memory corruption oracle flips — and keeps the frame only if the
+//! payload still decodes; otherwise the frame is absorbed like a drop.
 
-use super::faults::SocketFaults;
 use super::frame::{
     decode_envelope, encode_envelope, write_frame, FrameBuffer, FrameCodec, FrameKind,
     ENVELOPE_HEADER_BYTES,
 };
 use super::{SocketConfig, SocketError};
+use crate::fault::{FaultConfig, FaultPipeline};
 use crate::metrics::NetMetrics;
 use crate::transport::{Envelope, Party, Transport};
-use crate::NetError;
+use crate::{NetError, WireSize};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -44,6 +51,36 @@ pub enum SocketEvent<M> {
     Shutdown(Party),
 }
 
+/// An encoded data envelope on its way out. Its wire size is the
+/// payload alone: the byte counters and the latency model both leave
+/// the envelope header out.
+#[derive(Clone)]
+struct EnvelopeBytes(Vec<u8>);
+
+impl WireSize for EnvelopeBytes {
+    fn wire_bytes(&self) -> usize {
+        self.0.len().saturating_sub(ENVELOPE_HEADER_BYTES)
+    }
+}
+
+/// The socket corruption oracle: flips the tweak-chosen bit of the
+/// envelope's payload region (never the header) and keeps the frame
+/// only if the payload still decodes as an `M`.
+fn corrupt_envelope<M: FrameCodec>(frame: &EnvelopeBytes, tweak: u64) -> Option<EnvelopeBytes> {
+    let nbits = (frame.wire_bytes() as u64).saturating_mul(8);
+    if nbits == 0 {
+        return None;
+    }
+    let bit = usize::try_from(tweak % nbits).unwrap_or(0);
+    let mut mangled = frame.0.clone();
+    let byte = mangled.get_mut(ENVELOPE_HEADER_BYTES + bit / 8)?;
+    *byte ^= 1 << (bit % 8);
+    let payload = mangled.get(ENVELOPE_HEADER_BYTES..)?;
+    M::decode_frame(payload)
+        .is_ok()
+        .then_some(EnvelopeBytes(mangled))
+}
+
 /// A pooled write handle onto one TCP connection.
 #[derive(Clone)]
 struct Conn {
@@ -54,7 +91,7 @@ struct NodeInner<M> {
     party: Party,
     cfg: SocketConfig,
     metrics: NetMetrics,
-    faults: Option<Arc<SocketFaults>>,
+    faults: Option<Mutex<FaultPipeline<EnvelopeBytes>>>,
     /// Write halves by party: learned from inbound frames or dialed.
     routes: Mutex<HashMap<Party, Conn>>,
     /// Static dial addresses for peers this node initiates to.
@@ -87,13 +124,18 @@ impl<M> std::fmt::Debug for SocketNode<M> {
 
 impl<M: FrameCodec + Send + 'static> SocketNode<M> {
     /// A node identified as `party`, with optional fault injection on
-    /// its outbound traffic.
+    /// its outbound traffic; faults are counted into `metrics`.
     pub fn new(
         party: Party,
         cfg: SocketConfig,
         metrics: NetMetrics,
-        faults: Option<Arc<SocketFaults>>,
+        faults: Option<FaultConfig>,
     ) -> Self {
+        let faults = faults.map(|config| {
+            let mut pipeline = FaultPipeline::new(config, 0.0, metrics.clone());
+            pipeline.set_corruptor(Arc::new(corrupt_envelope::<M>));
+            Mutex::new(pipeline)
+        });
         let (inbound_tx, inbound_rx) = unbounded();
         SocketNode {
             inner: Arc::new(NodeInner {
@@ -119,11 +161,6 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
     /// The shared traffic metrics.
     pub fn metrics(&self) -> &NetMetrics {
         &self.inner.metrics
-    }
-
-    /// The fault pipeline, if one is installed.
-    pub fn faults(&self) -> Option<&SocketFaults> {
-        self.inner.faults.as_deref()
     }
 
     /// The bound listen address, once [`bind`](Self::bind) succeeded.
@@ -172,17 +209,15 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
     /// error after a failed write + redial.
     pub fn send_from(&self, from: Party, to: Party, msg: &M) -> Result<(), SocketError> {
         let payload = msg.encode_frame()?;
-        let frame = encode_envelope(FrameKind::Data, from, to, &payload);
-        let frames = match &self.inner.faults {
-            Some(faults) => faults.apply(from, to, frame, &|bytes: &[u8]| {
-                M::decode_frame(bytes).is_ok()
-            }),
-            None => vec![frame],
+        let frame = EnvelopeBytes(encode_envelope(FrameKind::Data, from, to, &payload));
+        let Some(faults) = &self.inner.faults else {
+            return self.write_data(from, to, &frame);
         };
-        for frame in frames {
-            let payload_bytes = frame.len().saturating_sub(ENVELOPE_HEADER_BYTES);
-            self.write_to(to, &frame)?;
-            self.inner.metrics.record(from, to, payload_bytes);
+        let mut frames = Vec::with_capacity(3);
+        let wire = faults.lock().inject(from, to, frame, &mut frames);
+        std::thread::sleep(wire);
+        for frame in &frames {
+            self.write_data(from, to, frame)?;
         }
         Ok(())
     }
@@ -204,9 +239,19 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
     }
 
     /// Asks the accept loop and every reader thread to wind down (they
-    /// notice within one read-poll interval).
+    /// notice within one read-poll interval), then writes any frames
+    /// the reorder stage still holds, best effort, over the routes
+    /// already open: once the stop flag is up a dial fails at once, so
+    /// shutdown never waits on a redial.
     pub fn stop(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
+        let Some(faults) = &self.inner.faults else {
+            return;
+        };
+        let held = faults.lock().drain_held();
+        for ((from, to), frame) in held {
+            let _ = self.write_data(from, to, &frame);
+        }
     }
 
     /// A [`Transport`] view of this node for one hosted party.
@@ -215,6 +260,13 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
             node: self.clone(),
             party,
         }
+    }
+
+    /// Writes one data envelope and counts its payload bytes.
+    fn write_data(&self, from: Party, to: Party, frame: &EnvelopeBytes) -> Result<(), SocketError> {
+        self.write_to(to, &frame.0)?;
+        self.inner.metrics.record(from, to, frame.wire_bytes());
+        Ok(())
     }
 
     fn write_to(&self, to: Party, frame: &[u8]) -> Result<(), SocketError> {
@@ -400,5 +452,104 @@ impl<M: FrameCodec + Send + 'static> Transport<M> for SocketEndpoint<M> {
         self.node
             .send_from(self.party, to, &payload)
             .map_err(|e| e.into_net_error(to))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::CodecError;
+    use crate::fault::FaultPlan;
+
+    /// Accepts only all-zero payloads, so every bit flip is unparseable.
+    struct Zeros;
+
+    impl FrameCodec for Zeros {
+        fn encode_frame(&self) -> Result<bytes::Bytes, CodecError> {
+            Ok(bytes::Bytes::new())
+        }
+
+        fn decode_frame(frame: &[u8]) -> Result<Self, CodecError> {
+            if frame.iter().all(|&b| b == 0) {
+                Ok(Zeros)
+            } else {
+                Err(CodecError::Invalid("nonzero payload".into()))
+            }
+        }
+    }
+
+    /// Accepts any payload, so every bit flip survives.
+    struct Anything;
+
+    impl FrameCodec for Anything {
+        fn encode_frame(&self) -> Result<bytes::Bytes, CodecError> {
+            Ok(bytes::Bytes::new())
+        }
+
+        fn decode_frame(_: &[u8]) -> Result<Self, CodecError> {
+            Ok(Anything)
+        }
+    }
+
+    /// An envelope pipeline as [`SocketNode::new`] builds one for `M`.
+    fn pipeline<M: FrameCodec + 'static>(
+        plan: FaultPlan,
+        metrics: &NetMetrics,
+    ) -> FaultPipeline<EnvelopeBytes> {
+        let config = FaultConfig::new(7).with_default_plan(plan);
+        let mut pipeline = FaultPipeline::new(config, 0.0, metrics.clone());
+        pipeline.set_corruptor(Arc::new(corrupt_envelope::<M>));
+        pipeline
+    }
+
+    fn envelope(payload: &[u8]) -> EnvelopeBytes {
+        EnvelopeBytes(encode_envelope(
+            FrameKind::Data,
+            Party::Su(0),
+            Party::Sdc,
+            payload,
+        ))
+    }
+
+    #[test]
+    fn corruption_flips_exactly_one_payload_bit() {
+        let metrics = NetMetrics::new();
+        let mut p = pipeline::<Anything>(FaultPlan::none().with_corrupt(1.0), &metrics);
+        let frame = envelope(&[0u8; 8]);
+        let mut out = Vec::new();
+        p.inject(Party::Su(0), Party::Sdc, frame.clone(), &mut out);
+        assert_eq!(out.len(), 1);
+        let (header, payload) = out[0].0.split_at(ENVELOPE_HEADER_BYTES);
+        assert_eq!(
+            header,
+            &frame.0[..ENVELOPE_HEADER_BYTES],
+            "header untouched"
+        );
+        assert_eq!(payload.iter().map(|b| b.count_ones()).sum::<u32>(), 1);
+        assert_eq!(metrics.fault_totals().corrupted, 1);
+    }
+
+    #[test]
+    fn unparseable_corruption_is_absorbed() {
+        let metrics = NetMetrics::new();
+        let mut p = pipeline::<Zeros>(FaultPlan::none().with_corrupt(1.0), &metrics);
+        let mut out = Vec::new();
+        p.inject(Party::Su(0), Party::Sdc, envelope(&[0u8; 8]), &mut out);
+        // An empty payload has no bit to flip: absorbed as well.
+        p.inject(Party::Su(0), Party::Sdc, envelope(&[]), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(metrics.fault_totals().corrupt_dropped, 2);
+    }
+
+    #[test]
+    fn drain_recovers_stranded_envelope() {
+        let metrics = NetMetrics::new();
+        let mut p = pipeline::<Anything>(FaultPlan::none().with_reorder(1.0), &metrics);
+        let frame = envelope(b"stranded");
+        let mut out = Vec::new();
+        p.inject(Party::Su(0), Party::Sdc, frame.clone(), &mut out);
+        assert!(out.is_empty());
+        let held: Vec<_> = p.drain_held().map(|(link, f)| (link, f.0)).collect();
+        assert_eq!(held, vec![((Party::Su(0), Party::Sdc), frame.0)]);
     }
 }

@@ -1,7 +1,7 @@
 //! Party addressing and in-memory message delivery.
 
-use crate::fault::{Corruptor, FaultConfig, FaultState};
-use crate::metrics::{FaultKind, NetMetrics};
+use crate::fault::{Corruptor, FaultConfig, FaultPipeline};
+use crate::metrics::NetMetrics;
 use crate::{NetError, WireSize};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -57,7 +57,7 @@ struct Mailboxes<M> {
 pub struct Network<M> {
     boxes: Arc<Mutex<Mailboxes<M>>>,
     metrics: NetMetrics,
-    faults: Option<Arc<FaultState<M>>>,
+    faults: Option<Arc<Mutex<FaultPipeline<M>>>>,
 }
 
 impl<M> Clone for Network<M> {
@@ -95,16 +95,13 @@ impl<M> Network<M> {
         }
     }
 
-    /// Creates a network that injects faults according to `config`.
+    /// Creates a network that runs every send through a
+    /// [`FaultPipeline`] configured by `config`.
     pub fn with_faults(config: FaultConfig) -> Self {
         let mut net = Self::new();
-        net.faults = Some(Arc::new(FaultState::new(config)));
+        let pipeline = FaultPipeline::new(config, 0.0, net.metrics.clone());
+        net.faults = Some(Arc::new(Mutex::new(pipeline)));
         net
-    }
-
-    /// The fault policy, if this network injects faults.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.faults.as_deref().map(FaultState::config)
     }
 
     /// Installs the corruption oracle: how a bit flip mangles a payload
@@ -112,7 +109,7 @@ impl<M> Network<M> {
     /// No-op on a fault-free network.
     pub fn set_corruptor(&self, corruptor: Corruptor<M>) {
         if let Some(faults) = &self.faults {
-            faults.set_corruptor(corruptor);
+            faults.lock().set_corruptor(corruptor);
         }
     }
 }
@@ -164,55 +161,19 @@ impl<M: WireSize> Network<M> {
 }
 
 impl<M: WireSize + Clone> Network<M> {
+    /// Runs `env` through the fault pipeline, if any, then sleeps out
+    /// its wire time — with the pipeline unlocked, so senders on other
+    /// links are not held up — and delivers what survived.
     fn deliver(&self, env: Envelope<M>) -> Result<(), NetError> {
-        let Some(faults) = self.faults.clone() else {
+        let Some(faults) = &self.faults else {
             return self.deliver_direct(env);
         };
-        if let Some(model) = faults.config().latency {
-            std::thread::sleep(model.transfer_time(env.payload.wire_bytes() as u64, 1));
-        }
-        let link = (env.from, env.to);
-        let draw = faults.draw(env.from, env.to);
-        if draw.dropped {
-            self.metrics
-                .record_fault(env.from, env.to, FaultKind::Dropped);
-            return Ok(());
-        }
-        let mut env = env;
-        if let Some(tweak) = draw.corrupt {
-            // Without an oracle a bit flip always destroys the frame;
-            // with one, the flip may still decode into a wrong-but-
-            // well-formed message the receiver must reject itself.
-            match faults.corruptor().and_then(|c| c(&env.payload, tweak)) {
-                Some(mangled) => {
-                    self.metrics
-                        .record_fault(env.from, env.to, FaultKind::Corrupted);
-                    env.payload = mangled;
-                }
-                None => {
-                    self.metrics
-                        .record_fault(env.from, env.to, FaultKind::CorruptDropped);
-                    return Ok(());
-                }
-            }
-        }
-        // Reorder = hold one message back and release it after the next
-        // send on the same link (a one-slot swap).
-        let held = faults.take_held(link);
-        if draw.reordered && held.is_none() {
-            self.metrics
-                .record_fault(env.from, env.to, FaultKind::Reordered);
-            faults.hold(link, env);
-            return Ok(());
-        }
-        if draw.duplicated {
-            self.metrics
-                .record_fault(env.from, env.to, FaultKind::Duplicated);
-            self.deliver_direct(env.clone())?;
-        }
-        self.deliver_direct(env)?;
-        if let Some(prev) = held {
-            self.deliver_direct(prev)?;
+        let Envelope { from, to, payload } = env;
+        let mut frames = Vec::with_capacity(3);
+        let wire = faults.lock().inject(from, to, payload, &mut frames);
+        std::thread::sleep(wire);
+        for payload in frames {
+            self.deliver_direct(Envelope { from, to, payload })?;
         }
         Ok(())
     }
@@ -221,10 +182,10 @@ impl<M: WireSize + Clone> Network<M> {
     /// Returns how many were flushed. No-op on a fault-free network.
     pub fn flush_holdback(&self) -> usize {
         let Some(faults) = &self.faults else { return 0 };
-        let held = faults.drain_held();
+        let held = faults.lock().drain_held();
         let n = held.len();
-        for env in held {
-            let _ = self.deliver_direct(env);
+        for ((from, to), payload) in held {
+            let _ = self.deliver_direct(Envelope { from, to, payload });
         }
         n
     }

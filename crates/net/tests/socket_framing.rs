@@ -10,7 +10,9 @@ use pisa_net::socket::frame::{
     decode_envelope, encode_envelope, write_frame, FrameKind, ENVELOPE_HEADER_BYTES,
 };
 use pisa_net::socket::FrameBuffer;
-use pisa_net::{FrameCodec, NetMetrics, Party, SocketConfig, SocketEvent, SocketNode};
+use pisa_net::{
+    FaultConfig, FaultPlan, FrameCodec, NetMetrics, Party, SocketConfig, SocketEvent, SocketNode,
+};
 use proptest::prelude::*;
 
 /// Opaque test payload: the socket layer must treat it as raw bytes.
@@ -245,5 +247,57 @@ fn loopback_metrics_account_payload_bytes() {
     assert_eq!(client.metrics().total_bytes(), 1000);
     assert_eq!(server.metrics().total_bytes(), 1000);
     client.stop();
+    server.stop();
+}
+
+/// A frame the reorder stage is holding when a node stops is written on
+/// the way out, not stranded: it reaches the peer only after `stop()`.
+#[test]
+fn stop_flushes_a_held_back_frame() {
+    use std::time::Duration;
+
+    let server: SocketNode<Blob> =
+        SocketNode::new(Party::Sdc, SocketConfig::default(), NetMetrics::new(), None);
+    let addr = server.bind("127.0.0.1:0").expect("bind").to_string();
+    // SU2's link reorders every frame; SU1's quiet link only opens the
+    // pooled connection that `stop` writes over (it never dials).
+    let faults = FaultConfig::new(11)
+        .with_default_plan(FaultPlan::none().with_reorder(1.0))
+        .with_link(Party::Su(1), Party::Sdc, FaultPlan::none());
+    let client: SocketNode<Blob> = SocketNode::new(
+        Party::Su(1),
+        SocketConfig::default(),
+        NetMetrics::new(),
+        Some(faults),
+    );
+    client.add_peer(Party::Sdc, &addr);
+
+    client
+        .send_from(Party::Su(1), Party::Sdc, &Blob(b"open".to_vec()))
+        .expect("send");
+    client
+        .send_from(Party::Su(2), Party::Sdc, &Blob(b"held".to_vec()))
+        .expect("send");
+    let Some(SocketEvent::Frame(env)) = server.recv_timeout(Duration::from_secs(10)) else {
+        panic!("the quiet link's frame never arrived");
+    };
+    assert_eq!(env.payload, Blob(b"open".to_vec()));
+    assert!(
+        server.recv_timeout(Duration::from_millis(200)).is_none(),
+        "the reorder stage holds SU2's only frame back"
+    );
+    assert_eq!(client.metrics().fault_totals().reordered, 1);
+    assert!(client.metrics().link(Party::Su(2), Party::Sdc).is_none());
+
+    client.stop();
+    let Some(SocketEvent::Frame(env)) = server.recv_timeout(Duration::from_secs(10)) else {
+        panic!("the held frame never arrived after stop");
+    };
+    assert_eq!(
+        (env.from, env.payload),
+        (Party::Su(2), Blob(b"held".to_vec()))
+    );
+    let flushed = client.metrics().link(Party::Su(2), Party::Sdc);
+    assert_eq!(flushed.map(|l| l.bytes), Some(4));
     server.stop();
 }

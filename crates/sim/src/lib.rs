@@ -5,9 +5,9 @@
 //! survive a hostile network?" — but it runs on wall-clock time, so a
 //! big storm is slow and a failing storm is hard to replay. This crate
 //! re-runs the same protocol on *virtual* time: a single thread pops
-//! events off a `(virtual_time, seq)`-keyed heap, the network is the
-//! exact fault pipeline of `pisa-net` driven by the same seeded
-//! per-link streams, and the parties are either the real `pisa-core`
+//! events off a `(virtual_time, seq)`-keyed heap, the network runs the
+//! [`FaultPipeline`](pisa_net::FaultPipeline) the threaded and socket
+//! transports run, and the parties are either the real `pisa-core`
 //! session engines ([`Fidelity::Real`]) or plaintext mirrors of them
 //! ([`Fidelity::Modeled`]) that trade the Paillier arithmetic for the
 //! WATCH decision oracle — which is what makes a 10⁵-session storm

@@ -1,30 +1,20 @@
-//! Virtual-time port of the threaded [`pisa_net::Network`] fault path.
+//! Virtual-time front end for the shared [`FaultPipeline`].
 //!
-//! [`SimNet::send`] walks the exact pipeline of `Network::deliver` —
-//! latency, fault draw, drop, corrupt, one-slot reorder holdback,
-//! duplicate, deliver — but instead of sleeping and pushing into
-//! mailboxes it returns the scheduled [`Delivery`] records for the
-//! event heap. The fault draws come from the same [`FaultLottery`]
-//! streams the threaded network uses (per-link, seeded by
-//! [`link_stream_seed`]), so for a given `(seed, link, send-index)` the
-//! simulator and the threaded engine observe the *same* fault.
+//! [`SimNet::send`] hands each message to the same [`FaultPipeline`]
+//! the threaded [`pisa_net::Network`] and the TCP
+//! [`SocketNode`](pisa_net::SocketNode) run — latency, drop, corrupt,
+//! one-slot reorder holdback, duplicate — but instead of sleeping and
+//! pushing into mailboxes it returns the scheduled [`Delivery`] records
+//! for the event heap. One pipeline means one set of per-link fault
+//! streams: for a given `(seed, link, send-index)` every transport
+//! observes the *same* fault.
 //!
-//! Latency is drawn per delivery from the config's
-//! [`LatencyModel`](pisa_net::LatencyModel) via
-//! [`sample_transfer_time`](pisa_net::LatencyModel::sample_transfer_time),
-//! with per-link jitter streams salted away from the fault streams so
+//! Latency is drawn per send from the config's
+//! [`LatencyModel`](pisa_net::LatencyModel) with seeded multiplicative
+//! jitter, on per-link streams salted away from the fault streams so
 //! turning jitter on or off never perturbs a fault draw.
 
-use pisa_net::{
-    link_stream_seed, Corruptor, FaultConfig, FaultKind, FaultLottery, NetMetrics, Party, WireSize,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::BTreeMap;
-
-/// Salt xored into the master seed for the latency-jitter streams, so
-/// they are decorrelated from the fault streams on the same link.
-const LATENCY_SALT: u64 = 0x1a7e_57a7_e000_0001;
+use pisa_net::{Corruptor, FaultConfig, FaultPipeline, NetMetrics, Party, WireSize};
 
 /// One message scheduled to land at a virtual instant.
 #[derive(Debug, Clone)]
@@ -39,17 +29,13 @@ pub struct Delivery<M> {
     pub msg: M,
 }
 
-/// The virtual-time network: same fault semantics as the threaded
-/// [`pisa_net::Network`], inverted control.
+/// The virtual-time network: the threaded [`pisa_net::Network`]'s
+/// fault pipeline, inverted control.
 pub struct SimNet<M> {
-    lottery: Option<FaultLottery>,
-    corruptor: Option<Corruptor<M>>,
-    jitter: f64,
-    latency_seed: u64,
-    latency_rngs: BTreeMap<(Party, Party), StdRng>,
-    /// One-slot reorder holdback per directed link. A `BTreeMap` so the
-    /// end-of-run flush drains in a deterministic order.
-    holdback: BTreeMap<(Party, Party), M>,
+    pipeline: FaultPipeline<M>,
+    /// Per-send scratch for the pipeline's output, reused so the hot
+    /// path does not allocate.
+    frames: Vec<M>,
     metrics: NetMetrics,
 }
 
@@ -59,15 +45,12 @@ impl<M: WireSize + Clone> SimNet<M> {
     /// the multiplicative latency jitter amplitude in `[0, 1]` (only
     /// meaningful when the config carries a latency model).
     pub fn new(config: Option<FaultConfig>, jitter: f64) -> Self {
-        let latency_seed = config.as_ref().map_or(0, |c| c.seed ^ LATENCY_SALT);
+        let metrics = NetMetrics::new();
+        let config = config.unwrap_or_else(|| FaultConfig::new(0));
         SimNet {
-            lottery: config.map(FaultLottery::new),
-            corruptor: None,
-            jitter,
-            latency_seed,
-            latency_rngs: BTreeMap::new(),
-            holdback: BTreeMap::new(),
-            metrics: NetMetrics::new(),
+            pipeline: FaultPipeline::new(config, jitter, metrics.clone()),
+            frames: Vec::with_capacity(3),
+            metrics,
         }
     }
 
@@ -79,99 +62,41 @@ impl<M: WireSize + Clone> SimNet<M> {
     /// Installs the corruption oracle (see
     /// [`pisa_net::Network::set_corruptor`]).
     pub fn set_corruptor(&mut self, corruptor: Corruptor<M>) {
-        self.corruptor = Some(corruptor);
+        self.pipeline.set_corruptor(corruptor);
     }
 
     /// `true` if any link can corrupt payloads.
     pub fn corrupt_possible(&self) -> bool {
-        self.lottery
-            .as_ref()
-            .is_some_and(|l| l.config().any_corruption())
-    }
-
-    /// Virtual wire time for one message of `bytes` bytes on
-    /// `from → to`, consuming one jitter draw iff a latency model is
-    /// configured.
-    fn wire_ns(&mut self, from: Party, to: Party, bytes: u64) -> u64 {
-        let Some(model) = self.lottery.as_ref().and_then(|l| l.config().latency) else {
-            return 0;
-        };
-        let seed = self.latency_seed;
-        let rng = self
-            .latency_rngs
-            .entry((from, to))
-            .or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(seed, from, to)));
-        let t = model.sample_transfer_time(bytes, 1, self.jitter, rng);
-        u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn record_delivery(&self, from: Party, to: Party, msg: &M, at: u64, out: &mut Vec<Delivery<M>>)
-    where
-        M: Clone,
-    {
-        self.metrics.record(from, to, msg.wire_bytes());
-        out.push(Delivery {
-            at,
-            from,
-            to,
-            msg: msg.clone(),
-        });
+        self.pipeline.config().any_corruption()
     }
 
     /// Sends `msg` on `from → to` at virtual time `now`, appending the
     /// resulting deliveries (zero, one or two messages, plus a possible
-    /// released holdback) to `out`. Mirrors `Network::deliver` stage by
-    /// stage so the fault streams line up draw for draw.
+    /// released holdback) to `out`, all landing after the message's
+    /// wire time.
     pub fn send(&mut self, now: u64, from: Party, to: Party, msg: M, out: &mut Vec<Delivery<M>>) {
-        let arrival = now.saturating_add(self.wire_ns(from, to, msg.wire_bytes() as u64));
-        let Some(lottery) = self.lottery.as_mut() else {
-            self.record_delivery(from, to, &msg, arrival, out);
-            return;
-        };
-        let draw = lottery.draw(from, to);
-        if draw.dropped {
-            self.metrics.record_fault(from, to, FaultKind::Dropped);
-            return;
-        }
-        let mut msg = msg;
-        if let Some(tweak) = draw.corrupt {
-            match self.corruptor.as_ref().and_then(|c| c(&msg, tweak)) {
-                Some(mangled) => {
-                    self.metrics.record_fault(from, to, FaultKind::Corrupted);
-                    msg = mangled;
-                }
-                None => {
-                    self.metrics
-                        .record_fault(from, to, FaultKind::CorruptDropped);
-                    return;
-                }
-            }
-        }
-        let link = (from, to);
-        let held = self.holdback.remove(&link);
-        if draw.reordered && held.is_none() {
-            self.metrics.record_fault(from, to, FaultKind::Reordered);
-            self.holdback.insert(link, msg);
-            return;
-        }
-        if draw.duplicated {
-            self.metrics.record_fault(from, to, FaultKind::Duplicated);
-            self.record_delivery(from, to, &msg, arrival, out);
-        }
-        self.record_delivery(from, to, &msg, arrival, out);
-        if let Some(prev) = held {
-            self.record_delivery(from, to, &prev, arrival, out);
+        let wire = self.pipeline.inject(from, to, msg, &mut self.frames);
+        let at = now.saturating_add(u64::try_from(wire.as_nanos()).unwrap_or(u64::MAX));
+        for msg in self.frames.drain(..) {
+            self.metrics.record(from, to, msg.wire_bytes());
+            out.push(Delivery { at, from, to, msg });
         }
     }
 
     /// Delivers every message the reorder stage still holds, at virtual
-    /// time `now`, in deterministic link order. Returns how many were
-    /// flushed (mirrors [`pisa_net::Network::flush_holdback`]).
+    /// time `now`, in link order. Returns how many were flushed (mirrors
+    /// [`pisa_net::Network::flush_holdback`]).
     pub fn flush_holdback(&mut self, now: u64, out: &mut Vec<Delivery<M>>) -> usize {
-        let held = std::mem::take(&mut self.holdback);
+        let held = self.pipeline.drain_held();
         let n = held.len();
         for ((from, to), msg) in held {
-            self.record_delivery(from, to, &msg, now, out);
+            self.metrics.record(from, to, msg.wire_bytes());
+            out.push(Delivery {
+                at: now,
+                from,
+                to,
+                msg,
+            });
         }
         n
     }
@@ -180,8 +105,12 @@ impl<M: WireSize + Clone> SimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pisa_net::{FaultPlan, LatencyModel, Network};
+    use pisa_net::codec::CodecError;
+    use pisa_net::{
+        FaultPlan, FrameCodec, LatencyModel, Network, SocketConfig, SocketEvent, SocketNode,
+    };
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn lossy(seed: u64, plan: FaultPlan) -> SimNet<Vec<u8>> {
         SimNet::new(Some(FaultConfig::new(seed).with_default_plan(plan)), 0.0)
@@ -219,37 +148,101 @@ mod tests {
         assert_ne!(run(0.3), run(0.0));
     }
 
-    #[test]
-    fn fault_draws_match_threaded_network() {
-        // Drive the threaded Network and the SimNet with the same seed
-        // and send sequence; the surviving payload sequence must match.
-        let plan = FaultPlan::none().with_drop(0.4).with_duplicate(0.3);
-        let seed = 0x51f7;
+    /// Raw bytes as a socket payload, so an envelope's payload region
+    /// is exactly the in-memory `Vec<u8>` message.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Raw(Vec<u8>);
 
-        let threaded: Network<Vec<u8>> =
-            Network::with_faults(FaultConfig::new(seed).with_default_plan(plan));
+    impl FrameCodec for Raw {
+        fn encode_frame(&self) -> Result<bytes::Bytes, CodecError> {
+            Ok(bytes::Bytes::from(self.0.clone()))
+        }
+
+        fn decode_frame(frame: &[u8]) -> Result<Self, CodecError> {
+            Ok(Raw(frame.to_vec()))
+        }
+    }
+
+    /// Flips bit `tweak mod len·8` — the bit the socket corruptor flips
+    /// in a `Raw` envelope's payload region.
+    fn flip_bit() -> Corruptor<Vec<u8>> {
+        Arc::new(|payload: &Vec<u8>, tweak| {
+            let mut flipped = payload.clone();
+            let bit = tweak as usize % (flipped.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            Some(flipped)
+        })
+    }
+
+    /// The threaded network, the simulator and a loopback socket pair
+    /// run one pipeline, so under every fault kind at once they deliver
+    /// the same payloads in the same order and count the same faults.
+    /// The seed leaves the last frame held back, so each transport's
+    /// end-of-run flush (the socket's through `stop`) is exercised too.
+    #[test]
+    fn every_transport_sees_the_same_faults() {
+        let cfg = FaultConfig::new(0x51fd)
+            .with_default_plan(FaultPlan::uniform(0.3))
+            .with_latency(LatencyModel::lan());
+        let payloads: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i, !i, i ^ 0x5a]).collect();
+
+        let threaded: Network<Vec<u8>> = Network::with_faults(cfg.clone());
+        threaded.set_corruptor(flip_bit());
         let a = threaded.endpoint(Party::Su(0));
         let b = threaded.endpoint(Party::Sdc);
-        for i in 0..64u8 {
-            a.send(Party::Sdc, vec![i]);
+        for p in &payloads {
+            a.send(Party::Sdc, p.clone());
         }
-        let mut threaded_seen = Vec::new();
-        while let Some(env) = b.try_recv() {
-            threaded_seen.push(env.payload[0]);
-        }
+        assert_eq!(threaded.flush_holdback(), 1);
+        let threaded_seen: Vec<Vec<u8>> = std::iter::from_fn(|| b.try_recv())
+            .map(|env| env.payload)
+            .collect();
 
-        let mut sim = lossy(seed, plan);
+        let mut sim: SimNet<Vec<u8>> = SimNet::new(Some(cfg.clone()), 0.0);
+        sim.set_corruptor(flip_bit());
         let mut out = Vec::new();
-        for i in 0..64u8 {
-            sim.send(0, Party::Su(0), Party::Sdc, vec![i], &mut out);
+        for p in &payloads {
+            sim.send(0, Party::Su(0), Party::Sdc, p.clone(), &mut out);
         }
-        let sim_seen: Vec<u8> = out.iter().map(|d| d.msg[0]).collect();
+        assert_eq!(sim.flush_holdback(0, &mut out), 1);
+        let sim_seen: Vec<Vec<u8>> = out.into_iter().map(|d| d.msg).collect();
 
-        assert_eq!(sim_seen, threaded_seen);
-        assert_eq!(
-            sim.metrics().fault_totals(),
-            threaded.metrics().fault_totals()
+        let server: SocketNode<Raw> =
+            SocketNode::new(Party::Sdc, SocketConfig::default(), NetMetrics::new(), None);
+        let addr = server.bind("127.0.0.1:0").expect("bind").to_string();
+        let client: SocketNode<Raw> = SocketNode::new(
+            Party::Su(0),
+            SocketConfig::default(),
+            NetMetrics::new(),
+            Some(cfg),
         );
+        client.add_peer(Party::Sdc, addr);
+        for p in &payloads {
+            client
+                .send_from(Party::Su(0), Party::Sdc, &Raw(p.clone()))
+                .expect("send");
+        }
+        client.stop();
+        let mut socket_seen = Vec::new();
+        while socket_seen.len() < threaded_seen.len() {
+            match server.recv_timeout(Duration::from_secs(10)) {
+                Some(SocketEvent::Frame(env)) => socket_seen.push(env.payload.0),
+                _ => break,
+            }
+        }
+        assert!(
+            server.recv_timeout(Duration::from_millis(100)).is_none(),
+            "the socket pair delivered extra frames"
+        );
+        server.stop();
+
+        let totals = threaded.metrics().fault_totals();
+        assert!(totals.dropped > 0 && totals.duplicated > 0);
+        assert!(totals.reordered > 0 && totals.corrupted > 0);
+        assert_eq!(sim_seen, threaded_seen);
+        assert_eq!(socket_seen, threaded_seen);
+        assert_eq!(sim.metrics().fault_totals(), totals);
+        assert_eq!(client.metrics().fault_totals(), totals);
     }
 
     #[test]

@@ -1,12 +1,31 @@
 //! End-to-end protocol tests: the full Figure 3 / Figure 5 flow.
 
 use pisa::prelude::*;
-use pisa_net::LatencyModel;
+use pisa_net::{FaultConfig, LatencyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// Runs `sus` through the storm engine on a fault-free LAN with a
+/// generous deadline, so every session completes on its first try:
+/// one request, one blinded query, one reply, one response each.
+fn quiet_lan_storm(
+    sus: Vec<(pisa::SuClient, Vec<Channel>)>,
+    sdc: pisa::SdcServer,
+    stp: pisa::StpServer,
+    seed: u64,
+) -> pisa::EngineReport {
+    let sessions = sus.len() as u64;
+    let lan = FaultConfig::new(seed).with_latency(LatencyModel::lan());
+    let engine = pisa::EngineConfig::default().with_timeout(Duration::from_secs(5));
+    let (report, _sdc, _stp) = pisa::run_storm(sus, sdc, stp, Some(lan), &engine, seed).unwrap();
+    assert!(report.all_completed());
+    assert_eq!(report.metrics.total_messages(), 4 * sessions);
+    report
 }
 
 #[test]
@@ -127,16 +146,14 @@ fn network_execution_matches_direct_decision() {
     let update = pu.tune(Some(Channel(1)), &cfg, &e, stp.public_key(), &mut r2);
     sdc.handle_pu_update(0, update).unwrap();
 
-    let mut su = pisa::SuClient::new(pisa::SuId(0), BlockId(13), &cfg, &mut r2);
+    let su = pisa::SuClient::new(pisa::SuId(0), BlockId(13), &cfg, &mut r2);
     stp.register_su(pisa::SuId(0), su.public_key().clone());
 
-    let (run, _sdc, _stp) =
-        pisa::run_request_over_network(&mut su, sdc, stp, &[Channel(1)], LatencyModel::lan(), 1234)
-            .unwrap();
-
-    assert_eq!(run.outcome.granted, direct_outcome.granted);
-    assert_eq!(run.metrics.total_messages(), 4);
-    assert!(run.estimated_network_time.as_nanos() > 0);
+    let report = quiet_lan_storm(vec![(su, vec![Channel(1)])], sdc, stp, 1234);
+    assert_eq!(
+        report.decisions(),
+        vec![(pisa::SuId(0), Some(direct_outcome.granted))]
+    );
 }
 
 #[test]
@@ -306,11 +323,16 @@ fn concurrent_sus_interleave_correctly() {
         sus.push((su, vec![ch]));
     }
 
-    let (outcomes, _sdc, _stp) = pisa::run_concurrent_requests(sus, sdc, stp, 0xc0c0).unwrap();
-    assert_eq!(outcomes.len(), 4);
-    for (id, granted) in outcomes {
-        let expected = expectations[id.0 as usize].2;
-        assert_eq!(granted, expected, "{id} decision");
+    let report = quiet_lan_storm(sus, sdc, stp, 0xc0c0);
+    assert_eq!(report.outcomes.len(), 4);
+    for outcome in &report.outcomes {
+        let expected = expectations[outcome.su_id.0 as usize].2;
+        assert_eq!(
+            outcome.granted,
+            Some(expected),
+            "{} decision",
+            outcome.su_id
+        );
     }
 }
 
