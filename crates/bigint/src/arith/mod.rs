@@ -10,7 +10,7 @@ mod pow;
 mod shift;
 
 pub(crate) use add::{add_assign_slice, sub_assign_slice};
-pub(crate) use mul::{mul_limbs, mul_limbs_into};
+pub(crate) use mul::mul_limbs;
 
 use crate::Ubig;
 use std::ops::{Add, AddAssign, BitAnd, BitOr, BitXor, Div, Mul, Rem, Shl, Shr, Sub, SubAssign};

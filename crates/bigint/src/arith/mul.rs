@@ -23,42 +23,12 @@ pub(crate) fn mul_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
     }
 }
 
-/// Multiplies two limb slices into a caller-provided buffer without
-/// allocating. `out[..a.len() + b.len()]` receives the full product; any
-/// tail beyond it is zeroed too, so the buffer can be wider than the
-/// product (the Montgomery kernel passes its `2k + 1`-limb scratch).
-///
-/// Always schoolbook: the only caller is the Montgomery REDC kernel,
-/// whose operands are modulus-width (≤ 64 limbs for 2048-bit keys). At
-/// those widths the allocation-free inner loop beats Karatsuba's three
-/// recursive `Vec` allocations, and the constant shape (no
-/// operand-value-dependent skips, no recursion-depth variation) is what
-/// the constant-time argument for the ladder rests on.
-///
-/// # Panics
-///
-/// Panics if `out.len() < a.len() + b.len()`.
-pub(crate) fn mul_limbs_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert!(out.len() >= a.len() + b.len(), "product buffer too small");
-    out.fill(0);
-    for (i, &ai) in a.iter().enumerate() {
-        let mut carry = 0u128;
-        for (j, &bj) in b.iter().enumerate() {
-            let t = out[i + j] as u128 + ai as u128 * bj as u128 + carry;
-            out[i + j] = t as u64;
-            carry = t >> 64;
-        }
-        // b.len() limbs of product plus one carry limb always fit.
-        out[i + b.len()] = carry as u64;
-    }
-}
-
 fn schoolbook(a: &[u64], b: &[u64]) -> Vec<u64> {
     let mut out = vec![0u64; a.len() + b.len()];
     for (i, &ai) in a.iter().enumerate() {
-        // No zero-limb skip: this multiplier sits under Montgomery
-        // exponentiation, and skipping rows on operand value would make
-        // the running time a function of secret limb contents.
+        // No zero-limb skip: CRT decryption multiplies secret values
+        // here, and skipping rows on operand value would make the
+        // running time a function of secret limb contents.
         let mut carry = 0u128;
         for (j, &bj) in b.iter().enumerate() {
             let t = out[i + j] as u128 + ai as u128 * bj as u128 + carry;

@@ -26,8 +26,9 @@ const WINDOW_BITS: usize = 4;
 /// Montgomery 1 entries of their empty windows), so the shape leak
 /// guarantee of [`MontCtx::pow`] is preserved and strengthened.
 ///
-/// Construction costs ~18 multiplications per window; it amortizes after
-/// a handful of powers and the break-even shrinks as exponents grow.
+/// Construction costs 14 multiplications and 4 squarings per window; it
+/// amortizes after a handful of powers and the break-even shrinks as
+/// exponents grow.
 ///
 /// The table is derived from the base, so a table built over a
 /// secret-adjacent base reveals it: [`FixedBasePow`] implements
@@ -75,12 +76,12 @@ impl FixedBasePow {
             } else {
                 // Window base = previous window's base^16: four squarings.
                 let prev = (i - 1) * digits * k + k;
-                let (lo, hi) = table.split_at_mut(row + k);
-                hi[..k].copy_from_slice(&lo[prev..prev + k]);
+                s.acc.copy_from_slice(&table[prev..prev + k]);
                 for _ in 0..WINDOW_BITS {
-                    ctx.mont_mul_into(&hi[..k], &hi[..k], &mut s.acc, &mut s.prod);
-                    hi[..k].copy_from_slice(&s.acc);
+                    ctx.mont_sqr_into(&s.acc, &mut s.tmp);
+                    std::mem::swap(&mut s.acc, &mut s.tmp);
                 }
+                table[row + k..row + 2 * k].copy_from_slice(&s.acc);
             }
             // Remaining digits by repeated multiplication with the
             // window base.
@@ -88,8 +89,7 @@ impl FixedBasePow {
                 let (lo, hi) = table.split_at_mut(row + d * k);
                 let wbase = &lo[row + k..row + 2 * k];
                 let prev = &lo[row + (d - 1) * k..row + d * k];
-                ctx.mont_mul_into(prev, wbase, &mut s.acc, &mut s.prod);
-                hi[..k].copy_from_slice(&s.acc);
+                ctx.mont_mul_into(prev, wbase, &mut hi[..k]);
             }
         }
         Some(FixedBasePow {
@@ -152,8 +152,7 @@ impl FixedBasePow {
         s.acc.copy_from_slice(entry(0, digit(exp, 0, WINDOW_BITS)));
         for i in 1..self.windows {
             let d = digit(exp, i, WINDOW_BITS);
-            self.ctx
-                .mont_mul_into(&s.acc, entry(i, d), &mut s.tmp, &mut s.prod);
+            self.ctx.mont_mul_into(&s.acc, entry(i, d), &mut s.tmp);
             std::mem::swap(&mut s.acc, &mut s.tmp);
         }
         Ubig::from_limbs(s.acc.clone())

@@ -1,13 +1,20 @@
 //! Montgomery reduction context.
+//!
+//! The kernel is a fused product-scanning (FIPS) Montgomery multiply:
+//! one sweep over the `2k` columns of `a·b + m·n` picks each reduction
+//! limb `mᵢ` as soon as its column is complete, so the product and the
+//! reduction share three-limb column sums instead of a `2k + 1`-limb
+//! buffer. Squaring computes each cross product once and doubles it;
+//! leaving Montgomery form is a reduction alone.
 
-use crate::arith::{mul_limbs, mul_limbs_into, sub_assign_slice};
+use crate::arith::{mul_limbs, sub_assign_slice};
 use crate::Ubig;
 use std::cell::Cell;
 
 thread_local! {
-    /// Montgomery multiplications performed on this thread, across every
-    /// path (scratch kernel and reference). Drives the constant-shape
-    /// property tests; not a public API.
+    /// Montgomery multiplications and squarings performed on this
+    /// thread, across every path (kernel and reference). Drives the
+    /// constant-shape property tests; not a public API.
     static MONT_MUL_COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -30,22 +37,32 @@ fn bump_mul_count() {
     MONT_MUL_COUNT.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
+/// Narrowest modulus, in limbs, whose squares take the squaring kernel.
+/// A squaring column needs three accumulators and more bookkeeping than a
+/// multiply's, which its ¼ fewer limb products repay only on long
+/// columns. On a 2-vCPU Xeon the multiply is faster up to 24 limbs and
+/// level at 32, and the squaring takes about 0.85× of it at 48 and 64.
+/// End to end, 384-bit keys (6- and 12-limb moduli) ran 6 % more
+/// sessions per second with this threshold than with the squaring
+/// kernel at every width.
+const SQR_MIN_LIMBS: usize = 40;
+
 /// Reusable working memory for Montgomery operations.
 ///
-/// Holds the `2k + 1`-limb product/REDC buffer plus two `k`-limb ladder
-/// registers, so a chain of multiplications — or a whole exponentiation —
-/// performs no per-step allocation. Obtain one from [`MontCtx::scratch`]
-/// and pass it to every call against that context; a scratch self-resizes
-/// if reused across contexts of different widths, so sharing one across
-/// the `n` and `n²` contexts of a key is fine.
+/// Holds two `k`-limb registers: the ladder's current value and its
+/// multiplication target, which single calls also use to zero-pad
+/// narrow operands to the modulus width. A chain of multiplications — or
+/// a whole exponentiation — therefore allocates nothing per step. Obtain
+/// one from [`MontCtx::scratch`] and pass it to every call against that
+/// context; a scratch self-resizes if reused across contexts of different
+/// widths, so sharing one across the `n` and `n²` contexts of a key is
+/// fine.
 ///
 /// The buffers hold residues of whatever passed through them last, which
 /// may derive from secret exponents; [`crate::zeroize::Zeroize`] wipes
 /// them, and long-lived holders working under secret moduli (CRT
 /// decryption) should zeroize on teardown.
 pub struct MontScratch {
-    /// `2k + 1`-limb product / REDC accumulator.
-    pub(super) prod: Vec<u64>,
     /// `k`-limb ladder register (current value).
     pub(super) acc: Vec<u64>,
     /// `k`-limb ladder register (multiplication target, swapped with `acc`).
@@ -53,17 +70,10 @@ pub struct MontScratch {
 }
 
 impl MontScratch {
-    /// Grows (or trims the registers of) this scratch to fit width `k`.
+    /// Resizes both registers to width `k`.
     pub(super) fn fit(&mut self, k: usize) {
-        if self.prod.len() < 2 * k + 1 {
-            self.prod.resize(2 * k + 1, 0);
-        }
-        if self.acc.len() != k {
-            self.acc.resize(k, 0);
-        }
-        if self.tmp.len() != k {
-            self.tmp.resize(k, 0);
-        }
+        self.acc.resize(k, 0);
+        self.tmp.resize(k, 0);
     }
 }
 
@@ -79,7 +89,6 @@ impl std::fmt::Debug for MontScratch {
 
 impl crate::zeroize::Zeroize for MontScratch {
     fn zeroize(&mut self) {
-        self.prod.zeroize();
         self.acc.zeroize();
         self.tmp.zeroize();
     }
@@ -151,7 +160,6 @@ impl MontCtx {
     /// thread for parallel work.
     pub fn scratch(&self) -> MontScratch {
         MontScratch {
-            prod: vec![0u64; 2 * self.k + 1],
             acc: vec![0u64; self.k],
             tmp: vec![0u64; self.k],
         }
@@ -163,11 +171,24 @@ impl MontCtx {
         self.mont_mul(a, &self.r2_mod_n, s)
     }
 
-    /// Converts a Montgomery-form residue back to the ordinary range.
+    /// Converts a Montgomery-form residue back to the ordinary range: a
+    /// reduction pass alone, with no multiplication.
     pub fn from_mont(&self, a: &Ubig, s: &mut MontScratch) -> Ubig {
         s.fit(self.k);
+        copy_padded(&mut s.acc, a.as_limbs());
         let mut out = vec![0u64; self.k];
-        self.mont_mul_into(a.as_limbs(), &[1u64], &mut out, &mut s.prod);
+        let a = &s.acc;
+        self.fips(&mut out, |i, ms, ns| {
+            let x = a.get(i).copied().unwrap_or(0);
+            let mut col = Column {
+                lo: u128::from(x),
+                hi: 0,
+            };
+            for (&m, &nj) in ms.iter().zip(ns.iter().rev()) {
+                col.mac(m, nj);
+            }
+            col
+        });
         Ubig::from_limbs(out)
     }
 
@@ -177,18 +198,31 @@ impl MontCtx {
         self.r_mod_n.clone()
     }
 
-    /// REDC(a·b): `a · b · R⁻¹ mod n` for Montgomery-form operands,
-    /// without allocating working memory (only the result vector).
+    /// REDC(a·b): `a · b · R⁻¹ mod n` for Montgomery-form operands. The
+    /// scratch pads narrow operands, so the only allocation is the result.
     pub fn mont_mul(&self, a: &Ubig, b: &Ubig, s: &mut MontScratch) -> Ubig {
         s.fit(self.k);
+        copy_padded(&mut s.acc, a.as_limbs());
+        copy_padded(&mut s.tmp, b.as_limbs());
         let mut out = vec![0u64; self.k];
-        self.mont_mul_into(a.as_limbs(), b.as_limbs(), &mut out, &mut s.prod);
+        self.mont_mul_into(&s.acc, &s.tmp, &mut out);
+        Ubig::from_limbs(out)
+    }
+
+    /// REDC(a²): `a² · R⁻¹ mod n` for a Montgomery-form operand, equal to
+    /// `mont_mul(a, a, s)`. Moduli of 40 limbs and more take the
+    /// dedicated squaring kernel.
+    pub fn mont_sqr(&self, a: &Ubig, s: &mut MontScratch) -> Ubig {
+        s.fit(self.k);
+        copy_padded(&mut s.acc, a.as_limbs());
+        let mut out = vec![0u64; self.k];
+        self.mont_sqr_into(&s.acc, &mut out);
         Ubig::from_limbs(out)
     }
 
     /// REDC(a·b) via the original allocating path: fresh product vector,
     /// `resize`, `to_vec`. Kept verbatim as the differential baseline the
-    /// scratch kernel is property-tested against; no hot path uses it.
+    /// kernels are property-tested against; no hot path uses it.
     pub fn mont_mul_reference(&self, a: &Ubig, b: &Ubig) -> Ubig {
         bump_mul_count();
         let k = self.k;
@@ -224,48 +258,119 @@ impl MontCtx {
         Ubig::from_limbs(res)
     }
 
-    /// REDC(a·b) into `out` (exactly `k` limbs, fixed width, value < n),
-    /// using `prod` as the `2k + 1`-limb working buffer. Operand slices
-    /// may be narrower than `k` limbs (normalized values) or exactly `k`
-    /// (fixed-width table entries with zero high limbs) — both reduce
-    /// identically. `out` must not alias `prod`.
-    pub(crate) fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], prod: &mut [u64]) {
+    /// REDC(a·b) into `out`. All three slices are exactly `k` limbs (the
+    /// operands zero-padded, values < n); `out` receives the value < n.
+    pub(crate) fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         let k = self.k;
-        debug_assert!(a.len() <= k && b.len() <= k, "operand wider than modulus");
-        debug_assert_eq!(out.len(), k, "output must be modulus-width");
-        let prod = &mut prod[..2 * k + 1];
+        let (a, b) = (&a[..k], &b[..k]);
         bump_mul_count();
-        mul_limbs_into(a, b, prod);
+        self.fips(out, |i, ms, ns| {
+            // Column i of a·b holds aⱼ·bᵢ₋ⱼ for j in [lo, hi); the b limbs
+            // span the same range, read downwards. Its first l terms share
+            // a loop with the l m·n terms, in a second accumulator so the
+            // two carry chains overlap; below column k one term, aᵢ·b₀,
+            // is left over.
+            let (lo, hi) = ((i + 1).saturating_sub(k), (i + 1).min(k));
+            let l = ms.len();
+            let (xs, ys, ns) = (&a[lo..lo + l], &b[hi - l..hi], &ns[..l]);
+            let (mut ab, mut mn) = (Column::default(), Column::default());
+            for j in 0..l {
+                ab.mac(xs[j], ys[l - 1 - j]);
+                mn.mac(ms[j], ns[l - 1 - j]);
+            }
+            if i < k {
+                ab.mac(a[i], b[0]);
+            }
+            ab.add(mn);
+            ab
+        });
+    }
 
-        let nl = self.n.as_limbs();
+    /// REDC(a²) into `out`, with the same width contract as
+    /// [`MontCtx::mont_mul_into`]: the squaring kernel, or the multiply
+    /// for moduli narrower than [`SQR_MIN_LIMBS`].
+    pub(crate) fn mont_sqr_into(&self, a: &[u64], out: &mut [u64]) {
+        if self.k < SQR_MIN_LIMBS {
+            self.mont_mul_into(a, a, out);
+        } else {
+            self.fused_sqr_into(a, out);
+        }
+    }
+
+    /// The squaring kernel. Each cross product aⱼ·aᵢ₋ⱼ (j < i − j) is
+    /// computed once and doubled, then the column's square term is
+    /// added: about ¾ of a multiply's limb products.
+    fn fused_sqr_into(&self, a: &[u64], out: &mut [u64]) {
+        let k = self.k;
+        let a = &a[..k];
+        bump_mul_count();
+        self.fips(out, |i, ms, ns| {
+            // Column i has c cross products (lo ≤ j < i − j) and l m·n
+            // terms, where c is ⌊l/2⌋ or ⌈l/2⌉. One loop of h = ⌊l/2⌋
+            // steps takes a cross product and one m·n term from each half
+            // of the column, in three accumulators; the leftover cross
+            // product and m·n term follow it.
+            let lo = (i + 1).saturating_sub(k);
+            let c = i.div_ceil(2) - lo;
+            let l = ms.len();
+            let h = l / 2;
+            let (xs, ys) = (&a[lo..lo + h], &a[i + 1 - lo - h..i + 1 - lo]);
+            let (m1, n1) = (&ms[..h], &ns[l - h..]);
+            let (m2, n2) = (&ms[h..2 * h], &ns[l - 2 * h..l - h]);
+            let mut cross = Column::default();
+            let (mut mn1, mut mn2) = (Column::default(), Column::default());
+            for j in 0..h {
+                cross.mac(xs[j], ys[h - 1 - j]);
+                mn1.mac(m1[j], n1[h - 1 - j]);
+                mn2.mac(m2[j], n2[h - 1 - j]);
+            }
+            if c > h {
+                cross.mac(a[lo + h], a[i - lo - h]);
+            }
+            if l % 2 == 1 {
+                mn1.mac(ms[l - 1], ns[0]);
+            }
+            cross.double();
+            if i % 2 == 0 {
+                cross.mac(a[i / 2], a[i / 2]);
+            }
+            cross.add(mn1);
+            cross.add(mn2);
+            cross
+        });
+    }
+
+    /// One fused product-scanning pass: `out ← (x + m·n) / R`, reduced
+    /// below n. For each column `i` of the `2k`-limb sum (`0 ≤ i < 2k`),
+    /// `column(i, ms, ns)` returns the column's terms: those of the
+    /// operand product `x`, plus `ms[j] · ns[ns.len() − 1 − j]` for every
+    /// `j` — the column's m·n terms, with `ms` and `ns` of equal length.
+    ///
+    /// While `i < k` the pass then picks `mᵢ` so the column's low limb
+    /// cancels and parks it in `out[i]`. From column `k` on, each
+    /// column's low limb is a result limb, written to the slot whose `m`
+    /// the remaining columns no longer read. Every limb product runs for
+    /// every input: the loop bounds depend only on `k`.
+    #[inline(always)]
+    fn fips(&self, out: &mut [u64], column: impl Fn(usize, &[u64], &[u64]) -> Column) {
+        let k = self.k;
+        let n = self.n.as_limbs();
+        let out = &mut out[..k];
+        let mut t = Column::default();
         for i in 0..k {
-            let m = prod[i].wrapping_mul(self.n0_inv);
-            // prod += m * n << (64*i)
-            let mut carry = 0u128;
-            for (j, &nj) in nl.iter().enumerate() {
-                let cur = prod[i + j] as u128 + m as u128 * nj as u128 + carry;
-                prod[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let cur = prod[idx] as u128 + carry;
-                prod[idx] = cur as u64;
-                carry = cur >> 64;
-                idx += 1;
-            }
+            t.add(column(i, &out[..i], &n[1..=i]));
+            let m = t.low().wrapping_mul(self.n0_inv);
+            t.mac(m, n[0]);
+            out[i] = m;
+            t.shift();
         }
-
-        // Result is prod >> (64*k): k+1 limbs with top limb in {0, 1}, at
-        // most one subtraction from n away. After the conditional
-        // subtraction the value is < n and fits in k limbs.
-        let res = &mut prod[k..];
-        if ge_slices(res, nl) {
-            let borrow = sub_assign_slice(res, nl);
-            debug_assert_eq!(borrow, 0);
+        for i in k..2 * k {
+            let lo = i + 1 - k;
+            t.add(column(i, &out[lo..], &n[lo..]));
+            out[i - k] = t.shift();
         }
-        out.copy_from_slice(&prod[k..2 * k]);
-        debug_assert_eq!(prod[2 * k], 0, "reduced value must fit k limbs");
+        // The sum is below 2n < 2R, so one limb of it is left: 0 or 1.
+        reduce_once(out, n, t.low());
     }
 
     /// `base^exp mod n` using fixed-window exponentiation in Montgomery
@@ -335,12 +440,7 @@ impl MontCtx {
         copy_padded(&mut table[k..2 * k], base_m.as_limbs());
         for d in 2..table_len {
             let (lo, hi) = table.split_at_mut(d * k);
-            self.mont_mul_into(
-                &lo[(d - 1) * k..],
-                base_m.as_limbs(),
-                &mut hi[..k],
-                &mut s.prod,
-            );
+            self.mont_mul_into(&lo[(d - 1) * k..], &lo[k..2 * k], &mut hi[..k]);
         }
 
         let windows = bits.div_ceil(w);
@@ -348,13 +448,13 @@ impl MontCtx {
         s.acc.copy_from_slice(&table[top * k..(top + 1) * k]);
         for win in (0..windows - 1).rev() {
             for _ in 0..w {
-                self.mont_mul_into(&s.acc, &s.acc, &mut s.tmp, &mut s.prod);
+                self.mont_sqr_into(&s.acc, &mut s.tmp);
                 std::mem::swap(&mut s.acc, &mut s.tmp);
             }
             // Zero digits multiply by table[0] (the Montgomery 1) instead
             // of being skipped: the count stays a function of bit length.
             let d = digit(exp, win, w);
-            self.mont_mul_into(&s.acc, &table[d * k..(d + 1) * k], &mut s.tmp, &mut s.prod);
+            self.mont_mul_into(&s.acc, &table[d * k..(d + 1) * k], &mut s.tmp);
             std::mem::swap(&mut s.acc, &mut s.tmp);
         }
         Ubig::from_limbs(s.acc.clone())
@@ -383,18 +483,35 @@ impl crate::zeroize::Zeroize for MontCtx {
     }
 }
 
-/// Window width for an exponent of the given bit length. The tiers trade
-/// table-build cost (2^w − 2 multiplications) against ladder multiplies
-/// (⌈bits/w⌉ − 1 windows); a pure function of the public bit length.
+/// Window width for an exponent of the given bit length, a pure function
+/// of the public bit length.
+///
+/// The tiers minimise the kernel cost of `pow_mont` for `b` bits and
+/// width `w`, counting a squaring as 0.7 of a multiply (the squaring
+/// kernel does about ¾ of a multiply's limb products):
+///
+/// ```text
+/// cost(w) = (2^w − 2) + (⌈b/w⌉ − 1) + 0.7 · w · (⌈b/w⌉ − 1)
+///           table       ladder        ladder
+///           multiplies  multiplies    squarings
+/// ```
+///
+/// Each tier starts at the bit length from which the wider window is
+/// never costlier than the one below it. The ladder always squares about
+/// `b` times, so the ratio barely matters: at 0.9, or at 1.0 for moduli
+/// below [`SQR_MIN_LIMBS`] whose squares are multiplies, only the w = 6
+/// tier moves, to 1076 bits. For the protocol's 2048-bit `rⁿ` (w = 6) the
+/// model gives 6 % fewer kernel operations than w = 4, and 4 % fewer for
+/// the 1024-bit CRT exponents (w = 5). Six is the widest tier: the
+/// protocol's longest exponents have 2048 bits.
 fn window_width(bits: usize) -> usize {
-    if bits <= 6 {
-        1
-    } else if bits <= 24 {
-        2
-    } else if bits <= 80 {
-        3
-    } else {
-        4
+    match bits {
+        0..=3 => 1,
+        4..=28 => 2,
+        29..=117 => 3,
+        118..=376 => 4,
+        377..=1045 => 5,
+        _ => 6,
     }
 }
 
@@ -417,6 +534,89 @@ pub(super) fn digit(e: &Ubig, idx: usize, w: usize) -> usize {
 pub(super) fn copy_padded(dst: &mut [u64], src: &[u64]) {
     dst[..src.len()].copy_from_slice(src);
     dst[src.len()..].fill(0);
+}
+
+/// A column sum for product scanning: `lo` holds the low two limbs,
+/// `hi` the third. A column gathers at most `2k + 1` limb products plus
+/// the carry from the column before, far below 2¹⁹² for any width.
+#[derive(Clone, Copy, Default)]
+struct Column {
+    lo: u128,
+    hi: u64,
+}
+
+impl Column {
+    /// Adds the limb product `a · b`.
+    #[inline(always)]
+    fn mac(&mut self, a: u64, b: u64) {
+        let (lo, carry) = self.lo.overflowing_add(u128::from(a) * u128::from(b));
+        self.lo = lo;
+        self.hi = self.hi.wrapping_add(u64::from(carry));
+    }
+
+    /// Adds another column sum.
+    #[inline(always)]
+    fn add(&mut self, other: Column) {
+        let (lo, carry) = self.lo.overflowing_add(other.lo);
+        self.lo = lo;
+        self.hi = self
+            .hi
+            .wrapping_add(other.hi)
+            .wrapping_add(u64::from(carry));
+    }
+
+    /// Doubles the sum (a one-bit shift across the three limbs).
+    #[inline(always)]
+    fn double(&mut self) {
+        self.hi = (self.hi << 1) | (self.lo >> 127) as u64;
+        self.lo <<= 1;
+    }
+
+    /// The low limb.
+    #[inline(always)]
+    fn low(&self) -> u64 {
+        self.lo as u64
+    }
+
+    /// Returns the low limb and shifts the sum down one limb, leaving the
+    /// carry into the next column.
+    #[inline(always)]
+    fn shift(&mut self) -> u64 {
+        let low = self.lo as u64;
+        self.lo = (self.lo >> 64) | (u128::from(self.hi) << 64);
+        self.hi = 0;
+        low
+    }
+}
+
+/// Brings `t = carry · R + out`, known to be below 2n, under n without a
+/// data-dependent branch. `t − n` is always computed in full; `t ≥ n`
+/// exactly when the top carry is set or `out − n` does not borrow (a set
+/// carry always borrows, as `t − n < R`). That bit becomes an all-ones
+/// or all-zeros mask, and the second pass subtracts `n & mask`, so the
+/// same instructions run whichever way the choice falls — the extra
+/// reduction is the Schindler timing channel on CRT exponentiation.
+fn reduce_once(out: &mut [u64], n: &[u64], carry: u64) {
+    let mut borrow = 0u64;
+    for (&x, &y) in out.iter().zip(n) {
+        borrow = sub_borrow(x, y, borrow).1;
+    }
+    // Keep t only when out − n borrowed and no carry was set.
+    let mask = (borrow ^ carry).wrapping_sub(1);
+    let mut borrow = 0u64;
+    for (x, &y) in out.iter_mut().zip(n) {
+        let (d, b) = sub_borrow(*x, y & mask, borrow);
+        *x = d;
+        borrow = b;
+    }
+}
+
+/// `x − y − borrow` and the borrow out, both as limbs.
+#[inline(always)]
+fn sub_borrow(x: u64, y: u64, borrow: u64) -> (u64, u64) {
+    let (d, b1) = x.overflowing_sub(y);
+    let (d, b2) = d.overflowing_sub(borrow);
+    (d, u64::from(b1 | b2))
 }
 
 /// Compares two little-endian limb slices (possibly unnormalized).
@@ -525,7 +725,107 @@ mod tests {
         for _ in 0..20 {
             let y = (&x * &x + Ubig::one()) % &p;
             assert_eq!(ctx.mont_mul(&x, &y, &mut s), ctx.mont_mul_reference(&x, &y));
+            assert_eq!(ctx.mont_sqr(&x, &mut s), ctx.mont_mul_reference(&x, &x));
             x = y;
+        }
+    }
+
+    /// `reduce_once` on unreduced values just below n, exactly n, just
+    /// above, and up to 2n − 1, for a modulus whose 2n overflows R (top
+    /// limb `u64::MAX`, so the carry limb is set) and one whose 2n fits.
+    #[test]
+    fn final_subtraction_lands_exactly() {
+        let r = Ubig::one() << 128;
+        for n in [
+            &r - &Ubig::from(159u64),
+            (Ubig::one() << 65) + Ubig::from(3u64),
+        ] {
+            let one = Ubig::one();
+            let twice = &n + &n;
+            for t in [
+                Ubig::zero(),
+                &n - &one,
+                n.clone(),
+                &n + &one,
+                &twice - &Ubig::from(2u64),
+                &twice - &one,
+            ] {
+                let mut limbs = t.as_limbs().to_vec();
+                limbs.resize(3, 0);
+                let mut out = limbs[..2].to_vec();
+                reduce_once(&mut out, n.as_limbs(), limbs[2]);
+                assert_eq!(Ubig::from_limbs(out), &t % &n, "t = {t:?}, n = {n:?}");
+            }
+        }
+    }
+
+    /// Through the whole kernel: `from_mont(n)` sums to exactly n before
+    /// the final subtraction (m = R − 1), and operands just below an n
+    /// close to R drive the unreduced sums of the multiply and of the
+    /// squaring kernel across [n, 2n), past R, up to within n/64 of 2n.
+    #[test]
+    fn kernels_reduce_sums_between_n_and_2n() {
+        for k in [2usize, SQR_MIN_LIMBS] {
+            let r = Ubig::one() << (64 * k);
+            let n = &r - &Ubig::from(159u64);
+            let ctx = MontCtx::new(&n).unwrap();
+            let mut s = ctx.scratch();
+            assert_eq!(ctx.from_mont(&n, &mut s), Ubig::zero());
+
+            // m = x·y·(−n⁻¹) mod R picks the reduction multiple; t is the
+            // sum the kernel reduces.
+            let n_neg_inv = &r - &crate::modular::mod_inverse(&n, &r).unwrap();
+            let unreduced = |x: &Ubig, y: &Ubig| {
+                let xy = x * y;
+                let m = &(&(&xy % &r) * &n_neg_inv) % &r;
+                (&xy + &(&m * &n)) >> (64 * k)
+            };
+            let mut highest = Ubig::zero();
+            for d in 1..100u64 {
+                let a = &n - &Ubig::from(d);
+                let b = &n - &Ubig::from(d * d % 157 + 1);
+                for t in [unreduced(&a, &b), unreduced(&a, &a)] {
+                    assert!(t >= n && t < &n + &n, "k = {k}, d = {d}");
+                    highest = highest.max(t);
+                }
+                assert_eq!(ctx.mont_mul(&a, &b, &mut s), ctx.mont_mul_reference(&a, &b));
+                assert_eq!(ctx.mont_sqr(&a, &mut s), ctx.mont_mul_reference(&a, &a));
+            }
+            assert!(highest > &(&n + &n) - &(&n >> 6), "k = {k}: never near 2n");
+        }
+    }
+
+    /// The squaring kernel itself, at every width from one limb up and
+    /// around [`SQR_MIN_LIMBS`], including the widths `mont_sqr` sends
+    /// through the multiply: random operands and 0, 1, n − 1.
+    #[test]
+    fn fused_squaring_matches_reference_at_every_width() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut limbs = |count: usize| -> Vec<u64> {
+            (0..count)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                })
+                .collect()
+        };
+        for k in (1..=13).chain([SQR_MIN_LIMBS - 1, SQR_MIN_LIMBS, SQR_MIN_LIMBS + 1]) {
+            let mut nl = limbs(k);
+            nl[0] |= 1;
+            nl[k - 1] = nl[k - 1].max(2);
+            let n = Ubig::from_limbs(nl);
+            let ctx = MontCtx::new(&n).unwrap();
+            let mut out = vec![0u64; k];
+            let mut padded = vec![0u64; k];
+            let random = Ubig::from_limbs(limbs(k)) % &n;
+            for a in [Ubig::zero(), Ubig::one(), &n - &Ubig::one(), random] {
+                copy_padded(&mut padded, a.as_limbs());
+                ctx.fused_sqr_into(&padded, &mut out);
+                let got = Ubig::from_limbs(out.clone());
+                assert_eq!(got, ctx.mont_mul_reference(&a, &a), "k = {k}");
+            }
         }
     }
 
@@ -562,12 +862,12 @@ mod tests {
 
     #[test]
     fn all_window_widths_agree_with_naive() {
-        // Bit lengths landing in each window tier: 5 → w=1, 17 → w=2,
-        // 65 → w=3, 127 → w=4.
+        // Bit lengths landing in each window tier: 3 → w=1, 17 → w=2,
+        // 65 → w=3, 127 → w=4, 500 → w=5, 1100 → w=6.
         let p = (Ubig::one() << 127) - Ubig::one();
         let ctx = MontCtx::new(&p).unwrap();
         let base = Ubig::from(3u64);
-        for bits in [5usize, 17, 65, 127] {
+        for bits in [3usize, 17, 65, 127, 500, 1100] {
             let exp = (Ubig::one() << (bits - 1)) + Ubig::from(0b1011u64);
             let expect = naive_square_multiply(&base, &exp, &p);
             assert_eq!(ctx.pow(&base, &exp), expect, "bits {bits}");
@@ -588,6 +888,28 @@ mod tests {
             big.pow_with(&Ubig::from(2u64), &e, &mut s),
             big.pow(&Ubig::from(2u64), &e)
         );
+    }
+
+    /// Each tier of `window_width` starts at the first bit length from
+    /// which the wider window is never costlier than the one below it
+    /// under the documented model (in tenths of a multiply).
+    #[test]
+    fn window_tiers_follow_the_cost_model() {
+        let cost = |bits: usize, w: usize| {
+            let ladder = bits.div_ceil(w) - 1;
+            10 * ((1 << w) - 2) + 10 * ladder + 7 * w * ladder
+        };
+        for w in 2..=6 {
+            let start = (1..).find(|&b| window_width(b) == w).unwrap();
+            assert!(
+                (start..4096).all(|b| cost(b, w) <= cost(b, w - 1)),
+                "w = {w}"
+            );
+            assert!(cost(start - 1, w) > cost(start - 1, w - 1), "w = {w}");
+            assert!((start..4096).all(|b| window_width(b) >= w), "w = {w}");
+        }
+        assert_eq!(window_width(2048), 6);
+        assert_eq!(window_width(1024), 5);
     }
 
     #[test]

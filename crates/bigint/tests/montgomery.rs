@@ -1,5 +1,6 @@
-//! Property tests for the Montgomery kernels: the allocation-free scratch
-//! path against the reference allocating path, `FixedBasePow` against
+//! Property tests for the Montgomery kernels: the fused multiply and
+//! squaring against the reference allocating path (at small widths and at
+//! the widths the protocol runs at), `FixedBasePow` against
 //! `MontCtx::pow` against naive square-and-multiply, and the
 //! constant-shape guarantee that multiplication counts depend only on the
 //! exponent's bit length.
@@ -7,6 +8,35 @@
 use pisa_bigint::modular::{mont_mul_count, reset_mont_mul_count, FixedBasePow, MontCtx};
 use pisa_bigint::Ubig;
 use proptest::prelude::*;
+use proptest::test_runner::ProptestConfig;
+
+/// Limb widths of the protocol's moduli: p² and n² at 384-bit keys (6 and
+/// 12 limbs), p² at 2048-bit keys (32) and n² at 2048-bit keys (64).
+const PROTOCOL_WIDTHS: [usize; 4] = [6, 12, 32, 64];
+
+/// An odd modulus of exactly one of the [`PROTOCOL_WIDTHS`], with its top
+/// limb forced to `u64::MAX` in half the cases (n close to R, where the
+/// unreduced result most often lands between n and 2n and overflows R).
+fn protocol_modulus() -> impl Strategy<Value = Ubig> {
+    (
+        0usize..PROTOCOL_WIDTHS.len(),
+        any::<bool>(),
+        proptest::collection::vec(any::<u64>(), 64..65),
+    )
+        .prop_map(|(w, top_max, mut limbs)| {
+            let width = PROTOCOL_WIDTHS[w];
+            limbs.truncate(width);
+            limbs[0] |= 1;
+            let top = &mut limbs[width - 1];
+            *top = if top_max { u64::MAX } else { (*top).max(1) };
+            Ubig::from_limbs(limbs)
+        })
+}
+
+/// Arbitrary Ubig up to 64 limbs, reduced by the caller.
+fn wide_ubig() -> impl Strategy<Value = Ubig> {
+    proptest::collection::vec(any::<u64>(), 0..65).prop_map(Ubig::from_limbs)
+}
 
 /// Arbitrary odd modulus > 1, up to ~256 bits.
 fn odd_modulus() -> impl Strategy<Value = Ubig> {
@@ -37,8 +67,8 @@ fn naive_pow(base: &Ubig, exp: &Ubig, n: &Ubig) -> Ubig {
 }
 
 proptest! {
-    /// Scratch-buffer `mont_mul` ≡ the old allocation path, over random
-    /// reduced operands and moduli.
+    /// Scratch-buffer `mont_mul` and `mont_sqr` ≡ the old allocation path,
+    /// over random reduced operands and moduli.
     #[test]
     fn scratch_mont_mul_matches_reference(a in ubig(), b in ubig(), m in odd_modulus()) {
         let ctx = MontCtx::new(&m).unwrap();
@@ -46,6 +76,29 @@ proptest! {
         let b = &b % &m;
         let mut s = ctx.scratch();
         prop_assert_eq!(ctx.mont_mul(&a, &b, &mut s), ctx.mont_mul_reference(&a, &b));
+        prop_assert_eq!(ctx.mont_sqr(&a, &mut s), ctx.mont_mul_reference(&a, &a));
+    }
+
+    /// At every protocol width, multiply and squaring ≡ the reference for
+    /// random operands and the edge operands 0, 1 and n − 1, in every
+    /// pairing, and `from_mont` inverts `to_mont`.
+    #[test]
+    fn kernels_match_reference_at_protocol_widths(
+        m in protocol_modulus(),
+        a in wide_ubig(),
+        b in wide_ubig(),
+    ) {
+        let ctx = MontCtx::new(&m).unwrap();
+        let mut s = ctx.scratch();
+        let ops = [Ubig::zero(), Ubig::one(), &m - &Ubig::one(), &a % &m, &b % &m];
+        for x in &ops {
+            prop_assert_eq!(ctx.mont_sqr(x, &mut s), ctx.mont_mul_reference(x, x));
+            for y in &ops {
+                prop_assert_eq!(ctx.mont_mul(x, y, &mut s), ctx.mont_mul_reference(x, y));
+            }
+            let xm = ctx.to_mont(x, &mut s);
+            prop_assert_eq!(&ctx.from_mont(&xm, &mut s), x);
+        }
     }
 
     /// `FixedBasePow::pow` ≡ `MontCtx::pow` ≡ naive square-and-multiply.
@@ -78,11 +131,14 @@ proptest! {
     /// The multiplication count of `MontCtx::pow` is a pure function of
     /// `exp.bit_len()`: two exponents of equal bit length cost identical
     /// counts regardless of their bit patterns.
+    ///
+    /// Bit lengths up to 2100 cover every window tier, past the 2048-bit
+    /// `rⁿ` exponent.
     #[test]
     fn pow_shape_depends_only_on_bit_len(
-        bits in 1usize..200,
-        seed1 in ubig(),
-        seed2 in ubig(),
+        bits in 1usize..2100,
+        seed1 in wide_ubig(),
+        seed2 in wide_ubig(),
         m in odd_modulus(),
     ) {
         let ctx = MontCtx::new(&m).unwrap();
@@ -114,5 +170,25 @@ proptest! {
         reset_mont_mul_count();
         fb.pow_mont(&exp, &mut s);
         prop_assert_eq!(mont_mul_count(), fb.muls_per_pow());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// At every protocol width, `MontCtx::pow` (window ladder over the
+    /// squaring kernel) ≡ `FixedBasePow` (squarings only while building
+    /// its table) ≡ naive square-and-multiply.
+    #[test]
+    fn pow_paths_agree_at_protocol_widths(
+        m in protocol_modulus(),
+        base in wide_ubig(),
+        exp in ubig(),
+    ) {
+        let ctx = MontCtx::new(&m).unwrap();
+        let naive = naive_pow(&base, &exp, &m);
+        prop_assert_eq!(&ctx.pow(&base, &exp), &naive);
+        let fb = FixedBasePow::new(&ctx, &base, 256).unwrap();
+        prop_assert_eq!(&fb.pow(&exp), &naive);
     }
 }
