@@ -8,8 +8,8 @@
 //!   multiplication, Knuth Algorithm-D division, shifts and bit operations.
 //! * [`Ibig`] — signed big integers (sign–magnitude) used for the
 //!   centered-lift plaintext domain of Paillier.
-//! * [`modular`] — Montgomery-form modular exponentiation, modular
-//!   inverses, and binary GCD.
+//! * [`modular`] — Montgomery-form modular exponentiation, and modular
+//!   inverses and GCD by one constant-time divsteps kernel.
 //! * [`prime`] — Miller–Rabin testing and random prime generation.
 //! * [`random`] — uniform sampling of big integers from any `rand::Rng`.
 //!

@@ -1,8 +1,9 @@
 //! Greatest common divisor and least common multiple.
 
+use super::divsteps;
 use crate::Ubig;
 
-/// Binary (Stein) GCD.
+/// Greatest common divisor, by the divsteps kernel.
 ///
 /// `gcd(a, 0) == a` and `gcd(0, 0) == 0`.
 ///
@@ -17,24 +18,16 @@ pub fn gcd(a: &Ubig, b: &Ubig) -> Ubig {
     if b.is_zero() {
         return a.clone();
     }
-    let mut a = a.clone();
-    let mut b = b.clone();
-    let za = a.trailing_zeros();
-    let zb = b.trailing_zeros();
-    let common_twos = za.min(zb);
-    a >>= za;
-    b >>= zb;
-    loop {
-        // Invariant: both odd.
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= &a;
-        if b.is_zero() {
-            return a << common_twos;
-        }
-        b = &b >> b.trailing_zeros();
-    }
+    let twos = a.trailing_zeros().min(b.trailing_zeros());
+    let (a, b) = (a >> twos, b >> twos);
+    // At least one is odd now; the kernel takes it as f, the smaller one
+    // when both are, since its width sets the work.
+    let (f, g) = if b.is_odd() && (a.is_even() || b < a) {
+        (b, a)
+    } else {
+        (a, b)
+    };
+    divsteps::gcd(&f, &(&g % &f)) << twos
 }
 
 /// Least common multiple; `lcm(x, 0) == 0`.

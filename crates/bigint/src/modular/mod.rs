@@ -17,6 +17,7 @@
 //! assert_eq!(x, Ubig::one()); // Fermat
 //! ```
 
+mod divsteps;
 mod fixed_base;
 mod gcd;
 mod inv;

@@ -643,7 +643,7 @@ fn effective_len(a: &[u64]) -> usize {
 }
 
 /// Inverse of an odd limb modulo 2⁶⁴ by Newton–Hensel lifting.
-fn inv_limb(x: u64) -> u64 {
+pub(super) fn inv_limb(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     let mut inv = x; // correct mod 2^3 for odd x
     for _ in 0..5 {

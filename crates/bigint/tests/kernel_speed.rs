@@ -1,13 +1,17 @@
-//! Speed gate for the Montgomery kernels, as a ratio measured in one
-//! process: the fused multiply and the squaring kernel against
-//! `mont_mul_reference` (a full product, then a separate REDC pass) at
-//! 64 limbs, the width of n² for 2048-bit keys. Both sides run on the
-//! same host in interleaved batches, so the ratio does not depend on how
-//! fast the host is. Ignored by default (timing needs a release build);
-//! the CI bench lane runs it with
+//! Speed gates for the bigint kernels, as ratios measured in one
+//! process:
+//! - the fused multiply and the squaring kernel against
+//!   `mont_mul_reference` (a full product, then a separate REDC pass) at
+//!   64 limbs, the width of n² for 2048-bit keys;
+//! - `mod_inverse` against `mont_mul` at 12 and 64 limbs, the widths of
+//!   n² for 384- and 2048-bit keys.
+//!
+//! Both sides of a ratio run on the same host in interleaved batches, so
+//! the ratio does not depend on how fast the host is. Ignored by default
+//! (timing needs a release build); the CI bench lane runs them with
 //! `cargo test --release -p pisa-bigint --test kernel_speed -- --ignored`.
 
-use pisa_bigint::modular::MontCtx;
+use pisa_bigint::modular::{gcd, mod_inverse, MontCtx};
 use pisa_bigint::Ubig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -18,6 +22,10 @@ const LIMBS: usize = 64;
 /// The fused kernels measure well below it; a product-then-REDC kernel
 /// put back in their place measures about 1.
 const MAX_RATIO: f64 = 0.8;
+/// An inversion fails the gate above this many `mont_mul`s of its
+/// modulus. The divsteps kernel measures 33 at 12 limbs and 23 at 64;
+/// the binary extended GCD it replaced measured 184 and 236.
+const MAX_INVERSE_MULS: f64 = 60.0;
 
 fn xorshift_limbs(state: &mut u64, k: usize) -> Vec<u64> {
     (0..k)
@@ -28,6 +36,14 @@ fn xorshift_limbs(state: &mut u64, k: usize) -> Vec<u64> {
             *state
         })
         .collect()
+}
+
+/// A pseudo-random odd modulus of `k` limbs with its top bit set.
+fn odd_modulus(state: &mut u64, k: usize) -> Ubig {
+    let mut limbs = xorshift_limbs(state, k);
+    limbs[0] |= 1;
+    limbs[k - 1] |= 1 << 63;
+    Ubig::from_limbs(limbs)
 }
 
 /// Nanoseconds per call of `op` over one batch of `iters` calls, each
@@ -46,10 +62,7 @@ fn ns_per_call(x: &Ubig, iters: usize, mut op: impl FnMut(&Ubig) -> Ubig) -> f64
 #[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
 fn fused_kernels_beat_the_reference_at_64_limbs() {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut limbs = xorshift_limbs(&mut state, LIMBS);
-    limbs[0] |= 1;
-    limbs[LIMBS - 1] |= 1 << 63;
-    let n = Ubig::from_limbs(limbs);
+    let n = odd_modulus(&mut state, LIMBS);
     let ctx = MontCtx::new(&n).expect("odd modulus");
     let mut s = ctx.scratch();
     let a = Ubig::from_limbs(xorshift_limbs(&mut state, LIMBS)) % &n;
@@ -77,4 +90,38 @@ fn fused_kernels_beat_the_reference_at_64_limbs() {
         sqr_ratio <= MAX_RATIO,
         "squaring kernel at {sqr_ratio:.2}x of the reference (max {MAX_RATIO})"
     );
+}
+
+#[test]
+#[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
+fn inverse_costs_few_mont_muls_at_12_and_64_limbs() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for limbs in [12, 64] {
+        let n = odd_modulus(&mut state, limbs);
+        let ctx = MontCtx::new(&n).expect("odd modulus");
+        let mut s = ctx.scratch();
+        let mut a = Ubig::from_limbs(xorshift_limbs(&mut state, limbs)) % &n;
+        while !gcd(&a, &n).is_one() {
+            a = &a + &Ubig::one();
+        }
+        let b = ctx.to_mont(&a, &mut s);
+
+        // Each inversion undoes the one before, so every call inverts a
+        // unit.
+        let (mut mul, mut inverse) = (f64::MAX, f64::MAX);
+        for _ in 0..50 {
+            mul = mul.min(ns_per_call(&a, 400, |x| ctx.mont_mul(x, &b, &mut s)));
+            inverse = inverse.min(ns_per_call(&a, 10, |x| {
+                mod_inverse(x, &n).expect("unit modulo n")
+            }));
+        }
+        let muls = inverse / mul;
+        println!(
+            "{limbs} limbs: mont_mul {mul:.0} ns, mod_inverse {inverse:.0} ns ({muls:.1} mont_muls)"
+        );
+        assert!(
+            muls <= MAX_INVERSE_MULS,
+            "mod_inverse at {limbs} limbs costs {muls:.1} mont_muls (max {MAX_INVERSE_MULS})"
+        );
+    }
 }

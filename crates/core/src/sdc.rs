@@ -387,10 +387,7 @@ impl SdcServer {
             Some(f) => self.pk_g.encrypt_with_randomizer(&beta, f),
             None => self.pk_g.encrypt(&beta, rng),
         };
-        let blinded = self.pk_g.sub(&scaled, &beta_ct)?;
-        let v = self
-            .pk_g
-            .scalar_mul(&blinded, &factors.epsilon.as_scalar())?;
+        let v = signed_difference(&self.pk_g, &scaled, &beta_ct, factors.epsilon)?;
         Ok((v, factors.epsilon))
     }
 
@@ -425,22 +422,7 @@ impl SdcServer {
             return Err(err);
         }
 
-        // Q = ε ⊗ X̃ ⊖ 1̃ (eq. 16). Subtracting the deterministic 1̃ is
-        // multiplication by (1+n)⁻¹ ≡ 1 + (n−1)·n (mod n²), which is
-        // exactly the deterministic encryption of −1 — so adding E(−1)
-        // yields byte-identical ciphertexts while skipping the modular
-        // inversion that ⊖ would recompute for every entry.
-        let minus_one = su_pk.encrypt_public_constant(&Ibig::from(-1i64));
-        let mut sum_q: Option<Ciphertext> = None;
-        for (x_ct, eps) in msg.x_matrix.ciphertexts().iter().zip(&pending.epsilons) {
-            let unblinded = su_pk.scalar_mul(x_ct, &eps.as_scalar())?;
-            let q = su_pk.add(&unblinded, &minus_one);
-            sum_q = Some(match sum_q {
-                None => q,
-                Some(acc) => su_pk.add(&acc, &q),
-            });
-        }
-        let sum_q = sum_q.ok_or(PisaError::EngineFailure("decision matrix has no entries"))?;
+        let sum_q = sum_decisions(su_pk, msg.x_matrix.ciphertexts(), &pending.epsilons)?;
 
         // License signature, encrypted under the SU's key, and the gate
         // G = S̃G ⊕ η ⊗ ΣQ (eq. 17): ΣQ = 0 ⇒ G decrypts to SG;
@@ -743,6 +725,50 @@ impl SdcServer {
     }
 }
 
+/// `V = ε ⊗ (scaled ⊖ β̃)` (eq. 14) with one inversion for either sign:
+/// `scaled ⊖ β̃` for ε = +1 and `β̃ ⊖ scaled` for ε = −1, since
+/// `(x·y⁻¹)⁻¹ = y·x⁻¹`. β̃ is a fresh encryption and always a unit, so
+/// this fails exactly when ε = −1 and `scaled` is not a unit.
+fn signed_difference(
+    pk: &PaillierPublicKey,
+    scaled: &Ciphertext,
+    beta_ct: &Ciphertext,
+    epsilon: SignFlip,
+) -> Result<Ciphertext, PisaError> {
+    Ok(match epsilon {
+        SignFlip::Keep => pk.sub(scaled, beta_ct)?,
+        SignFlip::Flip => pk.sub(beta_ct, scaled)?,
+    })
+}
+
+/// `ΣQ = Σ (ε ⊗ X̃ ⊖ 1̃)` over the decision matrix (eqs. 13, 16), as
+/// `(Π kept X̃) ⊖ (Π flipped X̃) ⊕ E(−k)` for `k` entries.
+///
+/// The flipped entries share one inversion, which fails exactly when one
+/// of them is not a unit. Subtracting the deterministic 1̃ `k` times is
+/// multiplying by `(1 + n)⁻ᵏ ≡ 1 − k·n (mod n²)`, the deterministic
+/// encryption of −k, so the residue equals the entry-by-entry sum's.
+fn sum_decisions(
+    pk: &PaillierPublicKey,
+    x_cts: &[Ciphertext],
+    epsilons: &[SignFlip],
+) -> Result<Ciphertext, PisaError> {
+    let (mut kept, mut flipped) = (pk.trivial_zero(), pk.trivial_zero());
+    let mut k = 0i64;
+    for (x_ct, eps) in x_cts.iter().zip(epsilons) {
+        match eps {
+            SignFlip::Keep => kept = pk.add(&kept, x_ct),
+            SignFlip::Flip => flipped = pk.add(&flipped, x_ct),
+        }
+        k += 1;
+    }
+    if k == 0 {
+        return Err(PisaError::EngineFailure("decision matrix has no entries"));
+    }
+    let minus_k = pk.encrypt_public_constant(&Ibig::from(-k));
+    Ok(pk.add(&pk.sub(&kept, &flipped)?, &minus_k))
+}
+
 use crate::wire::wire_u32;
 
 /// Snapshot container version: bumped to 2 when the pending phase-1
@@ -782,6 +808,81 @@ mod tests {
         let stp = StpServer::new(&mut rng, cfg.paillier_bits());
         let sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.unit", &mut rng);
         (cfg, stp, sdc, rng)
+    }
+
+    /// Eqs. (14) and (16) entry by entry, the references for the
+    /// one-inversion helpers: `V = ε ⊗ (scaled ⊖ β̃)` and
+    /// `ΣQ = Σ (ε ⊗ X̃ ⊕ E(−1))`.
+    fn scalar_difference(
+        pk: &PaillierPublicKey,
+        scaled: &Ciphertext,
+        beta_ct: &Ciphertext,
+        epsilon: SignFlip,
+    ) -> Result<Ciphertext, PisaError> {
+        Ok(pk.scalar_mul(&pk.sub(scaled, beta_ct)?, &epsilon.as_scalar())?)
+    }
+
+    fn entrywise_sum(
+        pk: &PaillierPublicKey,
+        x_cts: &[Ciphertext],
+        epsilons: &[SignFlip],
+    ) -> Result<Ciphertext, PisaError> {
+        let minus_one = pk.encrypt_public_constant(&Ibig::from(-1i64));
+        let mut sum: Option<Ciphertext> = None;
+        for (x_ct, eps) in x_cts.iter().zip(epsilons) {
+            let q = pk.add(&pk.scalar_mul(x_ct, &eps.as_scalar())?, &minus_one);
+            sum = Some(match sum {
+                None => q,
+                Some(acc) => pk.add(&acc, &q),
+            });
+        }
+        sum.ok_or(PisaError::EngineFailure("decision matrix has no entries"))
+    }
+
+    #[test]
+    fn one_inversion_formulas_match_the_entrywise_ones() {
+        use pisa_crypto::paillier::PaillierKeyPair;
+        use pisa_crypto::CryptoError;
+        use SignFlip::{Flip, Keep};
+        let mut rng = StdRng::seed_from_u64(0x0e5);
+        let kp = PaillierKeyPair::generate(&mut rng, 256);
+        let pk = kp.public();
+        // n shares its factors with n², so it is not a unit.
+        let non_unit = Ciphertext::from_raw(pk.modulus().clone());
+        let x_cts: Vec<_> = [0i64, -2, 0, -2, -2, 0]
+            .iter()
+            .map(|&v| pk.encrypt(&Ibig::from(v), &mut rng))
+            .collect();
+        let beta_ct = pk.encrypt(&Ibig::from(987_654i64), &mut rng);
+
+        for eps in [Keep, Flip] {
+            for scaled in [&x_cts[1], &non_unit] {
+                assert_eq!(
+                    signed_difference(pk, scaled, &beta_ct, eps),
+                    scalar_difference(pk, scaled, &beta_ct, eps),
+                    "{eps:?}"
+                );
+            }
+        }
+        let malformed = Err(PisaError::Crypto(CryptoError::MalformedCiphertext));
+        assert_eq!(signed_difference(pk, &non_unit, &beta_ct, Flip), malformed);
+
+        let mixed = [Keep, Flip, Flip, Keep, Flip, Keep];
+        for epsilons in [[Keep; 6], [Flip; 6], mixed] {
+            let got = sum_decisions(pk, &x_cts, &epsilons);
+            assert!(got.is_ok());
+            assert_eq!(got, entrywise_sum(pk, &x_cts, &epsilons), "{epsilons:?}");
+        }
+        // A non-unit X̃ is harmless where it is kept and fails where it is
+        // flipped, in both formulas.
+        for (at, fails) in [(0, false), (1, true)] {
+            let mut x_cts = x_cts.clone();
+            x_cts[at] = non_unit.clone();
+            let got = sum_decisions(pk, &x_cts, &mixed);
+            assert_eq!(got == malformed, fails);
+            assert_eq!(got, entrywise_sum(pk, &x_cts, &mixed), "non-unit at {at}");
+        }
+        assert_eq!(sum_decisions(pk, &[], &[]), entrywise_sum(pk, &[], &[]));
     }
 
     #[test]

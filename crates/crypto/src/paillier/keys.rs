@@ -352,12 +352,10 @@ impl PaillierPublicKey {
     /// Negative scalars go through the ciphertext inverse, exactly like ⊖,
     /// and fail the same way on non-unit ciphertexts.
     ///
-    /// `k = ±1` short-circuits the exponentiation ladder entirely — the
-    /// sign-test phases multiply by the public `±ε` sign flips constantly,
-    /// and `c¹` is `c`. The scalar is public in every protocol use
-    /// (blinding coefficients are the *SDC's own* secrets applied to
-    /// ciphertexts it forwards), so the shortcut leaks nothing to the
-    /// parties the blinding defends against.
+    /// `k = ±1` short-circuits the exponentiation ladder entirely: `c¹`
+    /// is `c`. Its timing shows whether `|k| = 1`, so the protocol's
+    /// secret sign flips ε do not come through here: the SDC folds each
+    /// one into the operand order of a ⊖ instead.
     pub fn scalar_mul(&self, c: &Ciphertext, k: &Ibig) -> Result<Ciphertext, CryptoError> {
         if k.magnitude().is_one() {
             obs_count!(ModExpAvoided);

@@ -262,11 +262,13 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
         }
     }
 
-    /// Writes one data envelope and counts its payload bytes.
+    /// Counts one data envelope's payload bytes, then writes it. A frame
+    /// counts once it is handed to the socket, so a peer can never act on
+    /// a frame its sender has not counted yet (a failed write stays
+    /// counted).
     fn write_data(&self, from: Party, to: Party, frame: &EnvelopeBytes) -> Result<(), SocketError> {
-        self.write_to(to, &frame.0)?;
         self.inner.metrics.record(from, to, frame.wire_bytes());
-        Ok(())
+        self.write_to(to, &frame.0)
     }
 
     fn write_to(&self, to: Party, frame: &[u8]) -> Result<(), SocketError> {

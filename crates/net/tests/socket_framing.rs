@@ -250,6 +250,53 @@ fn loopback_metrics_account_payload_bytes() {
     server.stop();
 }
 
+/// A frame counts in its sender's metrics before it is written, so every
+/// frame a receiver gets is already counted. The peer here reads nothing
+/// until the count shows, and the frame is larger than loopback socket
+/// buffers hold, so the check runs while the write is still blocked.
+#[test]
+fn frames_are_counted_before_the_receiver_gets_them() {
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    const LEN: usize = 24 << 20;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let client: SocketNode<Blob> =
+        SocketNode::new(Party::Sdc, SocketConfig::default(), NetMetrics::new(), None);
+    client.add_peer(Party::Stp, &addr);
+    let counted = || client.metrics().link(Party::Sdc, Party::Stp);
+
+    std::thread::scope(|s| {
+        let sender = s.spawn(|| client.send_from(Party::Sdc, Party::Stp, &Blob(vec![7; LEN])));
+        let (mut peer, _) = listener.accept().expect("accept");
+        // Well inside the 5 s write timeout.
+        let deadline = Instant::now() + Duration::from_secs(4);
+        while counted().is_none() {
+            assert!(
+                Instant::now() < deadline,
+                "frame not counted before its write"
+            );
+            std::thread::yield_now();
+        }
+        assert!(!sender.is_finished(), "the write finished unread");
+
+        let mut prefix = [0u8; 4];
+        peer.read_exact(&mut prefix).expect("length prefix");
+        let mut frame = vec![0u8; u32::from_be_bytes(prefix) as usize];
+        peer.read_exact(&mut frame).expect("frame");
+        sender.join().expect("sender thread").expect("send");
+        let env = decode_envelope(&frame).expect("envelope");
+        assert_eq!(env.payload.len(), LEN);
+    });
+    assert_eq!(
+        counted().map(|l| (l.messages, l.bytes)),
+        Some((1, LEN as u64))
+    );
+    client.stop();
+}
+
 /// A frame the reorder stage is holding when a node stops is written on
 /// the way out, not stranded: it reaches the peer only after `stop()`.
 #[test]
