@@ -18,17 +18,15 @@
 //! ```
 
 mod divsteps;
-mod fixed_base;
 mod gcd;
 mod inv;
 mod mont;
 mod pow;
 
-pub use fixed_base::FixedBasePow;
 pub use gcd::{gcd, lcm};
 pub use inv::mod_inverse;
 #[doc(hidden)]
-pub use mont::{mont_mul_count, reset_mont_mul_count};
+pub use mont::{mont_mul_count, reset_mont_mul_count, NARROW_MAX_LIMBS};
 pub use mont::{MontCtx, MontScratch};
 pub use pow::mod_pow;
 

@@ -1,11 +1,16 @@
 //! Montgomery reduction context.
 //!
-//! The kernel is a fused product-scanning (FIPS) Montgomery multiply:
-//! one sweep over the `2k` columns of `a·b + m·n` picks each reduction
-//! limb `mᵢ` as soon as its column is complete, so the product and the
-//! reduction share three-limb column sums instead of a `2k + 1`-limb
-//! buffer. Squaring computes each cross product once and doubles it;
-//! leaving Montgomery form is a reduction alone.
+//! The kernels come in two tiers, chosen by the modulus width `k` alone.
+//! Narrow moduli (at most [`NARROW_MAX_LIMBS`] limbs) take a CIOS
+//! multiply over fixed-size arrays, instantiated once per width so every
+//! loop bound is a compile-time constant; their squares are products of
+//! equal operands. Wider moduli take a fused product-scanning (FIPS)
+//! multiply: one sweep over the `2k` columns of `a·b + m·n` picks each
+//! reduction limb `mᵢ` as soon as its column is complete, so the product
+//! and the reduction share three-limb column sums instead of a
+//! `2k + 1`-limb buffer. From [`SQR_MIN_LIMBS`] on, squaring computes
+//! each cross product once and doubles it. Leaving Montgomery form is a
+//! reduction alone, at every width.
 
 use crate::arith::{mul_limbs, sub_assign_slice};
 use crate::Ubig;
@@ -37,14 +42,32 @@ fn bump_mul_count() {
     MONT_MUL_COUNT.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
-/// Narrowest modulus, in limbs, whose squares take the squaring kernel.
-/// A squaring column needs three accumulators and more bookkeeping than a
+/// Widest modulus, in limbs, that takes the narrow kernel (`cios_mul`).
+/// With compile-time loop bounds the compiler unrolls both limb loops of
+/// every round, which saves the loop and slice bookkeeping that dominates
+/// a short product-scanning column. From 23 limbs it keeps one of them as
+/// a loop (the disassembly has 2K limb multiplies per round up to 22
+/// limbs and K + 2 from 23), and the gain goes. Measured in one process
+/// on a 2-vCPU Xeon, `pow` with an exponent of half the modulus width
+/// ran at 0.35–0.59× of the fused kernel's time at 1–8 limbs and
+/// 0.57–0.87× at 10–22, level at 23–25 (0.88–1.01×) and slower from 26
+/// (1.06–1.23×). 384-bit keys (6- and 12-limb moduli) and the 16-limb
+/// Miller–Rabin of 1024-bit primes run here; 2048-bit keys (32 and 64
+/// limbs) stay on the fused kernels. Narrow squares are products of
+/// equal operands: a dedicated narrow squaring (each cross product once,
+/// doubled, then `K` reduction rounds) ran `pow` at 0.92–1.05× of this
+/// time, inside the host's spread.
+pub const NARROW_MAX_LIMBS: usize = 22;
+
+/// Narrowest modulus, in limbs, whose squares take the squaring kernel;
+/// it governs only the fused tier, above [`NARROW_MAX_LIMBS`]. A
+/// squaring column needs three accumulators and more bookkeeping than a
 /// multiply's, which its ¼ fewer limb products repay only on long
-/// columns. On a 2-vCPU Xeon the multiply is faster up to 24 limbs and
-/// level at 32, and the squaring takes about 0.85× of it at 48 and 64.
-/// End to end, 384-bit keys (6- and 12-limb moduli) ran 6 % more
-/// sessions per second with this threshold than with the squaring
-/// kernel at every width.
+/// columns. Measured in one process on a 2-vCPU Xeon, the squaring
+/// kernel ran level with the fused multiply of equal operands at 23–36
+/// limbs (0.99–1.05×) and faster from 40 (0.95× at 40, 0.94× at 48,
+/// 0.89× at 64). So 2048-bit keys square their 64-limb n² with it and
+/// their 32-limb p² with the multiply.
 const SQR_MIN_LIMBS: usize = 40;
 
 /// Reusable working memory for Montgomery operations.
@@ -150,11 +173,6 @@ impl MontCtx {
         &self.n
     }
 
-    /// Limb width of this context's residues.
-    pub(crate) fn limb_width(&self) -> usize {
-        self.k
-    }
-
     /// Allocates working memory sized for this context. One scratch
     /// serves any number of sequential operations; allocate one per
     /// thread for parallel work.
@@ -211,7 +229,7 @@ impl MontCtx {
 
     /// REDC(a²): `a² · R⁻¹ mod n` for a Montgomery-form operand, equal to
     /// `mont_mul(a, a, s)`. Moduli of 40 limbs and more take the
-    /// dedicated squaring kernel.
+    /// dedicated squaring kernel; narrower ones multiply.
     pub fn mont_sqr(&self, a: &Ubig, s: &mut MontScratch) -> Ubig {
         s.fit(self.k);
         copy_padded(&mut s.acc, a.as_limbs());
@@ -260,10 +278,36 @@ impl MontCtx {
 
     /// REDC(a·b) into `out`. All three slices are exactly `k` limbs (the
     /// operands zero-padded, values < n); `out` receives the value < n.
+    /// Moduli of at most [`NARROW_MAX_LIMBS`] limbs take the narrow
+    /// kernel, wider ones the fused product-scanning multiply.
     pub(crate) fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         let k = self.k;
         let (a, b) = (&a[..k], &b[..k]);
         bump_mul_count();
+        if !self.narrow_mul_into(a, b, out) {
+            self.fused_mul_into(a, b, out);
+        }
+    }
+
+    /// The narrow tier: [`cios_mul`] instantiated at the context's width,
+    /// picked by `k` alone. Returns `false`, leaving `out` untouched, for
+    /// moduli wider than [`NARROW_MAX_LIMBS`].
+    fn narrow_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
+        let n = self.n.as_limbs();
+        macro_rules! widths {
+            ($($w:literal)*) => {
+                match self.k {
+                    $($w => cios_mul::<$w>(a, b, n, self.n0_inv, out),)*
+                    _ => false,
+                }
+            };
+        }
+        widths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22)
+    }
+
+    /// The fused tier's multiply: one product-scanning pass.
+    fn fused_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        let k = self.k;
         self.fips(out, |i, ms, ns| {
             // Column i of a·b holds aⱼ·bᵢ₋ⱼ for j in [lo, hi); the b limbs
             // span the same range, read downwards. Its first l terms share
@@ -288,7 +332,8 @@ impl MontCtx {
 
     /// REDC(a²) into `out`, with the same width contract as
     /// [`MontCtx::mont_mul_into`]: the squaring kernel, or the multiply
-    /// for moduli narrower than [`SQR_MIN_LIMBS`].
+    /// (narrow or fused, by width) for moduli narrower than
+    /// [`SQR_MIN_LIMBS`].
     pub(crate) fn mont_sqr_into(&self, a: &[u64], out: &mut [u64]) {
         if self.k < SQR_MIN_LIMBS {
             self.mont_mul_into(a, a, out);
@@ -433,8 +478,7 @@ impl MontCtx {
         let table_len = 1usize << w;
 
         // Flat fixed-width table: entry d at [d*k, (d+1)*k) holds
-        // base^d in Montgomery form. One allocation per exponentiation;
-        // `FixedBasePow` hoists even that out for repeated bases.
+        // base^d in Montgomery form. One allocation per exponentiation.
         let mut table = vec![0u64; table_len * k];
         copy_padded(&mut table[..k], self.r_mod_n.as_limbs());
         copy_padded(&mut table[k..2 * k], base_m.as_limbs());
@@ -587,6 +631,59 @@ impl Column {
         self.hi = 0;
         low
     }
+}
+
+/// A CIOS (coarsely integrated operand scanning) Montgomery multiply at
+/// the compile-time width `K`: `out ← a·b·R⁻¹ mod n` for `a, b < n`.
+///
+/// Each of the `K` rounds adds `a·bᵢ` to the running sum `t`, then adds
+/// the multiple `m·n` that clears its low limb and shifts `t` down one
+/// limb. With `a, b < n` the sum stays below 2n after every round, so it
+/// fits `K` limbs plus a top carry of 0 or 1, which [`reduce_once`]
+/// takes in. Every loop bound is `K`, so the compiler unrolls the limb
+/// loops, and every limb product runs for every input.
+///
+/// Returns `false`, leaving `out` untouched, unless all four slices are
+/// `K` limbs.
+fn cios_mul<const K: usize>(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, out: &mut [u64]) -> bool {
+    let (Ok(a), Ok(b), Ok(n), Ok(out)) = (
+        <&[u64; K]>::try_from(a),
+        <&[u64; K]>::try_from(b),
+        <&[u64; K]>::try_from(n),
+        <&mut [u64; K]>::try_from(out),
+    ) else {
+        return false;
+    };
+    let mut t = [0u64; K];
+    let mut top = 0u64;
+    for &bi in b {
+        // t += a·bᵢ, which carries into `top` and one bit above it.
+        let mut carry = 0;
+        for j in 0..K {
+            (t[j], carry) = mac(t[j], a[j], bi, carry);
+        }
+        let (hi, over) = top.overflowing_add(carry);
+        // t += m·n clears the low limb, and t shifts down one limb.
+        let m = t[0].wrapping_mul(n0_inv);
+        let (_, mut carry) = mac(t[0], m, n[0], 0);
+        for j in 1..K {
+            (t[j - 1], carry) = mac(t[j], m, n[j], carry);
+        }
+        let (hi, over2) = hi.overflowing_add(carry);
+        t[K - 1] = hi;
+        top = u64::from(over) + u64::from(over2);
+    }
+    *out = t;
+    reduce_once(out, n, top);
+    true
+}
+
+/// `t + a·b + carry` as a low limb and a carry limb; it cannot overflow
+/// two limbs.
+#[inline(always)]
+fn mac(t: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let s = u128::from(t) + u128::from(a) * u128::from(b) + u128::from(carry);
+    (s as u64, (s >> 64) as u64)
 }
 
 /// Brings `t = carry · R + out`, known to be below 2n, under n without a
@@ -761,11 +858,13 @@ mod tests {
 
     /// Through the whole kernel: `from_mont(n)` sums to exactly n before
     /// the final subtraction (m = R − 1), and operands just below an n
-    /// close to R drive the unreduced sums of the multiply and of the
-    /// squaring kernel across [n, 2n), past R, up to within n/64 of 2n.
+    /// close to R drive the unreduced sums of the narrow multiply (at 2
+    /// limbs and at the narrow ceiling) and of the fused multiply and
+    /// squaring kernel (at [`SQR_MIN_LIMBS`]) across [n, 2n), past R, up
+    /// to within n/64 of 2n.
     #[test]
     fn kernels_reduce_sums_between_n_and_2n() {
-        for k in [2usize, SQR_MIN_LIMBS] {
+        for k in [2usize, NARROW_MAX_LIMBS, SQR_MIN_LIMBS] {
             let r = Ubig::one() << (64 * k);
             let n = &r - &Ubig::from(159u64);
             let ctx = MontCtx::new(&n).unwrap();
@@ -792,6 +891,149 @@ mod tests {
                 assert_eq!(ctx.mont_sqr(&a, &mut s), ctx.mont_mul_reference(&a, &a));
             }
             assert!(highest > &(&n + &n) - &(&n >> 6), "k = {k}: never near 2n");
+        }
+    }
+
+    /// The narrow tier takes every width up to [`NARROW_MAX_LIMBS`] and
+    /// none above it, and agrees with the fused multiply wherever it runs.
+    #[test]
+    fn narrow_tier_covers_every_width_up_to_the_ceiling() {
+        for k in 1..=NARROW_MAX_LIMBS + 1 {
+            let n = (Ubig::one() << (64 * k)) - Ubig::from(159u64);
+            let ctx = MontCtx::new(&n).unwrap();
+            let a = (&n - &Ubig::from(5u64)).as_limbs().to_vec();
+            let b = (&n >> 1).as_limbs().to_vec();
+            let (mut narrow, mut fused) = (vec![0u64; k], vec![0u64; k]);
+            let took = ctx.narrow_mul_into(&a, &b, &mut narrow);
+            assert_eq!(took, k <= NARROW_MAX_LIMBS, "k = {k}");
+            ctx.fused_mul_into(&a, &b, &mut fused);
+            if took {
+                assert_eq!(narrow, fused, "k = {k}");
+            }
+        }
+    }
+
+    /// `cios_mul::<K>` runs only when all four slices have `K` limbs: one
+    /// slice a limb short or long makes it return `false` with `out` as
+    /// it was, so a width mismatch falls through to the fused multiply.
+    #[test]
+    fn cios_mul_declines_slices_of_another_width() {
+        let n = (Ubig::one() << 256) - Ubig::from(159u64);
+        let ctx = MontCtx::new(&n).unwrap();
+        let a = (&n - &Ubig::from(5u64)).as_limbs().to_vec();
+        let b = (&n >> 1).as_limbs().to_vec();
+        let nl = n.as_limbs().to_vec();
+        for bad in 0..4 {
+            for len in [3usize, 5] {
+                let resized = |v: &[u64], slot: usize| {
+                    let mut v = v.to_vec();
+                    if slot == bad {
+                        v.resize(len, 1);
+                    }
+                    v
+                };
+                let mut out = resized(&[0xa5a5_a5a5_a5a5_a5a5; 4], 3);
+                let before = out.clone();
+                let (a, b, nl) = (resized(&a, 0), resized(&b, 1), resized(&nl, 2));
+                let took = cios_mul::<4>(&a, &b, &nl, ctx.n0_inv, &mut out);
+                assert!(!took, "slice {bad} at {len} limbs");
+                assert_eq!(out, before, "slice {bad} at {len} limbs");
+            }
+        }
+        let (mut narrow, mut fused) = (vec![0u64; 4], vec![0u64; 4]);
+        assert!(cios_mul::<4>(&a, &b, &nl, ctx.n0_inv, &mut narrow));
+        ctx.fused_mul_into(&a, &b, &mut fused);
+        assert_eq!(narrow, fused);
+    }
+
+    /// On every tier (narrow multiply, fused multiply, squaring kernel)
+    /// `to_mont`, `mont_mul` and `mont_sqr` count one Montgomery
+    /// multiplication each, and `from_mont`, a reduction alone, none.
+    #[test]
+    fn every_kernel_call_counts_once_on_both_tiers() {
+        for k in [
+            1usize,
+            6,
+            12,
+            NARROW_MAX_LIMBS,
+            NARROW_MAX_LIMBS + 1,
+            SQR_MIN_LIMBS,
+        ] {
+            let n = (Ubig::one() << (64 * k)) - Ubig::from(159u64);
+            let ctx = MontCtx::new(&n).unwrap();
+            let mut s = ctx.scratch();
+            reset_mont_mul_count();
+            let am = ctx.to_mont(&(&n >> 3), &mut s);
+            assert_eq!(mont_mul_count(), 1, "to_mont, k = {k}");
+            ctx.mont_mul(&am, &ctx.one_mont(), &mut s);
+            assert_eq!(mont_mul_count(), 2, "mont_mul, k = {k}");
+            ctx.mont_sqr(&am, &mut s);
+            assert_eq!(mont_mul_count(), 3, "mont_sqr, k = {k}");
+            ctx.from_mont(&am, &mut s);
+            assert_eq!(mont_mul_count(), 3, "from_mont, k = {k}");
+        }
+    }
+
+    /// `pow` costs exactly what the window model in [`window_width`]
+    /// counts, on both tiers and in every window tier: one `to_mont`,
+    /// 2ʷ − 2 table products, and w squarings plus one multiply per
+    /// window below the top one.
+    #[test]
+    fn pow_count_follows_the_window_model_on_both_tiers() {
+        for k in [
+            6usize,
+            NARROW_MAX_LIMBS,
+            NARROW_MAX_LIMBS + 1,
+            SQR_MIN_LIMBS,
+        ] {
+            let n = (Ubig::one() << (64 * k)) - Ubig::from(159u64);
+            let ctx = MontCtx::new(&n).unwrap();
+            for bits in [1usize, 3, 17, 65, 127, 500, 1100] {
+                let exp = (Ubig::one() << (bits - 1)) + Ubig::from(bits as u64 >> 1);
+                let w = window_width(bits);
+                let windows = bits.div_ceil(w);
+                let expected = 1 + ((1 << w) - 2) + (windows - 1) * (w + 1);
+                reset_mont_mul_count();
+                ctx.pow(&Ubig::from(3u64), &exp);
+                assert_eq!(mont_mul_count(), expected as u64, "k = {k}, bits = {bits}");
+            }
+        }
+    }
+
+    /// Every window tier of `pow` against square-and-multiply at the
+    /// protocol's narrow widths (6 and 12 limbs), at the narrow ceiling
+    /// and at the first fused width, for a modulus just below R and one
+    /// just above R/2.
+    #[test]
+    fn all_window_widths_agree_with_naive_on_both_tiers() {
+        for k in [6usize, 12, NARROW_MAX_LIMBS, NARROW_MAX_LIMBS + 1] {
+            let r = Ubig::one() << (64 * k);
+            for n in [&r - &Ubig::from(159u64), (&r >> 1) + Ubig::from(159u64)] {
+                let ctx = MontCtx::new(&n).unwrap();
+                let base = &n / &Ubig::from(3u64);
+                for bits in [3usize, 17, 65, 127, 500, 1100] {
+                    let exp = (Ubig::one() << (bits - 1)) + Ubig::from(0b1011u64);
+                    let expect = naive_square_multiply(&base, &exp, &n);
+                    assert_eq!(ctx.pow(&base, &exp), expect, "k = {k}, bits {bits}");
+                }
+            }
+        }
+    }
+
+    /// `mont_mul` of a plain value by a Montgomery-form one is the plain
+    /// product, REDC(x · yR) = x·y mod n, at every narrow width and on
+    /// both fused kernels' widths: the identity the Paillier encryption
+    /// core uses to multiply gᵐ by the Montgomery-form rⁿ in one call.
+    #[test]
+    fn mont_mul_by_a_montgomery_form_is_the_plain_product() {
+        for k in (1..=NARROW_MAX_LIMBS + 1).chain([SQR_MIN_LIMBS]) {
+            let n = (Ubig::one() << (64 * k)) - Ubig::from(159u64);
+            let ctx = MontCtx::new(&n).unwrap();
+            let mut s = ctx.scratch();
+            let (x, y) = (&n - &Ubig::from(2u64), &n >> 1);
+            let ym = ctx.to_mont(&y, &mut s);
+            assert_eq!(ctx.mont_mul(&x, &ym, &mut s), (&x * &y) % &n, "k = {k}");
+            assert_eq!(ctx.mont_mul(&x, &ctx.one_mont(), &mut s), x, "k = {k}");
         }
     }
 

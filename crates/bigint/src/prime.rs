@@ -191,6 +191,24 @@ mod tests {
         assert!(!is_probable_prime(&c, 20, &mut r));
     }
 
+    /// Miller–Rabin at the widths the narrow Montgomery kernel serves:
+    /// Mersenne primes of 9, 10 and 20 limbs pass, and products of two
+    /// of them (18 and 22 limbs, no factor that trial division finds)
+    /// fail.
+    #[test]
+    fn mersenne_primes_and_their_products_across_narrow_widths() {
+        let mut r = rng();
+        let mersenne = |p: usize| (Ubig::one() << p) - Ubig::one();
+        let (m89, m521, m607, m1279) = (mersenne(89), mersenne(521), mersenne(607), mersenne(1279));
+        for p in [&m521, &m607, &m1279] {
+            assert!(is_probable_prime(p, 8, &mut r), "2^{} - 1", p.bit_len());
+        }
+        for (c, limbs) in [(&m521 * &m607, 18), (&m89 * &m1279, 22)] {
+            assert_eq!(c.as_limbs().len(), limbs);
+            assert!(!is_probable_prime(&c, 8, &mut r), "{limbs} limbs");
+        }
+    }
+
     #[test]
     fn gen_prime_has_exact_bits_and_is_prime() {
         let mut r = rng();

@@ -1,36 +1,43 @@
-//! Property tests for the Montgomery kernels: the fused multiply and
-//! squaring against the reference allocating path (at small widths and at
-//! the widths the protocol runs at), `FixedBasePow` against
+//! Property tests for the Montgomery kernels: the narrow and fused
+//! multiplies and the squaring kernel against the reference allocating
+//! path (at small widths, at every width the narrow tier serves, at the
+//! first fused width and at the widths the protocol runs at),
 //! `MontCtx::pow` against naive square-and-multiply, and the
 //! constant-shape guarantee that multiplication counts depend only on the
 //! exponent's bit length.
 
-use pisa_bigint::modular::{mont_mul_count, reset_mont_mul_count, FixedBasePow, MontCtx};
+use pisa_bigint::modular::{mont_mul_count, reset_mont_mul_count, MontCtx, NARROW_MAX_LIMBS};
 use pisa_bigint::Ubig;
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 
-/// Limb widths of the protocol's moduli: p² and n² at 384-bit keys (6 and
-/// 12 limbs), p² at 2048-bit keys (32) and n² at 2048-bit keys (64).
-const PROTOCOL_WIDTHS: [usize; 4] = [6, 12, 32, 64];
+/// Every limb width the narrow kernel serves, the first width the fused
+/// kernel serves, and the protocol's fused widths: p² and n² at
+/// 2048-bit keys (32 and 64 limbs; 64 takes the squaring kernel). The
+/// protocol's 384-bit keys run at 6 and 12 limbs, inside the narrow range.
+fn tested_widths() -> impl Iterator<Item = usize> {
+    (1..=NARROW_MAX_LIMBS + 1).chain([32, 64])
+}
 
-/// An odd modulus of exactly one of the [`PROTOCOL_WIDTHS`], with its top
-/// limb forced to `u64::MAX` in half the cases (n close to R, where the
-/// unreduced result most often lands between n and 2n and overflows R).
-fn protocol_modulus() -> impl Strategy<Value = Ubig> {
-    (
-        0usize..PROTOCOL_WIDTHS.len(),
-        any::<bool>(),
-        proptest::collection::vec(any::<u64>(), 64..65),
-    )
-        .prop_map(|(w, top_max, mut limbs)| {
-            let width = PROTOCOL_WIDTHS[w];
-            limbs.truncate(width);
-            limbs[0] |= 1;
+/// Odd moduli above 1 of every [`tested_widths`] width, cut from the
+/// same random limbs, with the top limb forced to `u64::MAX` when
+/// `top_max` is set (n close to R, where the unreduced result most often
+/// lands between n and 2n and overflows R).
+fn moduli_at_every_width(limbs: &[u64], top_max: bool) -> Vec<Ubig> {
+    tested_widths()
+        .map(|width| {
+            let mut limbs = limbs[..width].to_vec();
             let top = &mut limbs[width - 1];
-            *top = if top_max { u64::MAX } else { (*top).max(1) };
+            *top = if top_max { u64::MAX } else { (*top).max(2) };
+            limbs[0] |= 1;
             Ubig::from_limbs(limbs)
         })
+        .collect()
+}
+
+/// The random limbs [`moduli_at_every_width`] cuts its moduli from.
+fn modulus_limbs() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), 64..65)
 }
 
 /// Arbitrary Ubig up to 64 limbs, reduced by the caller.
@@ -79,37 +86,36 @@ proptest! {
         prop_assert_eq!(ctx.mont_sqr(&a, &mut s), ctx.mont_mul_reference(&a, &a));
     }
 
-    /// At every protocol width, multiply and squaring ≡ the reference for
+    /// At every tested width, multiply and squaring ≡ the reference for
     /// random operands and the edge operands 0, 1 and n − 1, in every
     /// pairing, and `from_mont` inverts `to_mont`.
     #[test]
     fn kernels_match_reference_at_protocol_widths(
-        m in protocol_modulus(),
+        limbs in modulus_limbs(),
+        top_max in any::<bool>(),
         a in wide_ubig(),
         b in wide_ubig(),
     ) {
-        let ctx = MontCtx::new(&m).unwrap();
-        let mut s = ctx.scratch();
-        let ops = [Ubig::zero(), Ubig::one(), &m - &Ubig::one(), &a % &m, &b % &m];
-        for x in &ops {
-            prop_assert_eq!(ctx.mont_sqr(x, &mut s), ctx.mont_mul_reference(x, x));
-            for y in &ops {
-                prop_assert_eq!(ctx.mont_mul(x, y, &mut s), ctx.mont_mul_reference(x, y));
+        for m in moduli_at_every_width(&limbs, top_max) {
+            let ctx = MontCtx::new(&m).unwrap();
+            let mut s = ctx.scratch();
+            let ops = [Ubig::zero(), Ubig::one(), &m - &Ubig::one(), &a % &m, &b % &m];
+            for x in &ops {
+                prop_assert_eq!(ctx.mont_sqr(x, &mut s), ctx.mont_mul_reference(x, x));
+                for y in &ops {
+                    prop_assert_eq!(ctx.mont_mul(x, y, &mut s), ctx.mont_mul_reference(x, y));
+                }
+                let xm = ctx.to_mont(x, &mut s);
+                prop_assert_eq!(&ctx.from_mont(&xm, &mut s), x);
             }
-            let xm = ctx.to_mont(x, &mut s);
-            prop_assert_eq!(&ctx.from_mont(&xm, &mut s), x);
         }
     }
 
-    /// `FixedBasePow::pow` ≡ `MontCtx::pow` ≡ naive square-and-multiply.
+    /// `MontCtx::pow` ≡ naive square-and-multiply.
     #[test]
-    fn three_pow_paths_agree(base in ubig(), exp in ubig(), m in odd_modulus()) {
+    fn pow_matches_naive(base in ubig(), exp in ubig(), m in odd_modulus()) {
         let ctx = MontCtx::new(&m).unwrap();
-        let windowed = ctx.pow(&base, &exp);
-        let naive = naive_pow(&base, &exp, &m);
-        prop_assert_eq!(&windowed, &naive);
-        let fb = FixedBasePow::new(&ctx, &base, 256).unwrap();
-        prop_assert_eq!(&fb.pow(&exp), &naive);
+        prop_assert_eq!(ctx.pow(&base, &exp), naive_pow(&base, &exp, &m));
     }
 
     /// Montgomery-form chaining (`to_mont` → `pow_mont` → `mont_mul` →
@@ -156,39 +162,24 @@ proptest! {
         let c2 = mont_mul_count();
         prop_assert_eq!(c1, c2);
     }
-
-    /// `FixedBasePow` is stricter: the count is one constant for every
-    /// exponent the table accepts, whatever its bit length.
-    #[test]
-    fn fixed_base_shape_is_constant(
-        exp in ubig(),
-        m in odd_modulus(),
-    ) {
-        let ctx = MontCtx::new(&m).unwrap();
-        let fb = FixedBasePow::new(&ctx, &Ubig::from(3u64), 256).unwrap();
-        let mut s = fb.scratch();
-        reset_mont_mul_count();
-        fb.pow_mont(&exp, &mut s);
-        prop_assert_eq!(mont_mul_count(), fb.muls_per_pow());
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// At every protocol width, `MontCtx::pow` (window ladder over the
-    /// squaring kernel) ≡ `FixedBasePow` (squarings only while building
-    /// its table) ≡ naive square-and-multiply.
+    /// At every tested width, `MontCtx::pow` (the window ladder over the
+    /// narrow kernel, the fused multiply or the squaring kernel, by
+    /// width) ≡ naive square-and-multiply.
     #[test]
     fn pow_paths_agree_at_protocol_widths(
-        m in protocol_modulus(),
+        limbs in modulus_limbs(),
+        top_max in any::<bool>(),
         base in wide_ubig(),
         exp in ubig(),
     ) {
-        let ctx = MontCtx::new(&m).unwrap();
-        let naive = naive_pow(&base, &exp, &m);
-        prop_assert_eq!(&ctx.pow(&base, &exp), &naive);
-        let fb = FixedBasePow::new(&ctx, &base, 256).unwrap();
-        prop_assert_eq!(&fb.pow(&exp), &naive);
+        for m in moduli_at_every_width(&limbs, top_max) {
+            let ctx = MontCtx::new(&m).unwrap();
+            prop_assert_eq!(ctx.pow(&base, &exp), naive_pow(&base, &exp, &m));
+        }
     }
 }

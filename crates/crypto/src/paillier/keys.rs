@@ -2,44 +2,17 @@
 
 use super::ops::{Ciphertext, Nonce, Randomizer, RandomizerDraw};
 use crate::error::CryptoError;
-use pisa_bigint::modular::{gcd, lcm, mod_inverse, FixedBasePow, MontCtx};
-use pisa_bigint::random::{random_bits, random_coprime};
+use pisa_bigint::modular::{gcd, lcm, mod_inverse, MontCtx};
+use pisa_bigint::random::random_coprime;
 use pisa_bigint::zeroize::Zeroize;
 use pisa_bigint::{prime, Ibig, Sign, Ubig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// Minimum supported modulus size in bits (small enough to admit
 /// classroom test vectors; production keys are 2048 bits per the paper).
 pub const MIN_KEY_BITS: usize = 16;
-
-/// Cached fixed-base context for DJN-style fast randomizers: a public
-/// `h_n = (-y²)^n mod n²` with its precomputed window table, plus the
-/// short-exponent width. Built once per key by
-/// [`PaillierPublicKey::enable_fast_randomizers`].
-struct FastRandomizer {
-    /// Fixed-base table over `h_n`.
-    table: FixedBasePow,
-    /// Bit width of the short random exponent `x`.
-    exp_bits: usize,
-}
-
-impl fmt::Debug for FastRandomizer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The table itself already redacts; echo only the parameters.
-        write!(f, "FastRandomizer {{ exp_bits: {} }}", self.exp_bits)
-    }
-}
-
-impl Drop for FastRandomizer {
-    fn drop(&mut self) {
-        // `h_n` is public under the DJN assumption, but the table is
-        // precomputed key-adjacent state: wipe it like the pools.
-        self.table.zeroize();
-    }
-}
 
 /// A Paillier public key `(n, g = n + 1)` with precomputed Montgomery
 /// context for `n²`.
@@ -53,9 +26,6 @@ pub struct PaillierPublicKey {
     n_squared: Ubig,
     half_n: Ubig,
     ctx_n2: MontCtx,
-    /// Opt-in fast-randomizer context, shared across clones so a key
-    /// cached inside matrices and pools reuses one table.
-    fast_rand: Arc<OnceLock<FastRandomizer>>,
 }
 
 impl PartialEq for PaillierPublicKey {
@@ -88,7 +58,6 @@ impl PaillierPublicKey {
             n_squared,
             half_n,
             ctx_n2,
-            fast_rand: Arc::new(OnceLock::new()),
         }
     }
 
@@ -182,12 +151,11 @@ impl PaillierPublicKey {
     /// Shared encryption core; callers must guarantee `r ∈ Z_n*`.
     ///
     /// Performs one exponentiation (`rⁿ`) and two multiplications (the
-    /// `m·n` product inside `gᵐ` and the final `gᵐ · rⁿ`), chained in
-    /// Montgomery form so the product costs no extra round trip.
+    /// `m·n` product inside `gᵐ` and the final `gᵐ · rⁿ`). `rⁿ` stays in
+    /// Montgomery form, so the final product is one reduction of the
+    /// plain `gᵐ` against it: REDC(gᵐ · rⁿR) = gᵐ · rⁿ mod n².
     fn raw_encrypt(&self, m: &Ibig, r: &Ubig) -> Ciphertext {
-        let encoded = self.encode(m);
-        // g^m = (n+1)^m = 1 + m·n (mod n²)
-        let g_m = (Ubig::one() + &encoded * &self.n) % &self.n_squared;
+        let g_m = self.g_pow(m);
         obs_count!(ModExp);
         obs_count!(ModMul);
         obs_count!(ModMul);
@@ -202,9 +170,17 @@ impl PaillierPublicKey {
         };
         let r_m = self.ctx_n2.to_mont(r, &mut s);
         let rn_m = self.ctx_n2.pow_mont(&r_m, &self.n, &mut s);
-        let gm_m = self.ctx_n2.to_mont(&g_m, &mut s);
-        let c_m = self.ctx_n2.mont_mul(&gm_m, &rn_m, &mut s);
-        Ciphertext::from_raw(self.ctx_n2.from_mont(&c_m, &mut s))
+        Ciphertext::from_raw(self.ctx_n2.mont_mul(&g_m, &rn_m, &mut s))
+    }
+
+    /// `gᵐ = (n + 1)ᵐ = 1 + m·n mod n²` for the encoded `m`. The encoding
+    /// is below n, so `1 + m·n ≤ n² − n + 1` is already reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|m| > n/2`.
+    fn g_pow(&self, m: &Ibig) -> Ubig {
+        Ubig::one() + &self.encode(m) * &self.n
     }
 
     /// Encrypts with a precomputed re-randomization factor — the online
@@ -214,52 +190,11 @@ impl PaillierPublicKey {
     /// Each factor must be used for at most one ciphertext; reuse links
     /// the ciphertexts it produced.
     pub fn encrypt_with_randomizer(&self, m: &Ibig, factor: &Randomizer) -> Ciphertext {
-        let encoded = self.encode(m);
-        let g_m = (Ubig::one() + &encoded * &self.n) % &self.n_squared;
+        let g_m = self.g_pow(m);
         obs_count!(ModMul);
         obs_count!(ModMul);
         obs_count!(Encrypt);
         Ciphertext::from_raw((&g_m * &factor.0) % &self.n_squared)
-    }
-
-    /// Switches this key (and every clone sharing its cache) to
-    /// DJN-style fast randomizers: re-randomization factors become
-    /// `h_nˣ mod n²` for `h_n = (-y²)ⁿ` with a fresh secret `y` and a
-    /// *short* random exponent `x`, driven through a precomputed
-    /// fixed-base table over `h_n`.
-    ///
-    /// This replaces the full-width `rⁿ` exponentiation (one exponent
-    /// bit per modulus bit) with `⌈exp_bits/4⌉` multiplications — about
-    /// an order of magnitude fewer at 512-bit keys — at the cost of the
-    /// Damgård–Jurik–Nielsen assumption that powers of `h_n` with short
-    /// exponents are indistinguishable from uniform `n`-th residues
-    /// (§4.2 of their paper). Factors remain valid `n`-th residues, so
-    /// decryption and the homomorphic identities are unaffected.
-    ///
-    /// **Opt-in** precisely because it is a strictly stronger assumption
-    /// than Paillier's DCRA; nothing enables it by default. Idempotent:
-    /// later calls keep the first table.
-    pub fn enable_fast_randomizers<R: Rng + ?Sized>(&self, rng: &mut R) {
-        self.fast_rand.get_or_init(|| {
-            let y = random_coprime(rng, &self.n);
-            // h = -y² mod n, a quadratic non-residue with Jacobi symbol 1
-            // for Blum-integer n.
-            let h = &self.n - &((&y * &y) % &self.n);
-            let h_n = self.ctx_n2.pow(&h, &self.n);
-            let exp_bits = fast_exp_bits(self.n.bit_len());
-            let table = FixedBasePow::new(&self.ctx_n2, &h_n, exp_bits)
-                // pisa-lint: allow(panic-freedom): exp_bits ≥ 160 by
-                // construction, so the table constructor cannot reject
-                // it; key setup, not a frame path.
-                .expect("non-zero exponent width");
-            FastRandomizer { table, exp_bits }
-        });
-    }
-
-    /// True once [`enable_fast_randomizers`](Self::enable_fast_randomizers)
-    /// has run on this key or any clone sharing its cache.
-    pub fn fast_randomizers_enabled(&self) -> bool {
-        self.fast_rand.get().is_some()
     }
 
     /// Re-randomizes a ciphertext: multiplies by `rⁿ` for fresh `r`,
@@ -279,41 +214,25 @@ impl PaillierPublicKey {
     /// Offline phase of request refresh: samples `r ∈ Z_n*` and computes
     /// the re-randomization factor `rⁿ mod n²` (the expensive
     /// exponentiation, done ahead of time).
-    ///
-    /// With [fast randomizers](Self::enable_fast_randomizers) enabled the
-    /// factor is `h_nˣ` for a short random `x` instead — the same
-    /// exponentiation class, an order of magnitude cheaper.
     pub fn precompute_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> Randomizer {
         self.raise_randomizer(&self.draw_randomizer(rng))
     }
 
     /// The sequential half of
-    /// [`precompute_randomizer`](Self::precompute_randomizer): draws `r`
-    /// (or the short `x` under fast randomizers) from `rng`, exactly as
-    /// `precompute_randomizer` would.
+    /// [`precompute_randomizer`](Self::precompute_randomizer): draws
+    /// `r ∈ Z_n*` from `rng`, exactly as `precompute_randomizer` would.
     pub fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> RandomizerDraw {
-        match self.fast_rand.get() {
-            Some(fast) => RandomizerDraw {
-                value: random_bits(rng, fast.exp_bits),
-                short: true,
-            },
-            None => RandomizerDraw {
-                value: random_coprime(rng, &self.n),
-                short: false,
-            },
+        RandomizerDraw {
+            value: random_coprime(rng, &self.n),
         }
     }
 
     /// The pure half of
     /// [`precompute_randomizer`](Self::precompute_randomizer): the one
-    /// exponentiation. A short draw raised on a key without the fast
-    /// table (it was drawn under another key) falls back to `xⁿ`.
+    /// exponentiation `rⁿ mod n²`.
     pub fn raise_randomizer(&self, draw: &RandomizerDraw) -> Randomizer {
         obs_count!(ModExp);
-        match self.fast_rand.get() {
-            Some(fast) if draw.short => Randomizer(fast.table.pow(&draw.value)),
-            _ => Randomizer(self.ctx_n2.pow(&draw.value, &self.n)),
-        }
+        Randomizer(self.ctx_n2.pow(&draw.value, &self.n))
     }
 
     /// Online phase of request refresh: one modular multiplication —
@@ -386,8 +305,7 @@ impl PaillierPublicKey {
     pub fn encrypt_public_constant(&self, m: &Ibig) -> Ciphertext {
         obs_count!(Encrypt);
         obs_count!(ModMul);
-        let encoded = self.encode(m);
-        Ciphertext::from_raw((Ubig::one() + &encoded * &self.n) % &self.n_squared)
+        Ciphertext::from_raw(self.g_pow(m))
     }
 
     /// Checks that `c` is a unit modulo `n²` — what every later ⊖,
@@ -520,15 +438,6 @@ impl PaillierSecretKey {
         let m = (&l * &self.mu) % &self.pk.n;
         self.pk.decode(m)
     }
-}
-
-/// Short-exponent width for DJN fast randomizers: a quarter of the key
-/// width, floored at 160 bits. Comfortably above twice the security
-/// level at every supported key size (2048-bit keys → 512-bit exponents
-/// against 112-bit security), i.e. conservative relative to the bound in
-/// the DJN paper.
-fn fast_exp_bits(key_bits: usize) -> usize {
-    (key_bits / 4).max(160)
 }
 
 /// `L(x) = (x - 1) / d` — exact division by construction for honest
@@ -798,6 +707,50 @@ mod tests {
             .scalar_mul(&c, &Ibig::from(3i64))
             .expect("positive scalar");
         assert_eq!(kp.secret().decrypt(&tripled), Ibig::from(18i64));
+    }
+
+    /// The encryption core matches the formula it replaced, with the
+    /// reduction of `1 + m·n` and the Montgomery round trip spelled out:
+    /// `((1 + m·n) mod n²) · (rⁿ mod n²) mod n²`, for m ∈ {0, ±1, ±⌊n/2⌋}
+    /// and r ∈ {1, n − 1, a random unit}.
+    #[test]
+    fn encryption_matches_the_reduced_formula() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let kp = PaillierKeyPair::generate(&mut rng, 256);
+        let pk = kp.public();
+        let (n, n2) = (pk.modulus(), pk.modulus_squared());
+        let (one, half) = (Ibig::from(1i64), Ibig::from(n >> 1));
+        let rs = [Ubig::one(), n - &Ubig::one(), random_coprime(&mut rng, n)];
+        for m in [Ibig::zero(), one.clone(), -one, half.clone(), -half] {
+            let g_m = (Ubig::one() + &m.rem_euclid(n) * n) % n2;
+            assert_eq!(pk.encrypt_public_constant(&m).as_raw(), &g_m, "m = {m:?}");
+            for r in &rs {
+                let r_n = pisa_bigint::modular::mod_pow(r, n, n2);
+                let expected = (&g_m * &r_n) % n2;
+                let c = pk.encrypt_with_r(&m, r).expect("unit r");
+                assert_eq!(c.as_raw(), &expected, "m = {m:?}");
+                let c = pk.encrypt_with_randomizer(&m, &Randomizer(r_n));
+                assert_eq!(c.as_raw(), &expected, "m = {m:?}");
+            }
+        }
+    }
+
+    /// `g_pow` leaves out the `% n²` because no encoding needs it: over
+    /// every plaintext a small key admits, `1 + m·n` matches the reduced
+    /// formula and peaks at n² − n + 1, reached at the encoding of −1.
+    #[test]
+    fn g_pow_is_reduced_for_every_encoding() {
+        let kp = PaillierKeyPair::from_primes(Ubig::from(293u64), Ubig::from(433u64)).unwrap();
+        let pk = kp.public();
+        let (n, n2) = (pk.modulus(), pk.modulus_squared());
+        let peak = &(n2 - n) + &Ubig::one();
+        assert_eq!(pk.g_pow(&Ibig::from(-1i64)), peak);
+        let half = i64::try_from(u64::try_from(&(n >> 1)).unwrap()).unwrap();
+        for m in (-half..=half).map(Ibig::from) {
+            let g_m = pk.g_pow(&m);
+            assert!(g_m <= peak, "m = {m:?}");
+            assert_eq!(g_m, (Ubig::one() + &m.rem_euclid(n) * n) % n2, "m = {m:?}");
+        }
     }
 
     #[test]

@@ -136,24 +136,32 @@ mod tests {
         assert_eq!(kp.secret().decrypt(&diff), Ibig::zero());
     }
 
+    /// At 384 bits, the key width of the loopback workload (n² of 12
+    /// limbs and p², q² of 6, all on the narrow Montgomery kernel), the
+    /// plaintext extremes survive encryption, CRT and standard
+    /// decryption, re-randomization and ⊕.
     #[test]
-    fn fast_randomizers_preserve_decryption() {
-        let kp = small_keys();
+    fn narrow_protocol_key_round_trips_the_extremes() {
         let mut r = rng();
-        let pk = kp.public();
-        assert!(!pk.fast_randomizers_enabled());
-        pk.enable_fast_randomizers(&mut r);
-        assert!(pk.fast_randomizers_enabled());
-        // Clones share the cached table.
-        assert!(pk.clone().fast_randomizers_enabled());
-        let m = Ibig::from(99i64);
-        let c = pk.encrypt(&m, &mut r);
-        let c2 = pk.rerandomize(&c, &mut r);
-        assert_ne!(c, c2, "fast factors still randomize");
-        assert_eq!(kp.secret().decrypt(&c2), m);
-        let f = pk.precompute_randomizer(&mut r);
-        let c3 = pk.encrypt_with_randomizer(&m, &f);
-        assert_eq!(kp.secret().decrypt(&c3), m);
+        let kp = PaillierKeyPair::generate(&mut r, 384);
+        let (pk, sk) = (kp.public(), kp.secret());
+        assert_eq!(pk.modulus_squared().as_limbs().len(), 12);
+        let one = Ibig::from(1i64);
+        let half = Ibig::from(pk.modulus() >> 1);
+        for m in [
+            Ibig::zero(),
+            one.clone(),
+            -one.clone(),
+            half.clone(),
+            -half.clone(),
+        ] {
+            let c = pk.encrypt(&m, &mut r);
+            assert_eq!(sk.decrypt(&c), m, "m = {m:?}");
+            assert_eq!(sk.decrypt_standard(&c), m, "m = {m:?}");
+            assert_eq!(sk.decrypt(&pk.rerandomize(&c, &mut r)), m, "m = {m:?}");
+        }
+        let sum = pk.add(&pk.encrypt(&half, &mut r), &pk.encrypt(&-one, &mut r));
+        assert_eq!(sk.decrypt(&sum), half - Ibig::from(1i64));
     }
 
     #[test]

@@ -109,8 +109,7 @@ impl Drop for Nonce {
 
 /// The randomness of one
 /// [`precompute_randomizer`](super::PaillierPublicKey::precompute_randomizer)
-/// call, drawn but not yet raised: a unit `r` (raised to `rⁿ`) or, with
-/// fast randomizers enabled, a short exponent `x` (raised to `h_nˣ`).
+/// call, drawn but not yet raised: a unit `r`, raised to `rⁿ`.
 ///
 /// Drawn by [`draw_randomizer`](super::PaillierPublicKey::draw_randomizer)
 /// and raised by
@@ -118,8 +117,6 @@ impl Drop for Nonce {
 /// the same ordering guarantee as [`Nonce`]. Redacted and wiped on drop.
 pub struct RandomizerDraw {
     pub(crate) value: Ubig,
-    /// `true` for a short DJN exponent, `false` for a full-width unit.
-    pub(crate) short: bool,
 }
 
 impl fmt::Debug for RandomizerDraw {

@@ -6,8 +6,8 @@
 //! just "sign test took 40 ms" but "sign test performed 96 mod-exps".
 //!
 //! Two counters price what *didn't* happen: `ModExpAvoided` counts
-//! exponentiations a precomputation (randomizer pool hit, fixed-base
-//! table, ±1 scalar fast path) displaced from the hot path, and
+//! exponentiations a precomputation (randomizer pool hit, ±1 scalar
+//! fast path) displaced from the hot path, and
 //! `PoolMiss` counts pool exhaustions that fell back to the online
 //! exponentiation. Together they show which optimization lever paid in a
 //! perf trajectory point.
@@ -34,8 +34,8 @@ pub enum Op {
     /// Ciphertext re-randomization.
     Rerandomize,
     /// A modular exponentiation that precomputation displaced from the
-    /// hot path: a pooled randomizer consumed, a fixed-base table hit,
-    /// or a ±1 scalar multiplication short-circuit.
+    /// hot path: a pooled randomizer consumed, or a ±1 scalar
+    /// multiplication short-circuit.
     ModExpAvoided,
     /// A randomizer-pool request that found the pool empty and fell
     /// back to the online exponentiation.
