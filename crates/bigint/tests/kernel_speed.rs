@@ -5,8 +5,8 @@
 //!   64 limbs, the width of n² for 2048-bit keys;
 //! - the narrow kernel against `mont_mul_reference` at 6 and 12 limbs,
 //!   the widths of p² and n² for 384-bit keys;
-//! - `mod_inverse` against `mont_mul` at 12 and 64 limbs, the widths of
-//!   n² for 384- and 2048-bit keys.
+//! - `mod_inverse` against `mont_mul_reference` at 12 and 64 limbs, the
+//!   widths of n² for 384- and 2048-bit keys.
 //!
 //! Both sides of a ratio run on the same host in interleaved batches, so
 //! the ratio does not depend on how fast the host is. Ignored by default
@@ -29,12 +29,15 @@ const MAX_RATIO: f64 = 0.8;
 /// 6 and 12 limbs, and the fused product-scanning kernel that ran there
 /// before it 0.69–0.86; the cut-off sits between the two ranges.
 const MAX_NARROW_RATIO: f64 = 0.63;
-/// An inversion fails the gate above this many `mont_mul`s of its
-/// modulus. The divsteps kernel measures 21–24 at 64 limbs, and 41–50 at
-/// 12, where the narrow kernel makes the unit faster (33 against the
-/// fused multiply); the binary extended GCD it replaced measured 184 and
-/// 236 against the fused multiply.
-const MAX_INVERSE_MULS: f64 = 60.0;
+/// An inversion fails the gate above this many `mont_mul_reference`
+/// calls of its modulus. The unit is the reference multiply because no
+/// kernel change moves it: priced in `mont_mul`s, each faster multiply
+/// tightened the gate while the inverse stayed the same (at 12 limbs the
+/// narrow kernel moved the reading from 33 to 41–50). On a shared 2-vCPU
+/// Xeon the divsteps kernel measures 19–25 at 12 limbs and 12–15 at 64,
+/// and the binary extended GCD it replaced 134–145 at both widths; the
+/// cut-off sits between the two ranges.
+const MAX_INVERSE_MULS: f64 = 40.0;
 
 fn xorshift_limbs(state: &mut u64, k: usize) -> Vec<u64> {
     (0..k)
@@ -139,6 +142,7 @@ fn narrow_kernel_beats_the_reference_at_6_and_12_limbs() {
 #[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
 fn inverse_costs_few_mont_muls_at_12_and_64_limbs() {
     let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut readings = Vec::new();
     for limbs in [12, 64] {
         let n = odd_modulus(&mut state, limbs);
         let ctx = MontCtx::new(&n).expect("odd modulus");
@@ -151,20 +155,27 @@ fn inverse_costs_few_mont_muls_at_12_and_64_limbs() {
 
         // Each inversion undoes the one before, so every call inverts a
         // unit.
-        let (mut mul, mut inverse) = (f64::MAX, f64::MAX);
+        let (mut reference, mut mul, mut inverse) = (f64::MAX, f64::MAX, f64::MAX);
         for _ in 0..50 {
+            reference = reference.min(ns_per_call(&a, 400, |x| ctx.mont_mul_reference(x, &b)));
             mul = mul.min(ns_per_call(&a, 400, |x| ctx.mont_mul(x, &b, &mut s)));
             inverse = inverse.min(ns_per_call(&a, 10, |x| {
                 mod_inverse(x, &n).expect("unit modulo n")
             }));
         }
-        let muls = inverse / mul;
+        let muls = inverse / reference;
         println!(
-            "{limbs} limbs: mont_mul {mul:.0} ns, mod_inverse {inverse:.0} ns ({muls:.1} mont_muls)"
+            "{limbs} limbs: mont_mul_reference {reference:.0} ns, mod_inverse {inverse:.0} ns \
+             ({muls:.1} reference multiplies; {:.1} mont_muls)",
+            inverse / mul
         );
+        readings.push((limbs, muls));
+    }
+    for (limbs, muls) in readings {
         assert!(
             muls <= MAX_INVERSE_MULS,
-            "mod_inverse at {limbs} limbs costs {muls:.1} mont_muls (max {MAX_INVERSE_MULS})"
+            "mod_inverse at {limbs} limbs costs {muls:.1} reference multiplies \
+             (max {MAX_INVERSE_MULS})"
         );
     }
 }

@@ -224,3 +224,89 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn centered_encoding_roundtrips_to_the_edges(m in any::<i64>(), edge in 0u64..4) {
+        let pk = keys().public();
+        prop_assert_eq!(pk.decode(pk.encode(&Ibig::from(m))), Ibig::from(m));
+        // The extremes of (-n/2, n/2] and their neighbours.
+        let half = Ibig::from(pk.modulus() >> 1);
+        for v in [&half - &Ibig::from(edge), -(&half - &Ibig::from(edge))] {
+            let encoded = pk.encode(&v);
+            prop_assert!(&encoded < pk.modulus());
+            prop_assert_eq!(pk.decode(encoded), v);
+        }
+    }
+
+    /// `encrypt` is `draw_nonce` then `encrypt_with_nonce`, and
+    /// `rerandomize` is `draw_randomizer`, `raise_randomizer`, then
+    /// `rerandomize_precomputed`: the split halves give the same
+    /// ciphertexts from the same RNG state.
+    #[test]
+    fn split_halves_match_the_one_shot_calls(m in any::<i64>(), seed in any::<u64>()) {
+        let pk = keys().public();
+        let m = Ibig::from(m);
+        let (mut one_shot, mut split) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let c = pk.encrypt(&m, &mut one_shot);
+        prop_assert_eq!(&c, &pk.encrypt_with_nonce(&m, &pk.draw_nonce(&mut split)));
+        let refreshed = pk.rerandomize(&c, &mut one_shot);
+        let factor = pk.raise_randomizer(&pk.draw_randomizer(&mut split));
+        prop_assert_eq!(&refreshed, &pk.rerandomize_precomputed(&c, &factor));
+        let online = pk.encrypt_with_randomizer(&m, &pk.precompute_randomizer(&mut split));
+        prop_assert_eq!(keys().secret().decrypt(&online), m);
+    }
+
+    #[test]
+    fn public_constants_and_the_trivial_zero(m in any::<i64>(), seed in any::<u64>()) {
+        let kp = keys();
+        let pk = kp.public();
+        let m = Ibig::from(m);
+        let constant = pk.encrypt_public_constant(&m);
+        prop_assert_eq!(kp.secret().decrypt(&constant), m.clone());
+        prop_assert_eq!(&constant, &pk.encrypt_with_r(&m, &Ubig::one()).unwrap());
+        prop_assert_eq!(kp.secret().decrypt(&pk.trivial_zero()), Ibig::zero());
+        let c = pk.encrypt(&m, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(&pk.add(&c, &pk.trivial_zero()), &c);
+    }
+
+    #[test]
+    fn unit_and_zero_scalars(m in any::<i32>(), seed in any::<u64>()) {
+        let kp = keys();
+        let pk = kp.public();
+        let m = Ibig::from(i64::from(m));
+        let c = pk.encrypt(&m, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(&pk.scalar_mul(&c, &Ibig::from(1i64)).unwrap(), &c);
+        let negated = pk.scalar_mul(&c, &Ibig::from(-1i64)).unwrap();
+        prop_assert_eq!(kp.secret().decrypt(&negated), -m.clone());
+        prop_assert_eq!(kp.secret().decrypt(&pk.add(&c, &negated)), Ibig::zero());
+        let zeroed = pk.scalar_mul(&c, &Ibig::zero()).unwrap();
+        prop_assert_eq!(kp.secret().decrypt(&zeroed), Ibig::zero());
+        prop_assert_eq!(kp.secret().decrypt(&pk.sub(&c, &c).unwrap()), Ibig::zero());
+    }
+
+    #[test]
+    fn honest_ciphertexts_are_units(m in any::<i64>(), seed in any::<u64>()) {
+        let kp = keys();
+        let pk = kp.public();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let c = pk.encrypt(&Ibig::from(m), &mut rng);
+        prop_assert!(pk.check_unit(&c).is_ok());
+        prop_assert!(pk.check_unit(&pk.rerandomize(&c, &mut rng)).is_ok());
+        prop_assert!(pk.check_unit(&pk.trivial_zero()).is_ok());
+    }
+}
+
+#[test]
+fn non_units_are_rejected_before_use() {
+    let pk = keys().public();
+    let n = pk.modulus().clone();
+    for bad in [Ubig::zero(), n.clone(), &n * &Ubig::from(3u64)] {
+        let c = pisa_crypto::paillier::Ciphertext::from_raw(bad);
+        assert!(pk.check_unit(&c).is_err());
+        assert!(pk.sub(&pk.trivial_zero(), &c).is_err());
+        assert!(pk.scalar_mul(&c, &Ibig::from(-5i64)).is_err());
+    }
+}

@@ -23,7 +23,7 @@
 //! pipeline absorbs it like a drop, counted separately). Without an
 //! oracle, corruption always destroys the frame.
 
-use crate::metrics::{FaultKind, NetMetrics};
+use crate::metrics::{FaultKind, LinkCounter, NetMetrics};
 use crate::transport::Party;
 use crate::{LatencyModel, WireSize};
 use rand::rngs::StdRng;
@@ -88,6 +88,22 @@ impl FaultPlan {
 
     fn is_quiet(&self) -> bool {
         self.drop <= 0.0 && self.duplicate <= 0.0 && self.reorder <= 0.0 && self.corrupt <= 0.0
+    }
+
+    /// Rolls the dice for one message on a link under this plan,
+    /// drawing from the link's fault stream. A quiet plan consumes
+    /// nothing from the stream.
+    fn draw(&self, rng: &mut StdRng) -> FaultDraw {
+        if self.is_quiet() {
+            return FaultDraw::default();
+        }
+        let mut chance = |p: f64| (rng.next_u64() >> 11) as f64 * 2f64.powi(-53) < p;
+        FaultDraw {
+            dropped: chance(self.drop),
+            duplicated: chance(self.duplicate),
+            reordered: chance(self.reorder),
+            corrupt: chance(self.corrupt).then(|| rng.next_u64()),
+        }
     }
 }
 
@@ -168,24 +184,52 @@ pub type Corruptor<M> = Arc<dyn Fn(&M, u64) -> Option<M> + Send + Sync>;
 /// they are decorrelated from the fault streams on the same link.
 const LATENCY_SALT: u64 = 0x1a7e_57a7_e000_0001;
 
+/// What the pipeline keeps for one directed link, from its first send
+/// on: one table entry, so a send looks its link up once.
+struct Link {
+    /// Fault stream: the draw for the k-th send on the link is a pure
+    /// function of `(seed, link, k)`.
+    faults: StdRng,
+    /// Latency-jitter stream, salted away from the fault stream so
+    /// turning jitter on or off never perturbs a fault draw.
+    jitter: StdRng,
+    /// The link's delivery counters in the pipeline's metrics.
+    delivered: LinkCounter,
+}
+
+impl Link {
+    fn new(seed: u64, from: Party, to: Party, metrics: &NetMetrics) -> Self {
+        Link {
+            faults: StdRng::seed_from_u64(link_stream_seed(seed, from, to)),
+            jitter: StdRng::seed_from_u64(link_stream_seed(seed ^ LATENCY_SALT, from, to)),
+            delivered: metrics.link_counter(from, to),
+        }
+    }
+}
+
 /// The fault stages every transport runs, as one plain state machine:
 /// latency → drop → corrupt → reorder holdback → duplicate.
 ///
-/// It owns the [`FaultConfig`], the per-link fault and latency-jitter
-/// RNG streams, the corruption oracle and the one-slot reorder
-/// holdback. A transport hands it each frame and delivers whatever it
-/// appends; the threaded [`Network`](crate::Network) keeps one behind a
-/// mutex, a [`SocketNode`](crate::SocketNode) runs one over encoded
-/// envelope bytes, and the virtual-time simulator owns one outright. So
-/// the same seed yields the same per-link fault sequence on all three.
+/// It owns the [`FaultConfig`], one table entry per directed link (the
+/// link's fault and latency-jitter RNG streams and its delivery
+/// counters), the corruption oracle and the one-slot reorder holdback.
+/// A transport hands it each frame and delivers whatever it appends;
+/// the threaded [`Network`](crate::Network) keeps one behind a mutex, a
+/// [`SocketNode`](crate::SocketNode) runs one over encoded envelope
+/// bytes, and the virtual-time simulator owns one outright. So the same
+/// seed yields the same per-link fault sequence on all three.
+///
+/// The link table hashes with the standard library's seeded hasher:
+/// the socket services fill it from frame fields, which a peer
+/// chooses. The holdback stays in its own ordered map: it holds a
+/// frame for few links at a time, and [`drain_held`](Self::drain_held)
+/// yields in link order.
 pub struct FaultPipeline<M> {
     config: FaultConfig,
-    /// Per-link fault streams: the draw for the k-th send on a link is
-    /// a pure function of `(seed, link, k)`.
-    fault_rngs: HashMap<(Party, Party), StdRng>,
+    /// Per-link streams and counters, created on a link's first send.
+    links: HashMap<(Party, Party), Link>,
     /// Multiplicative latency jitter amplitude in `[0, 1]`.
     jitter: f64,
-    jitter_rngs: BTreeMap<(Party, Party), StdRng>,
     corruptor: Option<Corruptor<M>>,
     /// One-slot reorder holdback per directed link. A `BTreeMap` so
     /// [`drain_held`](Self::drain_held) yields in link order.
@@ -201,9 +245,8 @@ impl<M> FaultPipeline<M> {
     pub fn new(config: FaultConfig, jitter: f64, metrics: NetMetrics) -> Self {
         FaultPipeline {
             config,
-            fault_rngs: HashMap::new(),
+            links: HashMap::new(),
             jitter,
-            jitter_rngs: BTreeMap::new(),
             corruptor: None,
             holdback: BTreeMap::new(),
             metrics,
@@ -228,41 +271,6 @@ impl<M> FaultPipeline<M> {
     pub fn drain_held(&mut self) -> btree_map::IntoIter<(Party, Party), M> {
         std::mem::take(&mut self.holdback).into_iter()
     }
-
-    /// Rolls the dice for one message on `from → to`. A quiet link
-    /// consumes nothing from its stream.
-    fn draw(&mut self, from: Party, to: Party) -> FaultDraw {
-        let plan = self.config.plan_for(from, to);
-        if plan.is_quiet() {
-            return FaultDraw::default();
-        }
-        let seed = self.config.seed;
-        let rng = self
-            .fault_rngs
-            .entry((from, to))
-            .or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(seed, from, to)));
-        let mut chance = |p: f64| (rng.next_u64() >> 11) as f64 * 2f64.powi(-53) < p;
-        FaultDraw {
-            dropped: chance(plan.drop),
-            duplicated: chance(plan.duplicate),
-            reordered: chance(plan.reorder),
-            corrupt: chance(plan.corrupt).then(|| rng.next_u64()),
-        }
-    }
-
-    /// The wire time of one send, drawing once from the link's jitter
-    /// stream whenever a latency model is configured.
-    fn wire_time(&mut self, from: Party, to: Party, bytes: u64) -> Duration {
-        let Some(model) = self.config.latency else {
-            return Duration::ZERO;
-        };
-        let seed = self.config.seed ^ LATENCY_SALT;
-        let rng = self
-            .jitter_rngs
-            .entry((from, to))
-            .or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(seed, from, to)));
-        model.sample_transfer_time(bytes, 1, self.jitter, rng)
-    }
 }
 
 impl<M: WireSize + Clone> FaultPipeline<M> {
@@ -271,13 +279,39 @@ impl<M: WireSize + Clone> FaultPipeline<M> {
     /// duplicate, the frame, then a released held-back frame (possibly
     /// none: dropped, absorbed or held back). Returns the frame's wire
     /// time, which consumes exactly one jitter draw per send — dropped
-    /// or not — whenever a latency model is configured.
-    pub fn inject(&mut self, from: Party, to: Party, msg: M, out: &mut Vec<M>) -> Duration {
-        let wire = self.wire_time(from, to, msg.wire_bytes() as u64);
-        let draw = self.draw(from, to);
+    /// or not — whenever a latency model is configured, and the link's
+    /// delivery counters in the pipeline's [`NetMetrics`]. A transport
+    /// that counts the frames in `out` as it schedules them counts
+    /// through that handle, with no [`NetMetrics::record`] lock or
+    /// lookup per frame.
+    pub fn inject(
+        &mut self,
+        from: Party,
+        to: Party,
+        msg: M,
+        out: &mut Vec<M>,
+    ) -> (Duration, &LinkCounter) {
+        let plan = self.config.plan_for(from, to);
+        let seed = self.config.seed;
+        let metrics = &self.metrics;
+        let link = self
+            .links
+            .entry((from, to))
+            .or_insert_with(|| Link::new(seed, from, to, metrics));
+        let wire = match self.config.latency {
+            Some(model) => model.sample_transfer_time(
+                msg.wire_bytes() as u64,
+                1,
+                self.jitter,
+                &mut link.jitter,
+            ),
+            None => Duration::ZERO,
+        };
+        let draw = plan.draw(&mut link.faults);
+        let delivered = &link.delivered;
         if draw.dropped {
             self.metrics.record_fault(from, to, FaultKind::Dropped);
-            return wire;
+            return (wire, delivered);
         }
         let mut msg = msg;
         if let Some(tweak) = draw.corrupt {
@@ -291,7 +325,7 @@ impl<M: WireSize + Clone> FaultPipeline<M> {
                 None => {
                     self.metrics
                         .record_fault(from, to, FaultKind::CorruptDropped);
-                    return wire;
+                    return (wire, delivered);
                 }
             }
         }
@@ -301,7 +335,7 @@ impl<M: WireSize + Clone> FaultPipeline<M> {
         if draw.reordered && held.is_none() {
             self.metrics.record_fault(from, to, FaultKind::Reordered);
             self.holdback.insert((from, to), msg);
-            return wire;
+            return (wire, delivered);
         }
         if draw.duplicated {
             self.metrics.record_fault(from, to, FaultKind::Duplicated);
@@ -309,7 +343,7 @@ impl<M: WireSize + Clone> FaultPipeline<M> {
         }
         out.push(msg);
         out.extend(held);
-        wire
+        (wire, delivered)
     }
 }
 
@@ -430,6 +464,33 @@ mod tests {
         assert_eq!(p.drain_held().len(), 0);
     }
 
+    /// Many links hold a frame at once, first used in a shuffled order:
+    /// the stragglers still drain sorted by link, never in the order of
+    /// the hashed link table.
+    #[test]
+    fn drain_held_is_in_link_order_across_many_links() {
+        let mut p = pipeline(FaultPlan::none().with_reorder(1.0), 11);
+        let mut links: Vec<(Party, Party)> = (0..32)
+            .flat_map(|i| [(Party::Su(i), Party::Sdc), (Party::Sdc, Party::Su(i))])
+            .chain([
+                (Party::Sdc, Party::Stp),
+                (Party::Stp, Party::Sdc),
+                (Party::Pu(3), Party::Sdc),
+            ])
+            .collect();
+        let n = links.len();
+        let mut out = Vec::new();
+        // 37 is coprime to the 67 links, so this visits each once.
+        for k in 0..n {
+            let (from, to) = links[k * 37 % n];
+            p.inject(from, to, vec![0], &mut out);
+        }
+        assert!(out.is_empty(), "every first frame is held back");
+        let held: Vec<_> = p.drain_held().map(|(link, _)| link).collect();
+        links.sort();
+        assert_eq!(held, links);
+    }
+
     #[test]
     fn corruption_without_oracle_absorbs_and_with_oracle_mangles() {
         let mut p = pipeline(FaultPlan::none().with_corrupt(1.0), 6);
@@ -489,7 +550,10 @@ mod tests {
             );
             let mut out = Vec::new();
             (0..32)
-                .map(|i| p.inject(Party::Su(0), Party::Sdc, vec![0; 100 + i], &mut out))
+                .map(|i| {
+                    p.inject(Party::Su(0), Party::Sdc, vec![0; 100 + i], &mut out)
+                        .0
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(wire_times(0.0), wire_times(1.0));
@@ -498,8 +562,206 @@ mod tests {
             0.0,
             NetMetrics::new(),
         )
-        .inject(Party::Su(0), Party::Sdc, vec![0; 1000], &mut Vec::new());
+        .inject(Party::Su(0), Party::Sdc, vec![0; 1000], &mut Vec::new())
+        .0;
         // No jitter: exactly the model's 200 µs + 8 ns/byte.
         assert_eq!(quiet, LatencyModel::lan().transfer_time(1000, 1));
+    }
+
+    #[test]
+    fn inject_hands_back_the_links_delivery_counter() {
+        let metrics = NetMetrics::new();
+        let mut p = FaultPipeline::new(FaultConfig::new(12), 0.0, metrics.clone());
+        let mut out = Vec::new();
+        for len in [3usize, 5] {
+            let (_, counter) = p.inject(Party::Su(4), Party::Sdc, vec![0u8; len], &mut out);
+            counter.count_frame(len);
+        }
+        p.inject(Party::Sdc, Party::Su(4), vec![0u8; 11], &mut out)
+            .1
+            .count_frame(11);
+        assert_eq!(
+            metrics.link(Party::Su(4), Party::Sdc),
+            Some(crate::LinkStats {
+                messages: 2,
+                bytes: 8
+            })
+        );
+        assert_eq!(metrics.bytes_from(Party::Sdc), 11);
+        assert_eq!(out.len(), 3);
+    }
+
+    /// What one link sees, frame by frame, under two send schedules
+    /// that interleave the same per-link sends differently.
+    #[test]
+    fn per_link_decisions_do_not_depend_on_interleaving() {
+        let links = [
+            (Party::Su(0), Party::Sdc),
+            (Party::Sdc, Party::Stp),
+            (Party::Pu(2), Party::Sdc),
+        ];
+        let run = |schedule: &[usize]| {
+            let mut p = pipeline(FaultPlan::uniform(0.3), 77);
+            let mut seen: Vec<Vec<Vec<Vec<u8>>>> = vec![Vec::new(); links.len()];
+            let mut sent = [0u8; 3];
+            for &l in schedule {
+                let (from, to) = links[l];
+                let mut out = Vec::new();
+                p.inject(from, to, vec![l as u8, sent[l]], &mut out);
+                sent[l] += 1;
+                seen[l].push(out);
+            }
+            for (link, msg) in p.drain_held() {
+                let l = links.iter().position(|k| *k == link).unwrap();
+                seen[l].push(vec![msg]);
+            }
+            let faults: Vec<_> = links
+                .iter()
+                .map(|&(f, t)| p.metrics.link_faults(f, t))
+                .collect();
+            (seen, faults)
+        };
+        let blocked: Vec<usize> = (0..3).flat_map(|l| [l; 40]).collect();
+        let round_robin: Vec<usize> = (0..120).map(|i| i % 3).collect();
+        let first = run(&blocked);
+        assert_eq!(first, run(&round_robin));
+        assert!(first.1.iter().all(Option::is_some), "every link saw faults");
+    }
+
+    /// Turning latency and jitter on changes wire times only: every
+    /// fault decision is drawn from a stream the jitter never touches.
+    #[test]
+    fn latency_never_perturbs_fault_draws() {
+        let run = |latency: bool| {
+            let mut cfg = FaultConfig::new(31).with_default_plan(FaultPlan::uniform(0.25));
+            if latency {
+                cfg = cfg.with_latency(LatencyModel::lan());
+            }
+            let mut p = FaultPipeline::new(cfg, 0.5, NetMetrics::new());
+            let mut out = Vec::new();
+            let mut wire = Duration::ZERO;
+            for i in 0..200u16 {
+                let from = Party::Su(u32::from(i % 4));
+                wire += p
+                    .inject(from, Party::Sdc, i.to_be_bytes().to_vec(), &mut out)
+                    .0;
+            }
+            out.extend(p.drain_held().map(|(_, m)| m));
+            (out, p.metrics.fault_totals(), wire)
+        };
+        let (quiet, with_latency) = (run(false), run(true));
+        assert_eq!(quiet.0, with_latency.0);
+        assert_eq!(quiet.1, with_latency.1);
+        assert_eq!(quiet.2, Duration::ZERO);
+        assert!(with_latency.2 > Duration::ZERO);
+    }
+
+    /// A held-back frame stays held while later sends on its link are
+    /// dropped, and leaves with the next frame that gets through.
+    #[test]
+    fn held_frame_waits_out_dropped_sends() {
+        let mut p = pipeline(FaultPlan::none().with_reorder(1.0).with_drop(0.5), 21);
+        let (mut held, mut waited) = (None, 0);
+        for i in 0..64u8 {
+            let dropped_before = p.metrics.fault_totals().dropped;
+            let mut out = Vec::new();
+            p.inject(Party::Su(0), Party::Sdc, vec![i], &mut out);
+            let expected = if p.metrics.fault_totals().dropped > dropped_before {
+                waited += usize::from(held.is_some());
+                vec![]
+            } else {
+                match held.take() {
+                    None => {
+                        held = Some(vec![i]);
+                        vec![]
+                    }
+                    Some(prev) => vec![vec![i], prev],
+                }
+            };
+            assert_eq!(out, expected, "send {i}");
+        }
+        assert!(waited > 0, "some drop hit a link holding a frame");
+        assert_eq!(
+            p.drain_held().map(|(_, m)| m).collect::<Vec<_>>(),
+            Vec::from_iter(held)
+        );
+    }
+
+    #[test]
+    fn release_order_is_duplicate_frame_then_held() {
+        let mut p = pipeline(FaultPlan::none().with_reorder(1.0).with_duplicate(1.0), 8);
+        let mut out = Vec::new();
+        for i in 1..=4u8 {
+            p.inject(Party::Stp, Party::Sdc, vec![i], &mut out);
+        }
+        // Odd sends are held (a held frame is not duplicated); even
+        // sends find the slot full, go out twice, and release it.
+        assert_eq!(out, [[2], [2], [1], [4], [4], [3]].map(|f| f.to_vec()));
+        let totals = p.metrics.fault_totals();
+        assert_eq!((totals.reordered, totals.duplicated), (2, 2));
+    }
+
+    #[test]
+    fn quiet_override_beside_a_lossy_default() {
+        let cfg = FaultConfig::new(3)
+            .with_default_plan(FaultPlan::none().with_drop(1.0))
+            .with_link(Party::Sdc, Party::Stp, FaultPlan::none());
+        let mut p = FaultPipeline::new(cfg, 0.0, NetMetrics::new());
+        let mut out = Vec::new();
+        for i in 0..10u8 {
+            p.inject(Party::Sdc, Party::Stp, vec![i], &mut out);
+            p.inject(Party::Stp, Party::Sdc, vec![i], &mut out);
+        }
+        assert_eq!(out, (0..10u8).map(|i| vec![i]).collect::<Vec<_>>());
+        assert_eq!(p.metrics.link_faults(Party::Sdc, Party::Stp), None);
+        assert_eq!(
+            p.metrics
+                .link_faults(Party::Stp, Party::Sdc)
+                .map(|f| f.dropped),
+            Some(10)
+        );
+    }
+
+    #[test]
+    fn any_corruption_sees_defaults_and_overrides() {
+        assert!(!FaultConfig::new(1).any_corruption());
+        let lossy = FaultPlan::uniform(0.2).with_corrupt(0.0);
+        assert!(!FaultConfig::new(1)
+            .with_default_plan(lossy)
+            .with_link(Party::Su(0), Party::Sdc, lossy)
+            .any_corruption());
+        assert!(FaultConfig::new(1)
+            .with_link(
+                Party::Su(0),
+                Party::Sdc,
+                FaultPlan::none().with_corrupt(0.01)
+            )
+            .any_corruption());
+        assert!(FaultConfig::new(1)
+            .with_default_plan(FaultPlan::none().with_corrupt(0.01))
+            .any_corruption());
+    }
+
+    #[test]
+    fn link_stream_seeds_are_distinct_per_direction_and_party() {
+        let parties: Vec<Party> = [Party::Sdc, Party::Stp]
+            .into_iter()
+            .chain((0..8).map(Party::Pu))
+            .chain((0..8).map(Party::Su))
+            .collect();
+        let mut seeds = std::collections::HashSet::new();
+        for master in [0u64, 2017, 2017 ^ LATENCY_SALT] {
+            for &from in &parties {
+                for &to in &parties {
+                    assert!(
+                        seeds.insert(link_stream_seed(master, from, to)),
+                        "collision at {master} {from:?} -> {to:?}"
+                    );
+                }
+            }
+        }
+        let codes: std::collections::HashSet<u64> =
+            parties.iter().map(|&p| party_code(p)).collect();
+        assert_eq!(codes.len(), parties.len());
     }
 }

@@ -50,7 +50,7 @@ mod transport;
 pub use error::NetError;
 pub use fault::{Corruptor, FaultConfig, FaultPipeline, FaultPlan};
 pub use latency::LatencyModel;
-pub use metrics::{FaultKind, FaultStats, LinkStats, NetMetrics, SessionStats};
+pub use metrics::{FaultKind, FaultStats, LinkCounter, LinkStats, NetMetrics, SessionStats};
 pub use socket::{FrameCodec, SocketConfig, SocketEndpoint, SocketError, SocketEvent, SocketNode};
 pub use transport::{Endpoint, Envelope, Network, Party, Transport};
 

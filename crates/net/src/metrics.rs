@@ -4,6 +4,7 @@ use crate::transport::Party;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Traffic counters for one directed link.
@@ -13,6 +14,52 @@ pub struct LinkStats {
     pub messages: u64,
     /// Payload bytes delivered.
     pub bytes: u64,
+}
+
+/// One directed link's delivery counters. Statistics only: they
+/// publish no other data, so every access is `Relaxed`.
+#[derive(Debug, Default)]
+struct LinkCell {
+    messages: AtomicU64,
+    bytes: AtomicU64,
+}
+
+/// A handle on one directed link's delivery counters inside a
+/// [`NetMetrics`], as [`FaultPipeline::inject`](crate::FaultPipeline::inject)
+/// returns it.
+///
+/// Counting through it is what [`NetMetrics::record`] does for that
+/// link, without the lock and the map lookup, so a transport that
+/// sends on a link many times can keep the handle and count each
+/// frame for the price of two atomic adds. Cloning shares the
+/// counters.
+#[derive(Debug, Clone)]
+pub struct LinkCounter(Arc<LinkCell>);
+
+impl LinkCounter {
+    fn new() -> Self {
+        LinkCounter(Arc::default())
+    }
+
+    /// Counts one delivered frame of `bytes` payload bytes.
+    pub fn count_frame(&self, bytes: usize) {
+        self.0.messages.fetch_add(1, Ordering::Relaxed);
+        self.0.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// The counters, or `None` while nothing was delivered.
+    fn stats(&self) -> Option<LinkStats> {
+        let messages = self.0.messages.load(Ordering::Relaxed);
+        (messages > 0).then(|| LinkStats {
+            messages,
+            bytes: self.0.bytes.load(Ordering::Relaxed),
+        })
+    }
+
+    fn clear(&self) {
+        self.0.messages.store(0, Ordering::Relaxed);
+        self.0.bytes.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Injected-fault counters for one directed link.
@@ -84,7 +131,10 @@ impl SessionStats {
 /// Cloning shares the counters.
 #[derive(Clone, Default)]
 pub struct NetMetrics {
-    inner: Arc<Mutex<HashMap<(Party, Party), LinkStats>>>,
+    /// Delivery counters by link. An entry outlives [`reset`](Self::reset)
+    /// (which zeroes it) so that handed-out [`LinkCounter`]s stay
+    /// attached; a link that counts no message reads as absent.
+    inner: Arc<Mutex<HashMap<(Party, Party), LinkCounter>>>,
     faults: Arc<Mutex<HashMap<(Party, Party), FaultStats>>>,
     sessions: Arc<Mutex<HashMap<u64, SessionStats>>>,
 }
@@ -97,50 +147,72 @@ impl NetMetrics {
 
     /// Records one delivered message.
     pub fn record(&self, from: Party, to: Party, bytes: usize) {
-        let mut inner = self.inner.lock();
-        let stats = inner.entry((from, to)).or_default();
-        stats.messages += 1;
-        stats.bytes += bytes as u64;
+        self.inner
+            .lock()
+            .entry((from, to))
+            .or_insert_with(LinkCounter::new)
+            .count_frame(bytes);
+    }
+
+    /// The handle on `from → to`'s delivery counters, for a transport
+    /// that keeps it and counts through it instead of calling
+    /// [`record`](Self::record) per frame.
+    pub(crate) fn link_counter(&self, from: Party, to: Party) -> LinkCounter {
+        self.inner
+            .lock()
+            .entry((from, to))
+            .or_insert_with(LinkCounter::new)
+            .clone()
     }
 
     /// Counters for one directed link, if any traffic flowed.
     pub fn link(&self, from: Party, to: Party) -> Option<LinkStats> {
-        self.inner.lock().get(&(from, to)).copied()
+        self.inner
+            .lock()
+            .get(&(from, to))
+            .and_then(LinkCounter::stats)
+    }
+
+    /// Sums `field` over every link that carried traffic and whose
+    /// `(from, to)` passes `keep`.
+    fn sum(&self, keep: impl Fn(&(Party, Party)) -> bool, field: fn(LinkStats) -> u64) -> u64 {
+        self.inner
+            .lock()
+            .iter()
+            .filter(|(link, _)| keep(link))
+            .filter_map(|(_, c)| c.stats())
+            .map(field)
+            .sum()
     }
 
     /// Total bytes across all links.
     pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().values().map(|s| s.bytes).sum()
+        self.sum(|_| true, |s| s.bytes)
     }
 
     /// Total messages across all links.
     pub fn total_messages(&self) -> u64 {
-        self.inner.lock().values().map(|s| s.messages).sum()
+        self.sum(|_| true, |s| s.messages)
     }
 
     /// Bytes sent *to* a party (e.g. everything the SDC received).
     pub fn bytes_to(&self, to: Party) -> u64 {
-        self.inner
-            .lock()
-            .iter()
-            .filter(|((_, t), _)| *t == to)
-            .map(|(_, s)| s.bytes)
-            .sum()
+        self.sum(|(_, t)| *t == to, |s| s.bytes)
     }
 
     /// Bytes sent *by* a party.
     pub fn bytes_from(&self, from: Party) -> u64 {
-        self.inner
-            .lock()
-            .iter()
-            .filter(|((f, _), _)| *f == from)
-            .map(|(_, s)| s.bytes)
-            .sum()
+        self.sum(|(f, _)| *f == from, |s| s.bytes)
     }
 
     /// Snapshot of every link, sorted by address pair.
     pub fn snapshot(&self) -> Vec<((Party, Party), LinkStats)> {
-        let mut v: Vec<_> = self.inner.lock().iter().map(|(k, s)| (*k, *s)).collect();
+        let mut v: Vec<_> = self
+            .inner
+            .lock()
+            .iter()
+            .filter_map(|(k, c)| Some((*k, c.stats()?)))
+            .collect();
         v.sort_by_key(|(k, _)| *k);
         v
     }
@@ -213,7 +285,7 @@ impl NetMetrics {
 
     /// Resets all counters (start of a new measured phase).
     pub fn reset(&self) {
-        self.inner.lock().clear();
+        self.inner.lock().values().for_each(LinkCounter::clear);
         self.faults.lock().clear();
         self.sessions.lock().clear();
     }
@@ -309,5 +381,105 @@ mod tests {
         m.reset();
         assert_eq!(m.session_totals(), SessionStats::default());
         assert_eq!(m.fault_totals(), FaultStats::default());
+    }
+
+    #[test]
+    fn link_counter_counts_like_record() {
+        let (by_handle, by_record) = (NetMetrics::new(), NetMetrics::new());
+        let handle = by_handle.link_counter(Party::Su(2), Party::Sdc);
+        for bytes in [0usize, 1, 700, 64 * 1024] {
+            handle.count_frame(bytes);
+            by_record.record(Party::Su(2), Party::Sdc, bytes);
+        }
+        assert_eq!(by_handle.snapshot(), by_record.snapshot());
+        assert_eq!(
+            by_handle.link(Party::Su(2), Party::Sdc),
+            Some(LinkStats {
+                messages: 4,
+                bytes: 701 + 64 * 1024
+            })
+        );
+        assert_eq!(
+            by_handle.bytes_to(Party::Sdc),
+            by_record.bytes_to(Party::Sdc)
+        );
+        assert_eq!(format!("{by_handle:?}"), format!("{by_record:?}"));
+    }
+
+    #[test]
+    fn link_counter_stays_attached_across_reset() {
+        let m = NetMetrics::new();
+        let handle = m.link_counter(Party::Sdc, Party::Stp);
+        handle.count_frame(40);
+        m.reset();
+        assert_eq!(m.link(Party::Sdc, Party::Stp), None);
+        assert!(m.snapshot().is_empty());
+        handle.count_frame(9);
+        m.record(Party::Sdc, Party::Stp, 1);
+        assert_eq!(
+            m.link(Party::Sdc, Party::Stp),
+            Some(LinkStats {
+                messages: 2,
+                bytes: 10
+            })
+        );
+    }
+
+    /// A handle taken for a link that never carries a frame leaves the
+    /// numbers as if it had never been taken.
+    #[test]
+    fn idle_link_counter_reads_as_absent() {
+        let m = NetMetrics::new();
+        let _idle = m.link_counter(Party::Pu(1), Party::Sdc);
+        m.record(Party::Su(0), Party::Sdc, 3);
+        assert_eq!(m.link(Party::Pu(1), Party::Sdc), None);
+        assert_eq!(m.snapshot().len(), 1);
+        assert_eq!(m.total_messages(), 1);
+        assert_eq!(m.bytes_to(Party::Sdc), 3);
+        assert_eq!(m.bytes_from(Party::Pu(1)), 0);
+    }
+
+    #[test]
+    fn one_link_one_counter_however_obtained() {
+        let m = NetMetrics::new();
+        let a = m.link_counter(Party::Stp, Party::Sdc);
+        let b = m.clone().link_counter(Party::Stp, Party::Sdc);
+        a.count_frame(5);
+        b.clone().count_frame(6);
+        m.record(Party::Stp, Party::Sdc, 7);
+        assert_eq!(
+            m.link(Party::Stp, Party::Sdc),
+            Some(LinkStats {
+                messages: 3,
+                bytes: 18
+            })
+        );
+        assert_eq!(m.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn link_counters_add_up_across_threads() {
+        let m = NetMetrics::new();
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let handle = m.link_counter(Party::Su(0), Party::Sdc);
+                let m = &m;
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        handle.count_frame(t + 1);
+                        m.record(Party::Sdc, Party::Su(0), 2);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            m.link(Party::Su(0), Party::Sdc),
+            Some(LinkStats {
+                messages: 4000,
+                bytes: 10_000
+            })
+        );
+        assert_eq!(m.total_messages(), 8000);
+        assert_eq!(m.bytes_from(Party::Sdc), 8000);
     }
 }

@@ -119,3 +119,35 @@ impl From<CodecError> for SocketError {
         SocketError::Codec(e)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every socket failure reaches a session engine as the `NetError`
+    /// its retry logic expects: a stopped node reads as the peer
+    /// hanging up, a missing route as an unknown party.
+    #[test]
+    fn socket_errors_map_to_net_errors() {
+        let to = Party::Stp;
+        let io: SocketError = std::io::Error::from(std::io::ErrorKind::ConnectionReset).into();
+        assert_eq!(
+            io.into_net_error(to),
+            NetError::Socket(std::io::ErrorKind::ConnectionReset)
+        );
+        let codec: SocketError = CodecError::UnexpectedEof.into();
+        assert!(codec.to_string().contains("unexpected end of frame"));
+        assert_eq!(
+            codec.into_net_error(to),
+            NetError::Socket(std::io::ErrorKind::InvalidData)
+        );
+        assert_eq!(
+            SocketError::NoRoute(Party::Su(3)).into_net_error(to),
+            NetError::UnknownParty(Party::Su(3))
+        );
+        assert_eq!(
+            SocketError::Stopped.into_net_error(to),
+            NetError::Disconnected(to)
+        );
+    }
+}

@@ -214,7 +214,7 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
             return self.write_data(from, to, &frame);
         };
         let mut frames = Vec::with_capacity(3);
-        let wire = faults.lock().inject(from, to, frame, &mut frames);
+        let (wire, _) = faults.lock().inject(from, to, frame, &mut frames);
         std::thread::sleep(wire);
         for frame in &frames {
             self.write_data(from, to, frame)?;

@@ -170,7 +170,7 @@ impl<M: WireSize + Clone> Network<M> {
         };
         let Envelope { from, to, payload } = env;
         let mut frames = Vec::with_capacity(3);
-        let wire = faults.lock().inject(from, to, payload, &mut frames);
+        let (wire, _) = faults.lock().inject(from, to, payload, &mut frames);
         std::thread::sleep(wire);
         for payload in frames {
             self.deliver_direct(Envelope { from, to, payload })?;

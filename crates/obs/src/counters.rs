@@ -175,3 +175,96 @@ pub(crate) fn reset_counters() {
     CHECKPOINT_WRITES.store(0, Ordering::Relaxed);
     CHECKPOINT_LOADS.store(0, Ordering::Relaxed);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::OpTotals;
+
+    fn totals(base: u64) -> OpTotals {
+        OpTotals {
+            mod_exps: base,
+            mod_muls: base + 1,
+            encryptions: base + 2,
+            decryptions: base + 3,
+            rerandomizations: base + 4,
+            mod_exps_avoided: base + 5,
+            pool_misses: base + 6,
+            checkpoint_writes: base + 7,
+            checkpoint_loads: base + 8,
+        }
+    }
+
+    #[test]
+    fn delta_since_undoes_merge_field_by_field() {
+        let (a, b) = (totals(10), totals(1000));
+        assert_eq!(b.merge(&a).delta_since(&a), b);
+        assert_eq!(a.merge(&b).delta_since(&b), a);
+        assert_eq!(a.merge(&b), b.merge(&a));
+        assert_eq!(a.merge(&OpTotals::default()), a);
+    }
+
+    #[test]
+    fn delta_since_saturates_at_zero() {
+        // A snapshot taken after a counter reset reads lower than the
+        // one a span opened with.
+        let (low, high) = (totals(1), totals(50));
+        assert!(low.delta_since(&high).is_zero());
+        assert_eq!(high.delta_since(&low), totals(49).delta_since(&totals(0)));
+    }
+
+    #[test]
+    fn merge_saturates_at_max() {
+        let full = totals(u64::MAX - 8);
+        let merged = full.merge(&totals(100));
+        assert_eq!(merged.mod_exps, u64::MAX);
+        assert_eq!(merged.checkpoint_loads, u64::MAX);
+        assert_eq!(merged, totals(u64::MAX - 8).merge(&merged));
+    }
+
+    #[test]
+    fn is_zero_only_when_every_field_is() {
+        assert!(OpTotals::default().is_zero());
+        let one_each = [
+            OpTotals {
+                mod_exps: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                mod_muls: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                encryptions: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                decryptions: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                rerandomizations: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                mod_exps_avoided: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                pool_misses: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                checkpoint_writes: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                checkpoint_loads: 1,
+                ..OpTotals::default()
+            },
+        ];
+        for t in one_each {
+            assert!(!t.is_zero(), "{t:?}");
+            assert_eq!(t.delta_since(&t), OpTotals::default());
+        }
+    }
+}

@@ -7,7 +7,7 @@ use pisa_radio::pathloss::{
 use pisa_radio::protection::{protection_distance, ProtectionParams};
 use pisa_radio::terrain::Terrain;
 use pisa_radio::tv::Channel;
-use pisa_radio::{Dbm, Quantizer, ServiceArea};
+use pisa_radio::{BlockId, Db, Dbm, Quantizer, RadioError, ServiceArea};
 use proptest::prelude::*;
 
 fn geometry() -> impl Strategy<Value = LinkGeometry> {
@@ -136,4 +136,100 @@ proptest! {
             prop_assert_eq!(within.contains(&b), inside);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Rounding to the nearest step errs by at most half a step: the
+    /// scaling by 2^frac_bits and back is exact in `f64`.
+    #[test]
+    fn quantizer_error_is_at_most_half_a_step(v in 0.0f64..1e6) {
+        let q = Quantizer::paper();
+        let back = q.dequantize(q.quantize(v).unwrap());
+        prop_assert!((back - v).abs() <= q.resolution_mw() / 2.0);
+    }
+
+    #[test]
+    fn saturating_quantizer_clamps_only_past_the_top(v in 0.0f64..2e6, frac in 8u32..48) {
+        let q = Quantizer::new(frac, frac + 20);
+        let s = q.quantize_saturating(v);
+        match q.quantize(v) {
+            Ok(exact) => prop_assert_eq!(s, exact),
+            Err(_) => prop_assert_eq!(s, q.max_value()),
+        }
+        prop_assert!((0..=q.max_value()).contains(&s));
+    }
+
+    #[test]
+    fn block_distance_is_a_metric(
+        rows in 1usize..20,
+        cols in 1usize..20,
+        picks in (any::<usize>(), any::<usize>(), any::<usize>()),
+    ) {
+        let area = ServiceArea::new(rows, cols, 40.0);
+        let n = area.num_blocks();
+        let (a, b, c) = (BlockId(picks.0 % n), BlockId(picks.1 % n), BlockId(picks.2 % n));
+        prop_assert_eq!(area.block_distance_m(a, a), 0.0);
+        prop_assert_eq!(area.block_distance_m(a, b), area.block_distance_m(b, a));
+        prop_assert!(
+            area.block_distance_m(a, c)
+                <= area.block_distance_m(a, b) + area.block_distance_m(b, c) + 1e-9
+        );
+        if a != b {
+            prop_assert!(area.block_distance_m(a, b) >= 40.0 - 1e-9);
+        }
+    }
+
+    #[test]
+    fn region_prefix_is_a_clamped_row_major_prefix(
+        rows in 1usize..30,
+        cols in 1usize..30,
+        count in 0usize..1000,
+    ) {
+        let area = ServiceArea::new(rows, cols, 10.0);
+        let region = area.region_prefix(count);
+        prop_assert_eq!(region.len(), count.min(area.num_blocks()));
+        for (i, b) in region.iter().enumerate() {
+            prop_assert_eq!(b.0, i);
+            prop_assert!(area.check_block(*b).is_ok());
+        }
+    }
+
+    /// Adding a gain in dB multiplies the linear power by its ratio,
+    /// and the difference of two levels is the gain between them.
+    #[test]
+    fn db_gains_multiply_linear_power(p in -100.0f64..40.0, g in -60.0f64..60.0) {
+        let level = Dbm(p);
+        let gained = (level + Db(g)).to_milliwatts().0;
+        let expected = level.to_milliwatts().0 * Db(g).as_ratio();
+        prop_assert!((gained - expected).abs() <= expected * 1e-12);
+        prop_assert!((((level + Db(g)) - level).0 - g).abs() < 1e-9);
+        prop_assert!((Db::from_ratio(Db(g).as_ratio()).0 - g).abs() < 1e-9);
+        prop_assert_eq!((level - Db(g)).0, (level + -Db(g)).0);
+    }
+}
+
+#[test]
+fn quantizer_rejects_negative_and_non_finite_power() {
+    let q = Quantizer::paper();
+    for bad in [
+        -1.0,
+        -f64::MIN_POSITIVE,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ] {
+        assert!(
+            matches!(q.quantize(bad), Err(RadioError::ModelDomain(_))),
+            "{bad} was accepted"
+        );
+        assert_eq!(q.quantize_saturating(bad), 0, "{bad}");
+    }
+    let top = q.dequantize(q.max_value()) + 1.0;
+    assert!(matches!(
+        q.quantize(top),
+        Err(RadioError::QuantizationOverflow { bits: 60, .. })
+    ));
+    assert_eq!(q.quantize_saturating(top), q.max_value());
 }

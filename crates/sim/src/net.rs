@@ -13,6 +13,10 @@
 //! [`LatencyModel`](pisa_net::LatencyModel) with seeded multiplicative
 //! jitter, on per-link streams salted away from the fault streams so
 //! turning jitter on or off never perturbs a fault draw.
+//!
+//! Each scheduled frame counts as delivered traffic when it is
+//! scheduled, through the link's counter handle that the pipeline
+//! keeps in its link table, so a send costs one link lookup.
 
 use pisa_net::{Corruptor, FaultConfig, FaultPipeline, NetMetrics, Party, WireSize};
 
@@ -75,10 +79,10 @@ impl<M: WireSize + Clone> SimNet<M> {
     /// released holdback) to `out`, all landing after the message's
     /// wire time.
     pub fn send(&mut self, now: u64, from: Party, to: Party, msg: M, out: &mut Vec<Delivery<M>>) {
-        let wire = self.pipeline.inject(from, to, msg, &mut self.frames);
+        let (wire, delivered) = self.pipeline.inject(from, to, msg, &mut self.frames);
         let at = now.saturating_add(u64::try_from(wire.as_nanos()).unwrap_or(u64::MAX));
         for msg in self.frames.drain(..) {
-            self.metrics.record(from, to, msg.wire_bytes());
+            delivered.count_frame(msg.wire_bytes());
             out.push(Delivery { at, from, to, msg });
         }
     }
@@ -287,5 +291,99 @@ mod tests {
             "exactly one bit flipped"
         );
         assert_eq!(net.metrics().fault_totals().corrupted, 1);
+    }
+
+    /// Lossy traffic on several links, flushed at the end.
+    fn storm_traffic(net: &mut SimNet<Vec<u8>>) -> Vec<Delivery<Vec<u8>>> {
+        let mut out = Vec::new();
+        for i in 0..300u32 {
+            let su = Party::Su(i % 5);
+            net.send(
+                u64::from(i),
+                su,
+                Party::Sdc,
+                vec![0; 10 + (i % 7) as usize],
+                &mut out,
+            );
+            net.send(u64::from(i), Party::Sdc, su, vec![1; 3], &mut out);
+        }
+        net.flush_holdback(1_000, &mut out);
+        out
+    }
+
+    /// Every scheduled frame, duplicates and released or flushed
+    /// holdbacks included, counts once on its link; nothing else does.
+    #[test]
+    fn counts_exactly_the_scheduled_deliveries() {
+        let mut net = lossy(0xc0, FaultPlan::uniform(0.2));
+        let out = storm_traffic(&mut net);
+        let mut tally: std::collections::BTreeMap<(Party, Party), pisa_net::LinkStats> =
+            Default::default();
+        for d in &out {
+            let link = tally.entry((d.from, d.to)).or_default();
+            link.messages += 1;
+            link.bytes += d.msg.wire_bytes() as u64;
+        }
+        assert_eq!(
+            net.metrics().snapshot(),
+            tally.into_iter().collect::<Vec<_>>()
+        );
+        let faults = net.metrics().fault_totals();
+        assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0);
+    }
+
+    /// The simulator counts through link handles and the threaded
+    /// network through `NetMetrics::record`; the numbers agree.
+    #[test]
+    fn traffic_counts_match_the_threaded_network() {
+        let cfg = FaultConfig::new(0xc1).with_default_plan(FaultPlan::uniform(0.2));
+        let mut sim: SimNet<Vec<u8>> = SimNet::new(Some(cfg.clone()), 0.0);
+        storm_traffic(&mut sim);
+
+        let threaded: Network<Vec<u8>> = Network::with_faults(cfg);
+        let sdc = threaded.endpoint(Party::Sdc);
+        let sus: Vec<_> = (0..5).map(|i| threaded.endpoint(Party::Su(i))).collect();
+        for i in 0..300u32 {
+            let su = &sus[(i % 5) as usize];
+            su.send(Party::Sdc, vec![0; 10 + (i % 7) as usize]);
+            sdc.send(Party::Su(i % 5), vec![1; 3]);
+        }
+        threaded.flush_holdback();
+
+        assert_eq!(sim.metrics().snapshot(), threaded.metrics().snapshot());
+        assert_eq!(
+            sim.metrics().fault_totals(),
+            threaded.metrics().fault_totals()
+        );
+    }
+
+    #[test]
+    fn arrival_times_saturate_instead_of_wrapping() {
+        let cfg = FaultConfig::new(5).with_latency(LatencyModel::lan());
+        let mut net: SimNet<Vec<u8>> = SimNet::new(Some(cfg), 0.2);
+        let mut out = Vec::new();
+        net.send(
+            u64::MAX - 10,
+            Party::Su(0),
+            Party::Sdc,
+            vec![0; 64],
+            &mut out,
+        );
+        net.send(7, Party::Su(0), Party::Sdc, vec![0; 64], &mut out);
+        assert_eq!(out[0].at, u64::MAX);
+        assert!(out[1].at > 7);
+    }
+
+    #[test]
+    fn corrupt_possible_follows_the_config() {
+        assert!(!SimNet::<Vec<u8>>::new(None, 0.0).corrupt_possible());
+        assert!(!lossy(1, FaultPlan::none().with_drop(0.5)).corrupt_possible());
+        assert!(lossy(1, FaultPlan::none().with_corrupt(0.01)).corrupt_possible());
+        let per_link = FaultConfig::new(1).with_link(
+            Party::Stp,
+            Party::Sdc,
+            FaultPlan::none().with_corrupt(1.0),
+        );
+        assert!(SimNet::<Vec<u8>>::new(Some(per_link), 0.0).corrupt_possible());
     }
 }

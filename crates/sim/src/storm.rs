@@ -160,9 +160,10 @@ trait StormLogic {
 /// An event on the heap: a scheduled delivery, or an SU receive
 /// deadline. The epoch stamps a deadline to its arming; re-arming
 /// bumps the epoch so stale timers pop as no-ops (the threaded engine
-/// gets this for free from `recv_timeout`).
+/// gets this for free from `recv_timeout`). A delivery keeps only what
+/// the loop reads: its instant is the heap key's.
 enum Ev<M> {
-    Deliver(Delivery<M>),
+    Deliver { to: Party, msg: M },
     SuTimeout { su: u32, epoch: u32 },
 }
 
@@ -249,8 +250,8 @@ impl<M: Clone + WireSize> DriveState<M> {
 
     /// Moves freshly scheduled deliveries onto the heap.
     fn commit(&mut self) {
-        for d in self.deliveries.drain(..) {
-            self.queue.push(d.at, Ev::Deliver(d));
+        for Delivery { at, to, msg, .. } in self.deliveries.drain(..) {
+            self.queue.push(at, Ev::Deliver { to, msg });
         }
     }
 }
@@ -280,14 +281,14 @@ fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult 
             break;
         }
         match ev {
-            Ev::Deliver(d) => match d.to {
+            Ev::Deliver { to, msg } => match to {
                 Party::Sdc => {
-                    for (to, msg) in logic.sdc_handle(d.msg) {
+                    for (to, msg) in logic.sdc_handle(msg) {
                         net.send(now, Party::Sdc, to, msg, &mut st.deliveries);
                     }
                 }
                 Party::Stp => {
-                    for (to, msg) in logic.stp_handle(d.msg) {
+                    for (to, msg) in logic.stp_handle(msg) {
                         net.send(now, Party::Stp, to, msg, &mut st.deliveries);
                     }
                 }
@@ -297,7 +298,7 @@ fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult 
                     // here the delivery is simply unclaimed.
                     if let Some(i) = logic.su_index(id) {
                         if !st.is_done(i) {
-                            let step = logic.su_frame(i, d.msg);
+                            let step = logic.su_frame(i, msg);
                             st.apply(net, logic.su_party(i), i, step, now);
                         }
                     }
@@ -793,5 +794,47 @@ mod tests {
         let report = run_sim_storm(3, &config);
         assert!(report.all_terminal());
         assert_eq!(report.makespan_ns, 0, "no latency model: everything at t=0");
+    }
+
+    /// The report's totals are the sums of its per-session outcomes.
+    #[test]
+    fn lossy_report_totals_agree_with_outcomes() {
+        let config = SimConfig::modeled(80)
+            .with_plan(FaultPlan::uniform(0.2))
+            .with_engine(quick_engine());
+        let r = run_sim_storm(0x70_7a15, &config);
+        assert_eq!(r.granted + r.denied + r.undecided + r.unfinished, r.sus);
+        assert_eq!(r.outcomes.len(), r.sus as usize);
+        let count = |want: Option<bool>| r.outcomes.iter().filter(|o| o.granted == want).count();
+        assert_eq!(count(Some(true)), r.granted as usize);
+        assert_eq!(count(Some(false)), r.denied as usize);
+        assert_eq!(count(None), r.undecided as usize);
+        let attempts: u64 = r.outcomes.iter().map(|o| u64::from(o.attempts)).sum();
+        assert_eq!(attempts, r.attempts_total);
+        let max = r.outcomes.iter().map(|o| o.attempts).max();
+        assert_eq!(max, Some(r.max_attempts));
+        assert!(r.max_attempts > 1, "a 20% plan forces a retry somewhere");
+        assert_eq!(r.decisions_digest, decisions_digest(&r.outcomes));
+        for (i, o) in r.outcomes.iter().enumerate() {
+            assert_eq!(o.su, i as u32);
+            assert!(o.finished_ns <= r.makespan_ns);
+        }
+        assert!(r.events >= r.messages);
+    }
+
+    /// On a quiet network each session is one request, query, reply and
+    /// response: four frames, and no fault, retry or reject.
+    #[test]
+    fn quiet_storm_moves_four_frames_per_session() {
+        let config = SimConfig::modeled(40).with_engine(quick_engine());
+        let r = run_sim_storm(41, &config);
+        assert!(r.all_terminal());
+        assert_eq!(r.messages, 4 * u64::from(r.sus));
+        assert_eq!(r.faults, pisa_net::FaultStats::default());
+        assert_eq!(r.sessions.retries, 0);
+        assert_eq!(r.sessions.rejected, 0);
+        assert_eq!(r.attempts_total, u64::from(r.sus));
+        // Every session moves the same four frame sizes.
+        assert_eq!(r.bytes % u64::from(r.sus), 0);
     }
 }

@@ -154,3 +154,72 @@ proptest! {
         prop_assert_eq!(sdc.n_matrix(), &pristine);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The budget is a sum over PUs: the order in which distinct PUs
+    /// report does not change it.
+    #[test]
+    fn pu_report_order_does_not_matter(
+        pus in proptest::collection::vec((block(), channel()), 1..6),
+    ) {
+        let cfg = cfg();
+        let mut forward = WatchSdc::new(cfg.clone());
+        let mut backward = WatchSdc::new(cfg.clone());
+        for (id, (b, c)) in pus.iter().enumerate() {
+            forward.pu_update(id as u64, PuInput::tuned(cfg, *b, *c));
+        }
+        for (id, (b, c)) in pus.iter().enumerate().rev() {
+            backward.pu_update(id as u64, PuInput::tuned(cfg, *b, *c));
+        }
+        prop_assert_eq!(forward.n_matrix(), backward.n_matrix());
+        prop_assert_eq!(forward.active_pus(), pus.len());
+        prop_assert_eq!(backward.active_pus(), pus.len());
+    }
+
+    /// Another tuned-in PU only shrinks the budget: a request it lets
+    /// through was granted without it.
+    #[test]
+    fn another_pu_never_turns_a_denial_into_a_grant(
+        first in (block(), channel()),
+        second in (block(), channel()),
+        su_block in block(),
+        su_ch in channel(),
+        power_dbm in -40.0f64..36.0,
+    ) {
+        let cfg = cfg();
+        let mut one = WatchSdc::new(cfg.clone());
+        one.pu_update(0, PuInput::tuned(cfg, first.0, first.1));
+        let mut two = one.clone();
+        two.pu_update(1, PuInput::tuned(cfg, second.0, second.1));
+        for (a, b) in one.n_matrix().iter().zip(two.n_matrix().iter()) {
+            prop_assert!(b.2 <= a.2);
+        }
+        let request = SuRequest::with_power_dbm(cfg, su_block, &[su_ch], power_dbm);
+        if two.process_request(&request).is_granted() {
+            prop_assert!(one.process_request(&request).is_granted());
+        }
+    }
+
+    /// Restricting a request to a region prefix zeroes the entries
+    /// outside it and leaves the ones inside unchanged.
+    #[test]
+    fn restricted_request_is_the_full_one_cut_to_the_region(
+        su_block in block(),
+        ch in channel(),
+        region in 1usize..26,
+    ) {
+        let cfg = cfg();
+        let request = SuRequest::with_power_dbm(cfg, su_block, &[ch], 10.0);
+        let full = request.f_matrix(cfg);
+        let cut = request.f_matrix_restricted(cfg, region);
+        for (c, b, v) in full.iter() {
+            if b < region {
+                prop_assert_eq!(cut.get(c, b), v);
+            } else {
+                prop_assert_eq!(cut.get(c, b), 0);
+            }
+        }
+    }
+}

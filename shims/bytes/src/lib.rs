@@ -240,4 +240,68 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(&a[1..], &[2, 3]);
     }
+
+    #[test]
+    fn vec_and_bytes_mut_sinks_write_the_same_big_endian_bytes() {
+        fn fill(sink: &mut impl BufMut) {
+            sink.put_u8(7);
+            sink.put_u32(0x0102_0304);
+            sink.put_slice(&[]);
+            sink.put_u64(0x0a0b_0c0d_0e0f_1011);
+            sink.put_slice(b"end");
+        }
+        let (mut vec, mut buf) = (Vec::new(), BytesMut::new());
+        fill(&mut vec);
+        fill(&mut buf);
+        assert_eq!(
+            vec,
+            [7, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 16, 17, b'e', b'n', b'd']
+        );
+        assert_eq!(buf.len(), vec.len());
+        assert!(!buf.is_empty());
+        assert_eq!(buf.freeze(), vec);
+    }
+
+    #[test]
+    fn reader_advances_and_reports_what_remains() {
+        let data = [0u8, 0, 0, 9, 0xff, 1, 2];
+        let mut r: &[u8] = &data;
+        assert_eq!(r.remaining(), 7);
+        assert_eq!(r.get_u32(), 9);
+        assert_eq!(r.remaining(), 3);
+        r.advance(1);
+        assert_eq!(r.get_u8(), 1);
+        assert_eq!(r, &[2][..]);
+        r.advance(1);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn reading_past_the_end_panics_like_the_real_crate() {
+        let mut r: &[u8] = &[1, 2, 3];
+        r.get_u32();
+    }
+
+    #[test]
+    fn equal_contents_hash_alike_and_views_agree() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |b: &Bytes| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        let (a, b) = (
+            Bytes::from(vec![4, 5, 6]),
+            Bytes::copy_from_slice(&[4, 5, 6]),
+        );
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_eq!(a, &[4u8, 5, 6][..]);
+        assert_eq!(a.as_ref(), Bytes::from(&[4u8, 5, 6][..]).as_ref());
+        assert_ne!(a, Bytes::new());
+        assert!(Bytes::new().is_empty());
+        assert_eq!(format!("{a:?}"), "Bytes(3 bytes)");
+    }
 }

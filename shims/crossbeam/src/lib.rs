@@ -239,4 +239,36 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), 42);
         handle.join().unwrap();
     }
+
+    /// Messages queued before the last sender leaves are still
+    /// delivered; only then does the channel read as disconnected.
+    #[test]
+    fn queued_messages_outlive_the_senders() {
+        let (tx, rx) = unbounded();
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.send(1u8).unwrap();
+        tx.send(2u8).unwrap();
+        drop(tx);
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(2));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(10)),
+            Err(RecvTimeoutError::Disconnected)
+        );
+    }
+
+    #[test]
+    fn a_cloned_sender_keeps_the_channel_open() {
+        let (tx, rx) = unbounded();
+        let tx2 = tx.clone();
+        drop(tx);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        let handle = std::thread::spawn(move || {
+            tx2.send(9u8).unwrap();
+        });
+        assert_eq!(rx.recv(), Ok(9));
+        handle.join().unwrap();
+        assert_eq!(rx.recv(), Err(RecvError));
+    }
 }

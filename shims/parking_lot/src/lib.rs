@@ -75,4 +75,35 @@ mod tests {
         let b = l.read();
         assert_eq!(*a + *b, 14);
     }
+
+    #[test]
+    fn a_panicking_holder_does_not_poison_the_mutex() {
+        let m = std::sync::Arc::new(Mutex::new(vec![1]));
+        let held = std::sync::Arc::clone(&m);
+        let died = std::thread::spawn(move || {
+            held.lock().push(2);
+            panic!("holder dies with the lock held");
+        })
+        .join();
+        assert!(died.is_err());
+        m.lock().push(3);
+        assert_eq!(*m.lock(), vec![1, 2, 3]);
+        let m = std::sync::Arc::try_unwrap(m).expect("sole owner");
+        assert_eq!(m.into_inner(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_panicking_writer_does_not_poison_the_rwlock() {
+        let l = std::sync::Arc::new(RwLock::new(0u32));
+        let held = std::sync::Arc::clone(&l);
+        let died = std::thread::spawn(move || {
+            *held.write() = 5;
+            panic!("writer dies with the lock held");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(*l.read(), 5);
+        *l.write() += 1;
+        assert_eq!(*l.read(), 6);
+    }
 }

@@ -296,8 +296,12 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 }
 
-/// Defines `#[test]` functions whose arguments are drawn from
+/// Defines property functions whose arguments are drawn from
 /// strategies: `fn name(binder in strategy, ...) { body }`.
+///
+/// As in the real crate, each property carries its own `#[test]`
+/// attribute, which the macro passes through with the others; it adds
+/// none itself, so libtest registers and runs every property once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -308,7 +312,6 @@ macro_rules! proptest {
         fn $name:ident($($binder:ident in $strat:expr),* $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $cfg;
             let mut rng = $crate::test_runner::TestRng::deterministic();
@@ -432,17 +435,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        #[test]
         fn macro_binders_work(a in 0u64..100, b in any::<u8>()) {
             prop_assert!(a < 100);
             let _ = b;
         }
 
+        #[test]
         fn assume_rejects_cases(v in 0u32..10) {
             prop_assume!(v % 2 == 0);
             prop_assert_eq!(v % 2, 0);
             prop_assert_ne!(v % 2, 1);
         }
 
+        #[test]
         fn vec_and_option_compose(
             items in crate::collection::vec((0u8..4, crate::option::of(1u8..3)), 0..8),
         ) {

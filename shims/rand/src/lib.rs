@@ -115,6 +115,51 @@ pub mod rngs {
             result
         }
     }
+
+    #[cfg(test)]
+    mod tests {
+        use super::{splitmix64, RngCore, SeedableRng, StdRng};
+
+        /// The first outputs of the reference xoshiro256++ from the
+        /// state `{1, 2, 3, 4}`.
+        #[test]
+        fn xoshiro256plusplus_matches_the_reference_stream() {
+            let mut rng = StdRng { s: [1, 2, 3, 4] };
+            let expected: [u64; 10] = [
+                41943041,
+                58720359,
+                3588806011781223,
+                3591011842654386,
+                9228616714210784205,
+                9973669472204895162,
+                14011001112246962877,
+                12406186145184390807,
+                15849039046786891736,
+                10450023813501588000,
+            ];
+            for want in expected {
+                assert_eq!(rng.next_u64(), want);
+            }
+        }
+
+        /// The reference splitmix64 stream from state 0, which seeds
+        /// every generator (and so every fault stream).
+        #[test]
+        fn splitmix64_matches_the_reference_stream() {
+            let mut state = 0u64;
+            let expected: [u64; 4] = [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f,
+                0xf88b_b8a8_724c_81ec,
+            ];
+            for want in expected {
+                assert_eq!(splitmix64(&mut state), want);
+            }
+            let seeded = StdRng::seed_from_u64(0);
+            assert_eq!(seeded.s, expected);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +184,32 @@ mod tests {
         let mut buf = [0u8; 13];
         r.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
+    }
+
+    #[test]
+    fn fill_bytes_is_the_little_endian_word_stream() {
+        let (mut words, mut bytes) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let mut buf = [0u8; 21];
+        bytes.fill_bytes(&mut buf);
+        let expected: Vec<u8> = (0..3)
+            .flat_map(|_| words.next_u64().to_le_bytes())
+            .collect();
+        assert_eq!(buf[..], expected[..21]);
+        // A partial chunk still consumes a whole word.
+        assert_eq!(bytes.next_u64(), words.next_u64());
+    }
+
+    #[test]
+    fn next_u32_is_the_high_half_and_clones_fork_the_stream() {
+        let mut a = StdRng::seed_from_u64(9);
+        let mut b = a.clone();
+        assert_eq!(u64::from(a.next_u32()), b.next_u64() >> 32);
+        // Through the blanket `&mut R` impl, as generic callers draw.
+        fn draw<R: RngCore>(mut rng: R) -> u64 {
+            rng.next_u64()
+        }
+        assert_eq!(draw(&mut a), b.next_u64());
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

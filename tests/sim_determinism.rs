@@ -103,9 +103,18 @@ fn regenerate_golden_seed_lines() {
     }
 }
 
+/// Decisions digest and event count of the storm below: seed 2017, 10⁵
+/// sessions, 5% drop, 2% duplicate, 5% reorder, 2% corrupt, 50 ms
+/// timeout. The CI digest gate's `pisa sim` storm (200 ms timeout)
+/// prints the same two numbers. Like the golden seed file, they move
+/// only when simulator behavior changes.
+const HUNDRED_THOUSAND_DIGEST: u64 = 0x70cf_bed2_1e81_46ff;
+const HUNDRED_THOUSAND_EVENTS: u64 = 1_273_153;
+
 /// The tentpole scale claim: a 10⁵-session storm with faults on
 /// finishes under tier-1 in well under a minute, every session reaches
-/// a terminal state, and two runs are bit-identical.
+/// a terminal state, its decisions match the pinned digest, and two
+/// runs are bit-identical.
 #[test]
 fn hundred_thousand_sessions_fast_terminal_and_reproducible() {
     let config = SimConfig::modeled(100_000)
@@ -134,6 +143,12 @@ fn hundred_thousand_sessions_fast_terminal_and_reproducible() {
             o.su
         );
     }
+    assert_eq!(
+        a.decisions_digest, HUNDRED_THOUSAND_DIGEST,
+        "10^5-session storm drifted: got {:016x}",
+        a.decisions_digest
+    );
+    assert_eq!(a.events, HUNDRED_THOUSAND_EVENTS);
     let b = run_sim_storm(2017, &config);
     assert_eq!(
         a.decisions_digest, b.decisions_digest,
