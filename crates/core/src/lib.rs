@@ -73,7 +73,8 @@ mod wire;
 pub use cipher_matrix::CipherMatrix;
 pub use config::SystemConfig;
 pub use engine::{
-    SdcSessionEngine, StpSessionEngine, SuAction, SuEvent, SuSessionEngine, SuSessionParams,
+    Backend, Outbox, Paillier, PaillierSdc, PaillierSu, SdcSessionEngine, Step, StpSessionEngine,
+    SuAction, SuEvent, SuSessionEngine, SuSessionParams,
 };
 pub use error::PisaError;
 pub use keys::{GlobalKeys, SuId, SuKeyDirectory};

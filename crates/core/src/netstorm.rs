@@ -37,7 +37,7 @@ use crate::durable::{
     SECTION_STP_DIRECTORY, STP_CHECKPOINT_FILE,
 };
 use crate::engine::{
-    SdcSessionEngine, StpSessionEngine, SuAction, SuEvent, SuSessionEngine, SuSessionParams,
+    Outbox, SdcSessionEngine, StpSessionEngine, SuAction, SuEvent, SuSessionEngine, SuSessionParams,
 };
 use crate::error::PisaError;
 use crate::keys::SuId;
@@ -194,6 +194,8 @@ fn net_err(e: SocketError) -> PisaError {
 pub struct SdcService {
     node: SocketNode<SessionMsg>,
     machine: SdcSessionEngine,
+    /// The engine's outbound frames, reused across handled frames.
+    out: Outbox,
     poll: std::time::Duration,
     durable: DurableOpts,
     generation: u64,
@@ -266,6 +268,7 @@ impl SdcService {
         Ok(SdcService {
             node,
             machine,
+            out: Vec::new(),
             poll: opts.engine.poll,
             durable: opts.durable.clone(),
             generation,
@@ -293,7 +296,8 @@ impl SdcService {
         loop {
             match self.node.recv_timeout(self.poll) {
                 Some(SocketEvent::Frame(env)) => {
-                    for (to, frame) in self.machine.handle(env.payload) {
+                    self.machine.handle(env.payload, &mut self.out);
+                    for (to, frame) in self.out.drain(..) {
                         // A failed reply is a lost frame: the SU's retry
                         // budget covers it, exactly as with drop faults.
                         let _ = self.node.send_from(Party::Sdc, to, &frame);
@@ -365,6 +369,8 @@ impl SdcService {
 pub struct StpService {
     node: SocketNode<SessionMsg>,
     machine: StpSessionEngine,
+    /// The engine's outbound frames, reused across handled frames.
+    out: Outbox,
     poll: std::time::Duration,
     durable: DurableOpts,
     generation: u64,
@@ -426,6 +432,7 @@ impl StpService {
         Ok(StpService {
             node,
             machine,
+            out: Vec::new(),
             poll: opts.engine.poll,
             durable: opts.durable.clone(),
             generation,
@@ -449,7 +456,8 @@ impl StpService {
         loop {
             match self.node.recv_timeout(self.poll) {
                 Some(SocketEvent::Frame(env)) => {
-                    for (to, frame) in self.machine.handle(env.payload) {
+                    self.machine.handle(env.payload, &mut self.out);
+                    for (to, frame) in self.out.drain(..) {
                         let _ = self.node.send_from(Party::Stp, to, &frame);
                     }
                     self.handled += 1;
@@ -595,19 +603,21 @@ pub fn run_su_storm(
                 metrics: &metrics,
             };
             let mut machine = SuSessionEngine::new(su, &channels, &params, &mut rng);
-            let mut action = machine.start();
+            let mut out = Vec::new();
+            let mut action = machine.start(&mut out);
             loop {
                 match action {
-                    SuAction::Continue { sends, deadline } => {
-                        for frame in sends {
+                    SuAction::Wait { deadline } => {
+                        for (to, frame) in out.drain(..) {
                             // A failed write is a lost frame; the
                             // deadline below turns it into a retry.
-                            let _ = node.send_from(me, Party::Sdc, &frame);
+                            let _ = node.send_from(me, to, &frame);
                         }
-                        action = match rx.recv_timeout(deadline) {
-                            Ok(frame) => machine.on_event(SuEvent::Frame(frame)),
-                            Err(_) => machine.on_event(SuEvent::Timeout),
+                        let event = match rx.recv_timeout(deadline) {
+                            Ok(frame) => SuEvent::Frame(frame),
+                            Err(_) => SuEvent::Timeout,
                         };
+                        action = machine.on_event(event, &mut out);
                     }
                     SuAction::Finish(outcome) => break outcome,
                 }

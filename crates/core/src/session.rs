@@ -70,18 +70,31 @@ const SESSION_HEADER_BYTES: usize = 12;
 ///
 /// The attempt counter is what makes retries safe: phase-2 unblinding
 /// must pair an STP reply with the phase-1 state of the *same* attempt
-/// (see the module docs).
-#[derive(Debug, Clone)]
-pub struct SessionMsg {
+/// (see the module docs). The payload is the backend's message
+/// ([`Backend::Msg`](crate::Backend::Msg)): a [`PisaMessage`] on the
+/// Paillier backend, which is what every deployed transport carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionMsg<P = PisaMessage> {
     /// Session identifier (the engine uses the SU id).
     pub session: u64,
     /// The originating SU attempt this frame belongs to.
     pub attempt: u32,
     /// The protocol payload.
-    pub msg: PisaMessage,
+    pub msg: P,
 }
 
-impl WireSize for SessionMsg {
+impl<P> SessionMsg<P> {
+    /// The frame carrying `msg` for `session`'s attempt `attempt`.
+    pub fn new(session: u64, attempt: u32, msg: P) -> Self {
+        SessionMsg {
+            session,
+            attempt,
+            msg,
+        }
+    }
+}
+
+impl<P: WireSize> WireSize for SessionMsg<P> {
     fn wire_bytes(&self) -> usize {
         SESSION_HEADER_BYTES + self.msg.wire_bytes()
     }
@@ -197,11 +210,19 @@ impl EngineConfig {
     }
 
     /// The SU receive deadline for a given attempt (exponential
-    /// backoff: `timeout · 2^min(attempt, 3)`). Public so virtual-time
-    /// drivers can arm the same timers the threaded engine uses.
+    /// backoff: `timeout · 2^min(attempt, 3)`, saturating at
+    /// [`Duration::MAX`]).
     pub fn deadline(&self, attempt: u32) -> Duration {
-        self.timeout * (1u32 << attempt.min(3))
+        backoff(self.timeout, attempt)
     }
+}
+
+/// The rule behind [`EngineConfig::deadline`], for an engine that keeps
+/// only the base timeout.
+pub(crate) fn backoff(timeout: Duration, attempt: u32) -> Duration {
+    timeout
+        .checked_mul(1u32 << attempt.min(3))
+        .unwrap_or(Duration::MAX)
 }
 
 /// Final state of one SU session after a storm.
@@ -298,6 +319,7 @@ pub fn run_storm(
         let poll = engine.poll;
         let mut machine = SdcSessionEngine::new(sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
         std::thread::spawn(move || {
+            let mut out = Vec::new();
             loop {
                 let Some(env) = sdc_ep.recv_timeout(poll) else {
                     if stop.load(Ordering::Acquire) {
@@ -305,7 +327,8 @@ pub fn run_storm(
                     }
                     continue;
                 };
-                for (to, frame) in machine.handle(env.payload) {
+                machine.handle(env.payload, &mut out);
+                for (to, frame) in out.drain(..) {
                     let _ = sdc_ep.try_send(to, frame);
                 }
             }
@@ -319,6 +342,7 @@ pub fn run_storm(
         let poll = engine.poll;
         let mut machine = StpSessionEngine::new(stp, metrics.clone(), seed ^ 0x517);
         std::thread::spawn(move || {
+            let mut out = Vec::new();
             loop {
                 let Some(env) = stp_ep.recv_timeout(poll) else {
                     if stop.load(Ordering::Acquire) {
@@ -326,7 +350,8 @@ pub fn run_storm(
                     }
                     continue;
                 };
-                for (to, frame) in machine.handle(env.payload) {
+                machine.handle(env.payload, &mut out);
+                for (to, frame) in out.drain(..) {
                     let _ = stp_ep.try_send(to, frame);
                 }
             }
@@ -356,17 +381,19 @@ pub fn run_storm(
                 metrics: &metrics,
             };
             let mut machine = SuSessionEngine::new(su, &channels, &params, &mut rng);
-            let mut action = machine.start();
+            let mut out = Vec::new();
+            let mut action = machine.start(&mut out);
             loop {
                 match action {
-                    SuAction::Continue { sends, deadline } => {
-                        for frame in sends {
-                            ep.send(Party::Sdc, frame);
+                    SuAction::Wait { deadline } => {
+                        for (to, frame) in out.drain(..) {
+                            ep.send(to, frame);
                         }
-                        action = match ep.recv_timeout(deadline) {
-                            Some(env) => machine.on_event(SuEvent::Frame(env.payload)),
-                            None => machine.on_event(SuEvent::Timeout),
+                        let event = match ep.recv_timeout(deadline) {
+                            Some(env) => SuEvent::Frame(env.payload),
+                            None => SuEvent::Timeout,
                         };
+                        action = machine.on_event(event, &mut out);
                     }
                     SuAction::Finish(outcome) => break outcome,
                 }
@@ -439,6 +466,19 @@ mod tests {
         assert_eq!(decoded.attempt, 2);
         assert_eq!(frame.encode().unwrap(), decoded.encode().unwrap());
         assert!(frame.wire_bytes() > frame.encode().unwrap().len());
+    }
+
+    /// Backoff doubles up to 8× and saturates instead of overflowing,
+    /// so a huge base timeout cannot panic a retrying session.
+    #[test]
+    fn deadline_backs_off_and_saturates() {
+        let engine = EngineConfig::default().with_timeout(Duration::from_millis(50));
+        let deadlines: Vec<u128> = (0..6).map(|a| engine.deadline(a).as_millis()).collect();
+        assert_eq!(deadlines, vec![50, 100, 200, 400, 400, 400]);
+        let huge = EngineConfig::default().with_timeout(Duration::MAX);
+        assert_eq!(huge.deadline(0), Duration::MAX);
+        assert_eq!(huge.deadline(1), Duration::MAX);
+        assert_eq!(huge.deadline(u32::MAX), Duration::MAX);
     }
 
     #[test]

@@ -235,6 +235,7 @@ pub fn record_storm(
     let mut queue: VecDeque<(Party, Party, SessionMsg)> = VecDeque::new();
     let mut sus: HashMap<u32, SuSessionEngine> = HashMap::new();
     let mut outcomes: Vec<SessionOutcome> = Vec::new();
+    let mut out = Vec::new();
 
     let enc = |msg: &SessionMsg| -> Result<bytes::Bytes, PisaError> {
         msg.encode()
@@ -253,14 +254,10 @@ pub fn record_storm(
         };
         let id = su.id().0;
         let machine = SuSessionEngine::new(su, &channels, &params, &mut rng);
-        match machine.start() {
-            SuAction::Continue { sends, .. } => {
-                for frame in sends {
-                    queue.push_back((Party::Su(id), Party::Sdc, frame));
-                }
-            }
-            SuAction::Finish(outcome) => outcomes.push(outcome),
+        if let SuAction::Finish(outcome) = machine.start(&mut out) {
+            outcomes.push(outcome);
         }
+        queue.extend(out.drain(..).map(|(to, frame)| (Party::Su(id), to, frame)));
         sus.insert(id, machine);
     }
 
@@ -271,30 +268,15 @@ pub fn record_storm(
             frame: enc(&msg)?,
         });
         match to {
-            Party::Sdc => {
-                for (next, out) in sdc.handle(msg) {
-                    queue.push_back((Party::Sdc, next, out));
-                }
-            }
-            Party::Stp => {
-                for (next, out) in stp.handle(msg) {
-                    queue.push_back((Party::Stp, next, out));
-                }
-            }
+            Party::Sdc => sdc.handle(msg, &mut out),
+            Party::Stp => stp.handle(msg, &mut out),
             Party::Su(i) => {
                 let Some(machine) = sus.get_mut(&i) else {
                     continue;
                 };
-                match machine.on_event(SuEvent::Frame(msg)) {
-                    SuAction::Continue { sends, .. } => {
-                        for frame in sends {
-                            queue.push_back((Party::Su(i), Party::Sdc, frame));
-                        }
-                    }
-                    SuAction::Finish(outcome) => {
-                        outcomes.push(outcome);
-                        sus.remove(&i);
-                    }
+                if let SuAction::Finish(outcome) = machine.on_event(SuEvent::Frame(msg), &mut out) {
+                    outcomes.push(outcome);
+                    sus.remove(&i);
                 }
             }
             Party::Pu(_) => {
@@ -302,6 +284,7 @@ pub fn record_storm(
                 // here would be a recorder bug, not a protocol event.
             }
         }
+        queue.extend(out.drain(..).map(|(next, frame)| (to, next, frame)));
     }
 
     if !sus.is_empty() {

@@ -1,10 +1,10 @@
-//! Error type for the simulated network.
+//! Error type for the in-memory network.
 
 use crate::transport::Party;
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by the simulated network.
+/// Errors produced by the in-memory network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetError {
@@ -12,8 +12,6 @@ pub enum NetError {
     UnknownParty(Party),
     /// The counterpart hung up.
     Disconnected(Party),
-    /// The socket transport hit an operating-system I/O failure.
-    Socket(std::io::ErrorKind),
 }
 
 impl fmt::Display for NetError {
@@ -21,7 +19,6 @@ impl fmt::Display for NetError {
         match self {
             NetError::UnknownParty(p) => write!(f, "no endpoint registered for {p}"),
             NetError::Disconnected(p) => write!(f, "channel to {p} disconnected"),
-            NetError::Socket(kind) => write!(f, "socket I/O failure: {kind:?}"),
         }
     }
 }

@@ -51,8 +51,8 @@ pub use error::NetError;
 pub use fault::{Corruptor, FaultConfig, FaultPipeline, FaultPlan};
 pub use latency::LatencyModel;
 pub use metrics::{FaultKind, FaultStats, LinkCounter, LinkStats, NetMetrics, SessionStats};
-pub use socket::{FrameCodec, SocketConfig, SocketEndpoint, SocketError, SocketEvent, SocketNode};
-pub use transport::{Endpoint, Envelope, Network, Party, Transport};
+pub use socket::{FrameCodec, SocketConfig, SocketError, SocketEvent, SocketNode};
+pub use transport::{Endpoint, Envelope, Network, Party};
 
 /// Serialized size of a message on the wire, in bytes.
 ///

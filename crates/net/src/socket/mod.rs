@@ -10,9 +10,8 @@
 //!   an incremental [`FrameBuffer`] deframer, and the envelope format
 //!   (kind, from-party, to-party, payload);
 //! * [`SocketNode`] — listener + per-peer connection pool with
-//!   reconnect/backoff, reader threads, learned reply routes, in-band
-//!   graceful shutdown, and a [`Transport`](crate::Transport) adapter
-//!   ([`SocketEndpoint`]) so the session engines run unmodified. Given
+//!   reconnect/backoff, reader threads, learned reply routes and
+//!   in-band graceful shutdown. Given
 //!   a [`FaultConfig`](crate::FaultConfig), it runs its outbound
 //!   envelope bytes through the same
 //!   [`FaultPipeline`](crate::FaultPipeline) as the in-memory
@@ -24,11 +23,10 @@ pub mod frame;
 mod node;
 
 pub use frame::{FrameBuffer, FrameCodec};
-pub use node::{SocketEndpoint, SocketEvent, SocketNode};
+pub use node::{SocketEvent, SocketNode};
 
 use crate::codec::{CodecError, MAX_FRAME_LEN};
 use crate::transport::Party;
-use crate::NetError;
 use std::time::Duration;
 
 /// Tuning knobs for a [`SocketNode`].
@@ -83,18 +81,6 @@ pub enum SocketError {
     Stopped,
 }
 
-impl SocketError {
-    /// Maps onto the [`Transport`](crate::Transport) error surface.
-    pub fn into_net_error(self, to: Party) -> NetError {
-        match self {
-            SocketError::Io(kind) => NetError::Socket(kind),
-            SocketError::Codec(_) => NetError::Socket(std::io::ErrorKind::InvalidData),
-            SocketError::NoRoute(p) => NetError::UnknownParty(p),
-            SocketError::Stopped => NetError::Disconnected(to),
-        }
-    }
-}
-
 impl std::fmt::Display for SocketError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -117,37 +103,5 @@ impl From<std::io::Error> for SocketError {
 impl From<CodecError> for SocketError {
     fn from(e: CodecError) -> Self {
         SocketError::Codec(e)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every socket failure reaches a session engine as the `NetError`
-    /// its retry logic expects: a stopped node reads as the peer
-    /// hanging up, a missing route as an unknown party.
-    #[test]
-    fn socket_errors_map_to_net_errors() {
-        let to = Party::Stp;
-        let io: SocketError = std::io::Error::from(std::io::ErrorKind::ConnectionReset).into();
-        assert_eq!(
-            io.into_net_error(to),
-            NetError::Socket(std::io::ErrorKind::ConnectionReset)
-        );
-        let codec: SocketError = CodecError::UnexpectedEof.into();
-        assert!(codec.to_string().contains("unexpected end of frame"));
-        assert_eq!(
-            codec.into_net_error(to),
-            NetError::Socket(std::io::ErrorKind::InvalidData)
-        );
-        assert_eq!(
-            SocketError::NoRoute(Party::Su(3)).into_net_error(to),
-            NetError::UnknownParty(Party::Su(3))
-        );
-        assert_eq!(
-            SocketError::Stopped.into_net_error(to),
-            NetError::Disconnected(to)
-        );
     }
 }

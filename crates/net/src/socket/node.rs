@@ -31,8 +31,8 @@ use super::frame::{
 use super::{SocketConfig, SocketError};
 use crate::fault::{FaultConfig, FaultPipeline};
 use crate::metrics::NetMetrics;
-use crate::transport::{Envelope, Party, Transport};
-use crate::{NetError, WireSize};
+use crate::transport::{Envelope, Party};
+use crate::WireSize;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -254,14 +254,6 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
         }
     }
 
-    /// A [`Transport`] view of this node for one hosted party.
-    pub fn endpoint(&self, party: Party) -> SocketEndpoint<M> {
-        SocketEndpoint {
-            node: self.clone(),
-            party,
-        }
-    }
-
     /// Counts one data envelope's payload bytes, then writes it. A frame
     /// counts once it is handed to the socket, so a peer can never act on
     /// a frame its sender has not counted yet (a failed write stays
@@ -428,32 +420,6 @@ fn reader_loop<M: FrameCodec + Send + 'static>(inner: &Arc<NodeInner<M>>, mut st
                 }
             }
         }
-    }
-}
-
-/// A [`Transport`] adapter: one hosted party's send surface over a
-/// shared [`SocketNode`], mirroring the in-memory
-/// [`Endpoint`](crate::Endpoint).
-pub struct SocketEndpoint<M> {
-    node: SocketNode<M>,
-    party: Party,
-}
-
-impl<M> std::fmt::Debug for SocketEndpoint<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SocketEndpoint({})", self.party)
-    }
-}
-
-impl<M: FrameCodec + Send + 'static> Transport<M> for SocketEndpoint<M> {
-    fn party(&self) -> Party {
-        self.party
-    }
-
-    fn try_send(&self, to: Party, payload: M) -> Result<(), NetError> {
-        self.node
-            .send_from(self.party, to, &payload)
-            .map_err(|e| e.into_net_error(to))
     }
 }
 

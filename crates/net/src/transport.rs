@@ -191,38 +191,6 @@ impl<M: WireSize + Clone> Network<M> {
     }
 }
 
-/// The send surface a protocol engine needs from its network: an
-/// address and a fallible send. Implemented by the threaded
-/// [`Endpoint`] and by the virtual-time simulator's transport, so the
-/// session engines in `pisa-core` run unmodified on either.
-///
-/// Receiving is *not* part of the trait: the threaded engine blocks on
-/// `recv_timeout` while the simulator inverts control and pushes events
-/// into the state machines, so a shared receive surface would fit
-/// neither. Engines return their outbound messages instead.
-pub trait Transport<M> {
-    /// This transport's own address.
-    fn party(&self) -> Party;
-
-    /// Sends `payload` to `to`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownParty`] if `to` has no endpoint, or
-    /// [`NetError::Disconnected`] if its receiver is gone.
-    fn try_send(&self, to: Party, payload: M) -> Result<(), NetError>;
-}
-
-impl<M: WireSize + Clone> Transport<M> for Endpoint<M> {
-    fn party(&self) -> Party {
-        Endpoint::party(self)
-    }
-
-    fn try_send(&self, to: Party, payload: M) -> Result<(), NetError> {
-        Endpoint::try_send(self, to, payload)
-    }
-}
-
 /// One party's handle onto the network.
 pub struct Endpoint<M> {
     party: Party,

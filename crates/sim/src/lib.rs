@@ -7,11 +7,11 @@
 //! re-runs the same protocol on *virtual* time: a single thread pops
 //! events off a `(virtual_time, seq)`-keyed heap, the network runs the
 //! [`FaultPipeline`](pisa_net::FaultPipeline) the threaded and socket
-//! transports run, and the parties are either the real `pisa-core`
-//! session engines ([`Fidelity::Real`]) or plaintext mirrors of them
-//! ([`Fidelity::Modeled`]) that trade the Paillier arithmetic for the
-//! WATCH decision oracle — which is what makes a 10⁵-session storm
-//! finish in seconds.
+//! transports run, and the parties are the `pisa-core` session engines
+//! the services run. [`Fidelity::Real`] runs them on the Paillier
+//! backend; [`Fidelity::Modeled`] runs them on a plaintext backend that
+//! trades the Paillier arithmetic for the WATCH decision oracle — which
+//! is what makes a 10⁵-session storm finish in seconds.
 //!
 //! Everything is bit-deterministic per seed: [`run_sim_storm`] with
 //! the same `(seed, config)` produces a byte-identical
@@ -34,16 +34,14 @@
 #![warn(missing_docs)]
 
 mod event;
-pub mod model;
+mod model;
 mod net;
 mod report;
 mod storm;
 mod sweep;
-mod transport;
 
 pub use event::EventQueue;
 pub use net::{Delivery, SimNet};
 pub use report::{decisions_digest, SimOutcome, StormReport};
 pub use storm::{run_sim_storm, run_sim_storm_with, Fidelity, SimConfig};
 pub use sweep::{check_storm, run_sweep, shrink, RegressionCase, SweepConfig, SweepReport};
-pub use transport::SimTransport;

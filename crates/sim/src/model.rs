@@ -1,39 +1,33 @@
-//! Modeled-fidelity protocol: the storm state machines without the
+//! The plaintext backend: the session protocol without the
 //! cryptography.
 //!
 //! A 10⁵-session storm cannot run real Paillier in CI, but almost none
 //! of the *resilience* behaviour depends on the ciphertexts: grant/deny
 //! decisions are a pure function of the plaintext WATCH matrices, and
-//! the retry/replay/reject logic keys on session ids, attempt counters
-//! and request digests. This module therefore mirrors the session
-//! engines of `pisa-core` over a lightweight [`ModelMsg`] whose wire
-//! size is computed analytically (exactly how the real messages size
+//! the retry/replay/reject rules key on session ids, attempt counters
+//! and request digests. [`Plaintext`] therefore backs `pisa-core`'s own
+//! session engines with a small [`ModelPayload`] whose wire size is
+//! computed analytically (exactly how the real messages size
 //! themselves) and whose decisions come from the plaintext
 //! [`WatchSdc`] oracle — the same oracle the watch-equivalence tests
 //! pin the encrypted pipeline against.
-//!
-//! The mirroring is deliberate and per-arm: every match arm in
-//! [`ModelSdc::handle`] / [`ModelSu`] corresponds to a named arm of
-//! `SdcSessionEngine::handle` / `SuSessionEngine::on_event`, including
-//! the replay, stale-duplicate, ε-preserving resend and
-//! unverifiable-response paths.
 
-use pisa::EngineConfig;
-use pisa_net::{NetMetrics, Party, WireSize};
+use pisa::{Backend, EngineConfig, PisaError, SessionMsg, Step, SuId, SuSessionEngine};
+use pisa_net::{NetMetrics, WireSize};
 use pisa_radio::tv::Channel;
 use pisa_radio::BlockId;
 use pisa_watch::{PuInput, SuRequest, WatchConfig, WatchSdc};
+use rand::rngs::StdRng;
 use std::collections::HashMap;
 
-/// Bytes of the session header (id + attempt), as in the real codec.
-const SESSION_HEADER_BYTES: usize = 12;
 /// Bytes of the inner message header, as in the real codec.
 const HEADER_BYTES: usize = 64;
 /// Modeled size of a serialized license (id, serial, digest, padding).
 const MODEL_LICENSE_BYTES: usize = 96;
 
-/// The protocol step a [`ModelMsg`] carries, mirroring the four
-/// in-session `PisaMessage` variants.
+/// A modeled message, mirroring the four in-session `PisaMessage`
+/// variants. It rides in the same [`SessionMsg`] envelope as a real
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelPayload {
     /// SU → SDC encrypted request (`F̃`).
@@ -74,63 +68,37 @@ pub enum ModelPayload {
     },
 }
 
-/// A modeled session frame: header fields plus payload, sized
-/// analytically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModelMsg {
-    /// Session identifier (the engines use the SU id).
-    pub session: u64,
-    /// Originating SU attempt, as in `SessionMsg`.
-    pub attempt: u32,
-    /// The protocol step.
-    pub payload: ModelPayload,
-    /// Analytic wire size in bytes.
-    pub bytes: usize,
-}
+/// A modeled frame: the session envelope around a [`ModelPayload`].
+pub type ModelFrame = SessionMsg<ModelPayload>;
 
-impl WireSize for ModelMsg {
-    fn wire_bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-/// Analytic wire sizes for one storm configuration, mirroring the
-/// formulas in `pisa-core`'s message types: matrix-bearing messages
-/// cost `channels × blocks` ciphertexts, the response one ciphertext
-/// plus a license.
-#[derive(Debug, Clone, Copy)]
-pub struct ModelWire {
-    request: usize,
-    query: usize,
-    reply: usize,
+/// Analytic wire sizes, mirroring the formulas in `pisa-core`'s message
+/// types: matrix-bearing messages cost `channels × blocks` ciphertexts,
+/// the response one ciphertext plus a license.
+struct ModelWire {
+    matrix: usize,
     response: usize,
 }
 
 impl ModelWire {
-    /// Sizes for a `channels × blocks` system with `ct_bytes`-byte
-    /// ciphertexts.
-    pub fn new(channels: usize, blocks: usize, ct_bytes: usize) -> Self {
-        let matrix = channels * blocks * ct_bytes;
+    const fn new(channels: usize, blocks: usize, ct_bytes: usize) -> Self {
         ModelWire {
-            request: SESSION_HEADER_BYTES + HEADER_BYTES + matrix,
-            query: SESSION_HEADER_BYTES + HEADER_BYTES + matrix,
-            reply: SESSION_HEADER_BYTES + HEADER_BYTES + matrix,
-            response: SESSION_HEADER_BYTES + HEADER_BYTES + MODEL_LICENSE_BYTES + ct_bytes,
+            matrix: HEADER_BYTES + channels * blocks * ct_bytes,
+            response: HEADER_BYTES + MODEL_LICENSE_BYTES + ct_bytes,
         }
     }
+}
 
-    fn sized(&self, session: u64, attempt: u32, payload: ModelPayload) -> ModelMsg {
-        let bytes = match payload {
-            ModelPayload::Request { .. } => self.request,
-            ModelPayload::Query { .. } => self.query,
-            ModelPayload::Reply { .. } => self.reply,
-            ModelPayload::Response { .. } => self.response,
-        };
-        ModelMsg {
-            session,
-            attempt,
-            payload,
-            bytes,
+/// The sizes of the canonical storm, which runs on
+/// `SystemConfig::small_test`: 4 channels × 25 blocks of 96-byte
+/// ciphertexts (384-bit keys). Fixed here rather than carried in every
+/// frame, so a modeled frame stays at 32 bytes.
+const WIRE: ModelWire = ModelWire::new(4, 25, 96);
+
+impl WireSize for ModelPayload {
+    fn wire_bytes(&self) -> usize {
+        match self {
+            ModelPayload::Response { .. } => WIRE.response,
+            _ => WIRE.matrix,
         }
     }
 }
@@ -150,8 +118,8 @@ pub fn model_digest(su: u32) -> u64 {
 /// (attempt / session), the content (digest), or — for responses — the
 /// signature ciphertext (garbled). Like the real oracle it never turns
 /// a denial into a verifiable grant.
-pub fn corrupt_model_frame(msg: &ModelMsg, tweak: u64) -> Option<ModelMsg> {
-    let mut m = *msg;
+pub fn corrupt_model_frame(frame: &ModelFrame, tweak: u64) -> Option<ModelFrame> {
+    let mut m = *frame;
     match tweak % 6 {
         // The flip lands somewhere the decoder chokes on: absorbed.
         0 => None,
@@ -168,7 +136,7 @@ pub fn corrupt_model_frame(msg: &ModelMsg, tweak: u64) -> Option<ModelMsg> {
         // Payload identity: the embedded SU id.
         3 => {
             let flip = 1u32 << (tweak >> 3 & 0x7);
-            match &mut m.payload {
+            match &mut m.msg {
                 ModelPayload::Request { su, .. }
                 | ModelPayload::Query { su, .. }
                 | ModelPayload::Reply { su, .. }
@@ -179,7 +147,7 @@ pub fn corrupt_model_frame(msg: &ModelMsg, tweak: u64) -> Option<ModelMsg> {
         // Payload content: the digest.
         4 => {
             let flip = (tweak >> 3) | 1;
-            match &mut m.payload {
+            match &mut m.msg {
                 ModelPayload::Request { digest, .. }
                 | ModelPayload::Query { digest, .. }
                 | ModelPayload::Reply { digest, .. }
@@ -190,7 +158,7 @@ pub fn corrupt_model_frame(msg: &ModelMsg, tweak: u64) -> Option<ModelMsg> {
         // The ciphertext: responses garble (unverifiable, never
         // forged), matrix messages take a content flip instead.
         _ => {
-            match &mut m.payload {
+            match &mut m.msg {
                 ModelPayload::Response { garbled, .. } => *garbled = true,
                 ModelPayload::Request { digest, .. }
                 | ModelPayload::Query { digest, .. }
@@ -249,376 +217,179 @@ impl ModelOracle {
     }
 }
 
-/// Where one modeled session stands inside the SDC, mirroring the
-/// real engine's `SessionPhase`.
-enum Phase {
-    AwaitingStp {
-        attempt: u32,
-        digest: u64,
-        granted: bool,
-    },
-    Completed {
-        attempt: u32,
-        digest: u64,
-        granted: bool,
-    },
+/// The plaintext backend: each step of paper Fig. 5 as its plaintext
+/// effect on a [`ModelPayload`], with the decision from a
+/// [`ModelOracle`].
+pub struct Plaintext;
+
+/// The plaintext SDC: the oracle phase 2 decides with, and the number
+/// of registered SUs (SU `i` is registered iff `i < sus`).
+pub struct PlainSdc {
+    /// The decision oracle.
+    pub oracle: ModelOracle,
+    /// Registered SUs.
+    pub sus: u32,
 }
 
-/// The modeled SDC service engine: same replay/resend/reject state
-/// machine as `SdcSessionEngine`, decisions from the plaintext oracle.
-pub struct ModelSdc {
-    sus: u32,
-    sessions: HashMap<u32, Phase>,
-    oracle: ModelOracle,
-    wire: ModelWire,
-    metrics: NetMetrics,
-}
-
-impl ModelSdc {
-    /// An engine serving `sus` registered SUs.
-    pub fn new(sus: u32, oracle: ModelOracle, wire: ModelWire, metrics: NetMetrics) -> Self {
-        ModelSdc {
-            sus,
-            sessions: HashMap::new(),
-            oracle,
-            wire,
-            metrics,
-        }
-    }
-
-    /// Processes one frame addressed to the SDC; returns the responses.
-    pub fn handle(&mut self, frame: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        match frame.payload {
-            ModelPayload::Request { su, digest } => {
-                let session = u64::from(su);
-                enum Action {
-                    Replay(bool, u32),
-                    Resend(u32),
-                    Reject,
-                    Fresh,
-                }
-                let action = match self.sessions.get_mut(&su) {
-                    // Idempotent replay of an answered attempt.
-                    Some(Phase::Completed {
-                        attempt,
-                        digest: d,
-                        granted,
-                    }) if *d == digest && frame.attempt == *attempt => {
-                        Action::Replay(*granted, *attempt)
-                    }
-                    // Stale duplicate of a superseded attempt.
-                    Some(Phase::Completed {
-                        attempt, digest: d, ..
-                    }) if *d == digest && frame.attempt < *attempt => Action::Reject,
-                    // Sign test in flight: re-send the same query under
-                    // the newest attempt (ε must not change).
-                    Some(Phase::AwaitingStp {
-                        attempt, digest: d, ..
-                    }) if *d == digest => {
-                        *attempt = (*attempt).max(frame.attempt);
-                        Action::Resend(*attempt)
-                    }
-                    // Fresh request or corrupted digest: phase 1.
-                    _ => Action::Fresh,
-                };
-                match action {
-                    Action::Replay(granted, attempt) => vec![(
-                        Party::Su(su),
-                        self.wire.sized(
-                            session,
-                            attempt,
-                            ModelPayload::Response {
-                                su,
-                                digest,
-                                granted,
-                                garbled: false,
-                            },
-                        ),
-                    )],
-                    Action::Resend(attempt) => vec![(
-                        Party::Stp,
-                        self.wire
-                            .sized(session, attempt, ModelPayload::Query { su, digest }),
-                    )],
-                    Action::Reject => {
-                        self.metrics.record_session_reject(session);
-                        Vec::new()
-                    }
-                    Action::Fresh => {
-                        // A digest that is not the SU's canonical one is
-                        // a corrupted request: garbage plaintexts can
-                        // never satisfy every budget, so it resolves to
-                        // a denial — exactly like the encrypted path.
-                        let granted = digest == model_digest(su) && self.oracle.su_decision(su);
-                        self.sessions.insert(
-                            su,
-                            Phase::AwaitingStp {
-                                attempt: frame.attempt,
-                                digest,
-                                granted,
-                            },
-                        );
-                        vec![(
-                            Party::Stp,
-                            self.wire.sized(
-                                session,
-                                frame.attempt,
-                                ModelPayload::Query { su, digest },
-                            ),
-                        )]
-                    }
-                }
-            }
-            ModelPayload::Reply { su, .. } => {
-                let session = u64::from(su);
-                let current = match self.sessions.get(&su) {
-                    Some(Phase::AwaitingStp {
-                        attempt,
-                        digest,
-                        granted,
-                    }) if *attempt == frame.attempt => Some((*attempt, *digest, *granted)),
-                    // Stale attempt, consumed reply, or no phase-1
-                    // state.
-                    _ => None,
-                };
-                let Some((attempt, digest, granted)) = current else {
-                    self.metrics.record_session_reject(session);
-                    return Vec::new();
-                };
-                // Mirror of the phase-2 key lookup: an unknown SU has
-                // no key directory entry.
-                if su >= self.sus {
-                    self.metrics.record_session_reject(session);
-                    return Vec::new();
-                }
-                self.sessions.insert(
-                    su,
-                    Phase::Completed {
-                        attempt,
-                        digest,
-                        granted,
-                    },
-                );
-                vec![(
-                    Party::Su(su),
-                    self.wire.sized(
-                        session,
-                        attempt,
-                        ModelPayload::Response {
-                            su,
-                            digest,
-                            granted,
-                            garbled: false,
-                        },
-                    ),
-                )]
-            }
-            // Out-of-protocol traffic: reject, never panic.
-            _ => {
-                self.metrics.record_session_reject(frame.session);
-                Vec::new()
-            }
-        }
-    }
-}
-
-/// The modeled STP: stateless key conversion, mirroring
-/// `StpSessionEngine` (including the reject on an unregistered SU,
-/// whose key the conversion would need).
-pub struct ModelStp {
-    sus: u32,
-    wire: ModelWire,
-    metrics: NetMetrics,
-}
-
-impl ModelStp {
-    /// An engine serving `sus` registered SUs.
-    pub fn new(sus: u32, wire: ModelWire, metrics: NetMetrics) -> Self {
-        ModelStp { sus, wire, metrics }
-    }
-
-    /// Processes one frame addressed to the STP.
-    pub fn handle(&mut self, frame: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        match frame.payload {
-            ModelPayload::Query { su, digest } if su < self.sus => vec![(
-                Party::Sdc,
-                self.wire.sized(
-                    frame.session,
-                    frame.attempt,
-                    ModelPayload::Reply { su, digest },
-                ),
-            )],
-            _ => {
-                self.metrics.record_session_reject(frame.session);
-                Vec::new()
-            }
-        }
-    }
-}
-
-/// What one modeled SU wants next, mirroring `SuAction`.
-pub enum ModelSuStep {
-    /// Send these frames, then wait out `deadline_ns` of virtual time.
-    Wait {
-        /// Frames for the SDC, in order.
-        sends: Vec<ModelMsg>,
-        /// Full receive deadline (re-armed even after rejects).
-        deadline_ns: u64,
-    },
-    /// Terminal state.
-    Done {
-        /// `Some(granted)`, or `None` when the retry budget ran dry.
-        granted: Option<bool>,
-        /// Requests sent.
-        attempts: u32,
-    },
-}
-
-/// One modeled SU session: the exact state machine of
-/// `SuSessionEngine` over model frames.
-pub struct ModelSu {
+/// The session of storm SU `su`: its one request, and the canonical
+/// digest its license must bind.
+pub fn su_session(
     su: u32,
-    session: u64,
-    digest: u64,
-    attempt: u32,
-    max_retries: u32,
-    timeout_ns: u64,
     corrupt_possible: bool,
-    wire: ModelWire,
-    metrics: NetMetrics,
+    engine: &EngineConfig,
+    metrics: &NetMetrics,
+) -> SuSessionEngine<Plaintext> {
+    let digest = model_digest(su);
+    let request = ModelPayload::Request { su, digest };
+    SuSessionEngine::with_request(
+        SuId(su),
+        (),
+        request,
+        digest,
+        corrupt_possible,
+        engine,
+        metrics,
+    )
 }
 
-impl ModelSu {
-    /// A session for SU `su` under the given retry policy.
-    pub fn new(
-        su: u32,
-        engine: &EngineConfig,
-        corrupt_possible: bool,
-        wire: ModelWire,
-        metrics: NetMetrics,
-    ) -> Self {
-        ModelSu {
-            su,
-            session: u64::from(su),
-            digest: model_digest(su),
-            attempt: 0,
-            max_retries: engine.max_retries,
-            timeout_ns: u64::try_from(engine.timeout.as_nanos()).unwrap_or(u64::MAX),
-            corrupt_possible,
-            wire,
-            metrics,
-        }
-    }
+/// A backend step handed a message of another step.
+const WRONG_STEP: PisaError = PisaError::EngineFailure("message is not this protocol step");
 
-    fn request(&self) -> ModelMsg {
-        self.wire.sized(
-            self.session,
-            self.attempt,
-            ModelPayload::Request {
-                su: self.su,
-                digest: self.digest,
-            },
-        )
-    }
+impl Backend for Plaintext {
+    type Msg = ModelPayload;
+    type Digest = u64;
+    type Sdc = PlainSdc;
+    /// The registered SUs: SU `i` has a key iff `i` is below it.
+    type Stp = u32;
+    type Su = ();
 
-    /// Exponential-backoff deadline, mirroring `EngineConfig::deadline`.
-    fn deadline_ns(&self) -> u64 {
-        self.timeout_ns.saturating_mul(1 << self.attempt.min(3))
-    }
-
-    fn wait(&self, sends: Vec<ModelMsg>) -> ModelSuStep {
-        ModelSuStep::Wait {
-            sends,
-            deadline_ns: self.deadline_ns(),
-        }
-    }
-
-    fn finish(&self, granted: Option<bool>) -> ModelSuStep {
-        ModelSuStep::Done {
-            granted,
-            attempts: self.attempt + 1,
-        }
-    }
-
-    fn retry(&mut self) -> ModelSuStep {
-        self.attempt += 1;
-        self.metrics.record_session_retry(self.session);
-        self.wait(vec![self.request()])
-    }
-
-    /// Kicks the session off: the attempt-0 request and its deadline.
-    pub fn start(&self) -> ModelSuStep {
-        self.wait(vec![self.request()])
-    }
-
-    /// A frame was delivered to this SU.
-    pub fn on_frame(&mut self, frame: ModelMsg) -> ModelSuStep {
-        match frame.payload {
-            ModelPayload::Response {
-                su,
+    fn step(msg: &ModelPayload) -> Step<u64> {
+        match *msg {
+            ModelPayload::Request { su, digest } => Step::Request {
+                su: SuId(su),
                 digest,
-                granted,
-                garbled,
-            } if su == self.su && digest == self.digest => {
-                if granted && !garbled {
-                    // A verified grant is final (corruption cannot
-                    // forge a signature).
-                    return self.finish(Some(true));
-                }
-                if !self.corrupt_possible {
-                    // Links never mangle payloads: an unverifiable
-                    // response IS the deny.
-                    return self.finish(Some(false));
-                }
-                // Denial or flipped bit — indistinguishable; spend a
-                // retry to find out.
-                self.metrics.record_session_reject(self.session);
-                if self.attempt >= self.max_retries {
-                    return self.finish(Some(false));
-                }
-                self.retry()
-            }
-            // Foreign digest / foreign SU / out-of-protocol: reject
-            // and wait out a fresh full deadline.
-            _ => {
-                self.metrics.record_session_reject(self.session);
-                self.wait(Vec::new())
-            }
+            },
+            ModelPayload::Reply { su, .. } => Step::Reply { su: SuId(su) },
+            ModelPayload::Response { su, digest, .. } => Step::Response {
+                su: SuId(su),
+                digest,
+            },
+            ModelPayload::Query { .. } => Step::Other,
         }
     }
 
-    /// The receive deadline expired with nothing acceptable.
-    pub fn on_timeout(&mut self) -> ModelSuStep {
-        self.metrics.record_session_timeout(self.session);
-        if self.attempt >= self.max_retries {
-            return self.finish(None);
+    fn phase1(
+        _sdc: &mut PlainSdc,
+        request: &ModelPayload,
+        _rng: &mut StdRng,
+    ) -> Result<ModelPayload, PisaError> {
+        match *request {
+            ModelPayload::Request { su, digest } => Ok(ModelPayload::Query { su, digest }),
+            _ => Err(WRONG_STEP),
         }
-        self.retry()
+    }
+
+    fn knows(sdc: &PlainSdc, su: SuId) -> bool {
+        su.0 < sdc.sus
+    }
+
+    fn phase2(
+        sdc: &mut PlainSdc,
+        query: &ModelPayload,
+        _reply: &ModelPayload,
+        _rng: &mut StdRng,
+    ) -> Result<ModelPayload, PisaError> {
+        let ModelPayload::Query { su, digest } = *query else {
+            return Err(WRONG_STEP);
+        };
+        // A digest that is not the SU's canonical one is a corrupted
+        // request: garbage plaintexts can never satisfy every budget,
+        // so it resolves to a denial — exactly like the encrypted path.
+        let granted = digest == model_digest(su) && sdc.oracle.su_decision(su);
+        Ok(ModelPayload::Response {
+            su,
+            digest,
+            granted,
+            garbled: false,
+        })
+    }
+
+    fn sign_test(
+        sus: &u32,
+        query: &ModelPayload,
+        _rng: &mut StdRng,
+    ) -> Result<ModelPayload, PisaError> {
+        match *query {
+            ModelPayload::Query { su, digest } if su < *sus => {
+                Ok(ModelPayload::Reply { su, digest })
+            }
+            ModelPayload::Query { su, .. } => Err(PisaError::UnknownSu(SuId(su))),
+            _ => Err(WRONG_STEP),
+        }
+    }
+
+    fn verify(_su: &(), response: &ModelPayload) -> bool {
+        matches!(
+            response,
+            ModelPayload::Response {
+                granted: true,
+                garbled: false,
+                ..
+            }
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pisa::{SdcSessionEngine, StpSessionEngine, SuAction, SuEvent, SystemConfig};
+    use pisa_net::Party;
 
-    fn wire() -> ModelWire {
-        ModelWire::new(4, 25, 96)
+    fn frame(session: u64, attempt: u32, msg: ModelPayload) -> ModelFrame {
+        SessionMsg::new(session, attempt, msg)
+    }
+
+    fn sdc(sus: u32, oracle: ModelOracle, metrics: &NetMetrics) -> SdcSessionEngine<Plaintext> {
+        let sdc = PlainSdc { oracle, sus };
+        SdcSessionEngine::with_backend(sdc, metrics.clone(), 0)
+    }
+
+    fn stp(sus: u32, metrics: &NetMetrics) -> StpSessionEngine<Plaintext> {
+        StpSessionEngine::with_backend(sus, metrics.clone(), 0)
+    }
+
+    /// One frame through a service engine: its outbound frames.
+    fn through<F: FnOnce(&mut Vec<(Party, ModelFrame)>)>(handle: F) -> Vec<(Party, ModelFrame)> {
+        let mut out = Vec::new();
+        handle(&mut out);
+        out
     }
 
     #[test]
     fn wire_sizes_mirror_real_formulas() {
-        let w = wire();
+        // The canonical storm's configuration fixes the sizes.
+        let cfg = SystemConfig::small_test();
+        let ct_bytes = cfg.paillier_bits() * 2 / 8;
+        let matrix = cfg.channels() * cfg.blocks() * ct_bytes;
         // 12 (session header) + 64 (message header) + 4·25·96.
-        assert_eq!(w.request, 12 + 64 + 9600);
-        assert_eq!(w.response, 12 + 64 + 96 + 96);
-        let msg = w.sized(0, 0, ModelPayload::Request { su: 0, digest: 1 });
-        assert_eq!(msg.wire_bytes(), w.request);
+        assert_eq!(matrix, 9600);
+        let request = frame(0, 0, ModelPayload::Request { su: 0, digest: 1 });
+        assert_eq!(request.wire_bytes(), 12 + 64 + matrix);
+        let response = ModelPayload::Response {
+            su: 0,
+            digest: 1,
+            granted: true,
+            garbled: false,
+        };
+        assert_eq!(frame(0, 0, response).wire_bytes(), 12 + 64 + 96 + ct_bytes);
+        // Every pending event slot holds a frame, so it stays small.
+        assert_eq!(std::mem::size_of::<ModelFrame>(), 32);
     }
 
     #[test]
     fn corruption_is_deterministic_and_never_forges_a_grant() {
-        let w = wire();
-        let denied = w.sized(
+        let denied = frame(
             3,
             1,
             ModelPayload::Response {
@@ -639,7 +410,7 @@ mod tests {
                     digest,
                     granted,
                     garbled,
-                } = m.payload
+                } = m.msg
                 {
                     let verifiable = granted
                         && !garbled
@@ -675,26 +446,26 @@ mod tests {
         let mut oracle = ModelOracle::new(&cfg);
         let su_id = 5u32;
         let expect = oracle.su_decision(su_id);
-        let mut sdc = ModelSdc::new(16, oracle, wire(), metrics.clone());
-        let mut stp = ModelStp::new(16, wire(), metrics.clone());
-        let engine = EngineConfig::default();
-        let mut su = ModelSu::new(su_id, &engine, false, wire(), metrics);
+        let mut sdc = sdc(16, oracle, &metrics);
+        let mut stp = stp(16, &metrics);
+        let mut su = su_session(su_id, false, &EngineConfig::default(), &metrics);
 
-        let ModelSuStep::Wait { sends, .. } = su.start() else {
+        let mut sends = Vec::new();
+        let SuAction::Wait { .. } = su.start(&mut sends) else {
             panic!("fresh session cannot be terminal");
         };
-        let query = sdc.handle(sends[0]);
+        let query = through(|out| sdc.handle(sends[0].1, out));
         assert_eq!(query.len(), 1);
         assert_eq!(query[0].0, Party::Stp);
-        let reply = stp.handle(query[0].1);
-        let response = sdc.handle(reply[0].1);
+        let reply = through(|out| stp.handle(query[0].1, out));
+        let response = through(|out| sdc.handle(reply[0].1, out));
         assert_eq!(response[0].0, Party::Su(su_id));
-        match su.on_frame(response[0].1) {
-            ModelSuStep::Done { granted, attempts } => {
-                assert_eq!(granted, Some(expect));
-                assert_eq!(attempts, 1);
+        match su.on_event(SuEvent::Frame(response[0].1), &mut sends) {
+            SuAction::Finish(outcome) => {
+                assert_eq!(outcome.granted, Some(expect));
+                assert_eq!(outcome.attempts, 1);
             }
-            ModelSuStep::Wait { .. } => panic!("matching response must be terminal"),
+            SuAction::Wait { .. } => panic!("matching response must be terminal"),
         }
     }
 
@@ -702,10 +473,9 @@ mod tests {
     fn replayed_request_is_idempotent_and_stale_reply_rejected() {
         let cfg = WatchConfig::small_test();
         let metrics = NetMetrics::new();
-        let oracle = ModelOracle::new(&cfg);
-        let mut sdc = ModelSdc::new(8, oracle, wire(), metrics.clone());
-        let mut stp = ModelStp::new(8, wire(), metrics.clone());
-        let req = wire().sized(
+        let mut sdc = sdc(8, ModelOracle::new(&cfg), &metrics);
+        let mut stp = stp(8, &metrics);
+        let req = frame(
             2,
             0,
             ModelPayload::Request {
@@ -713,23 +483,23 @@ mod tests {
                 digest: model_digest(2),
             },
         );
-        let q1 = sdc.handle(req);
+        let q1 = through(|out| sdc.handle(req, out));
         // Duplicate request while awaiting the STP: resend, not
         // re-blind (same query again).
-        let q2 = sdc.handle(req);
+        let q2 = through(|out| sdc.handle(req, out));
         assert_eq!(q1, q2);
-        let reply = stp.handle(q1[0].1);
-        let r1 = sdc.handle(reply[0].1);
+        let reply = through(|out| stp.handle(q1[0].1, out));
+        let r1 = through(|out| sdc.handle(reply[0].1, out));
         assert!(matches!(
-            r1[0].1.payload,
+            r1[0].1.msg,
             ModelPayload::Response { garbled: false, .. }
         ));
         // Replay of the answered request: identical response, no state
         // change.
-        let r2 = sdc.handle(req);
+        let r2 = through(|out| sdc.handle(req, out));
         assert_eq!(r1, r2);
         // A duplicate of the consumed reply is rejected.
-        let rejected = sdc.handle(reply[0].1);
+        let rejected = through(|out| sdc.handle(reply[0].1, out));
         assert!(rejected.is_empty());
         assert!(metrics.session_totals().rejected >= 1);
     }
@@ -738,37 +508,32 @@ mod tests {
     fn su_timeout_exhaustion_and_full_deadline_rearm() {
         let metrics = NetMetrics::new();
         let engine = EngineConfig::default().with_max_retries(2);
-        let mut su = ModelSu::new(1, &engine, true, wire(), metrics.clone());
-        let base = u64::try_from(engine.timeout.as_nanos()).unwrap();
-        let ModelSuStep::Wait { deadline_ns, .. } = su.start() else {
-            panic!("fresh session cannot be terminal");
-        };
-        assert_eq!(deadline_ns, base);
+        let mut su = su_session(1, true, &engine, &metrics);
+        let base = engine.timeout;
+        let mut out = Vec::new();
+        assert_eq!(su.start(&mut out), SuAction::Wait { deadline: base });
+        out.clear();
         // Foreign frame: reject, re-arm the FULL current deadline, no
         // sends.
-        let foreign = wire().sized(9, 0, ModelPayload::Request { su: 9, digest: 0 });
-        match su.on_frame(foreign) {
-            ModelSuStep::Wait { sends, deadline_ns } => {
-                assert!(sends.is_empty());
-                assert_eq!(deadline_ns, base);
-            }
-            ModelSuStep::Done { .. } => panic!("foreign frame must not finish the session"),
-        }
+        let foreign = frame(9, 0, ModelPayload::Request { su: 9, digest: 0 });
+        assert_eq!(
+            su.on_event(SuEvent::Frame(foreign), &mut out),
+            SuAction::Wait { deadline: base }
+        );
+        assert!(out.is_empty());
         // Timeouts: exponential backoff, then budget exhaustion.
-        match su.on_timeout() {
-            ModelSuStep::Wait { sends, deadline_ns } => {
-                assert_eq!(sends.len(), 1);
-                assert_eq!(deadline_ns, base * 2);
+        assert_eq!(
+            su.on_event(SuEvent::Timeout, &mut out),
+            SuAction::Wait { deadline: base * 2 }
+        );
+        assert_eq!(out.len(), 1);
+        let _ = su.on_event(SuEvent::Timeout, &mut out);
+        match su.on_event(SuEvent::Timeout, &mut out) {
+            SuAction::Finish(outcome) => {
+                assert_eq!(outcome.granted, None);
+                assert_eq!(outcome.attempts, 3);
             }
-            ModelSuStep::Done { .. } => panic!("retry budget not exhausted yet"),
-        }
-        let _ = su.on_timeout();
-        match su.on_timeout() {
-            ModelSuStep::Done { granted, attempts } => {
-                assert_eq!(granted, None);
-                assert_eq!(attempts, 3);
-            }
-            ModelSuStep::Wait { .. } => panic!("budget of 2 retries must be exhausted"),
+            SuAction::Wait { .. } => panic!("budget of 2 retries must be exhausted"),
         }
         assert_eq!(metrics.session_totals().timeouts, 3);
         assert_eq!(metrics.session_totals().retries, 2);

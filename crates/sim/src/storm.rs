@@ -2,30 +2,29 @@
 //!
 //! [`run_sim_storm`] replays the `pisa storm` scenario — N concurrent
 //! SU sessions against one SDC and one STP over a faulty network — on
-//! virtual time. In [`Fidelity::Real`] the loop drives the *actual*
-//! `pisa-core` session engines (Paillier, blinding, RSA licenses and
-//! all) through [`SimTransport`](crate::SimTransport) and
-//! [`SimNet`](crate::SimNet); in [`Fidelity::Modeled`] it drives the
-//! plaintext mirrors from [`crate::model`], which makes a 10⁵-session
-//! storm a sub-second affair while keeping the session semantics —
-//! retries, replays, reorder holdback, corruption — bit-exact.
+//! virtual time, through [`SimNet`](crate::SimNet). Every party is a
+//! `pisa-core` session engine, so both fidelities run the replay,
+//! resend, reject and retry rules the services run. In
+//! [`Fidelity::Real`] the engines run the Paillier backend (blinding,
+//! key conversion, RSA licenses and all); in [`Fidelity::Modeled`] they
+//! run the plaintext backend from [`crate::model`], which makes a
+//! 10⁵-session storm a matter of seconds while keeping the session
+//! semantics — retries, replays, reorder holdback, corruption —
+//! bit-exact.
 //!
 //! Both fidelities share one generic [`drive`] loop, so an event-order
 //! bug cannot hide in just one of them.
 
 use crate::event::EventQueue;
-use crate::model::{
-    corrupt_model_frame, ModelMsg, ModelOracle, ModelSdc, ModelStp, ModelSu, ModelSuStep, ModelWire,
-};
+use crate::model::{corrupt_model_frame, su_session, ModelOracle, PlainSdc};
 use crate::net::{Delivery, SimNet};
 use crate::report::{decisions_digest, SimOutcome, StormReport};
-use crate::transport::SimTransport;
 use pisa::{
-    corrupt_session_frame, EngineConfig, PisaError, PuClient, SdcServer, SdcSessionEngine,
-    SessionMsg, StpServer, StpSessionEngine, SuAction, SuClient, SuEvent, SuSessionEngine,
-    SuSessionParams, SystemConfig,
+    corrupt_session_frame, Backend, EngineConfig, Outbox, PisaError, PuClient, SdcServer,
+    SdcSessionEngine, SessionMsg, StpServer, StpSessionEngine, SuAction, SuClient, SuEvent,
+    SuSessionEngine, SuSessionParams, SystemConfig,
 };
-use pisa_net::{FaultConfig, FaultPlan, LatencyModel, Party, Transport, WireSize};
+use pisa_net::{FaultConfig, FaultPlan, LatencyModel, Party, WireSize};
 use pisa_radio::tv::Channel;
 use pisa_radio::BlockId;
 use rand::rngs::StdRng;
@@ -36,10 +35,10 @@ use std::sync::Arc;
 /// How faithfully the storm executes the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
-    /// The real `pisa-core` engines: every ciphertext computed. Costs
-    /// real crypto time per session; right for ≲10³ SUs.
+    /// The Paillier backend: every ciphertext computed. Costs real
+    /// crypto time per session; right for ≲10³ SUs.
     Real,
-    /// The plaintext mirrors: same state machines, decisions from the
+    /// The plaintext backend: the same engines, decisions from the
     /// WATCH oracle, analytic wire sizes. Right for 10⁴–10⁵ SUs.
     Modeled,
 }
@@ -60,7 +59,7 @@ impl Fidelity {
 pub struct SimConfig {
     /// Concurrent SU sessions.
     pub sus: u32,
-    /// Real engines or plaintext mirrors.
+    /// Paillier or plaintext backend.
     pub fidelity: Fidelity,
     /// Fault probabilities applied to every link.
     pub plan: FaultPlan,
@@ -128,42 +127,13 @@ impl SimConfig {
     }
 }
 
-/// What one SU session wants next, fidelity-neutral.
-enum SuStep<M> {
-    Wait {
-        sends: Vec<M>,
-        deadline_ns: u64,
-    },
-    Done {
-        granted: Option<bool>,
-        attempts: u32,
-    },
-}
-
-/// The fidelity seam: the driver talks to the parties only through
-/// this surface, so real and modeled storms share every line of the
-/// event loop.
-trait StormLogic {
-    type Msg: Clone + WireSize;
-    fn su_count(&self) -> u32;
-    /// The network address of SU index `i`.
-    fn su_party(&self, i: u32) -> Party;
-    /// Maps a delivered `Party::Su(id)` back to an index.
-    fn su_index(&self, id: u32) -> Option<u32>;
-    fn su_start(&mut self, i: u32) -> SuStep<Self::Msg>;
-    fn su_frame(&mut self, i: u32, msg: Self::Msg) -> SuStep<Self::Msg>;
-    fn su_timeout(&mut self, i: u32) -> SuStep<Self::Msg>;
-    fn sdc_handle(&mut self, msg: Self::Msg) -> Vec<(Party, Self::Msg)>;
-    fn stp_handle(&mut self, msg: Self::Msg) -> Vec<(Party, Self::Msg)>;
-}
-
 /// An event on the heap: a scheduled delivery, or an SU receive
 /// deadline. The epoch stamps a deadline to its arming; re-arming
 /// bumps the epoch so stale timers pop as no-ops (the threaded engine
 /// gets this for free from `recv_timeout`). A delivery keeps only what
 /// the loop reads: its instant is the heap key's.
 enum Ev<M> {
-    Deliver { to: Party, msg: M },
+    Deliver { to: Party, msg: SessionMsg<M> },
     SuTimeout { su: u32, epoch: u32 },
 }
 
@@ -193,11 +163,53 @@ fn narrow(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
 
+/// The parties of one storm: the `pisa-core` session engines on one
+/// backend.
+struct Parties<B: Backend> {
+    sdc: SdcSessionEngine<B>,
+    stp: StpSessionEngine<B>,
+    sus: Vec<SuSessionEngine<B>>,
+    /// The slot of every SU whose id is not its slot (none in the
+    /// canonical storms, where SU `i` sits in slot `i`).
+    moved: HashMap<u32, u32>,
+}
+
+impl<B: Backend> Parties<B> {
+    fn new(
+        sdc: SdcSessionEngine<B>,
+        stp: StpSessionEngine<B>,
+        sus: Vec<SuSessionEngine<B>>,
+    ) -> Self {
+        let moved = sus
+            .iter()
+            .enumerate()
+            .map(|(i, su)| (su.su_id().0, narrow(i)))
+            .filter(|(id, i)| id != i)
+            .collect();
+        Parties {
+            sdc,
+            stp,
+            sus,
+            moved,
+        }
+    }
+
+    /// The slot of SU `id`, if the storm has one.
+    fn slot_of(&self, id: u32) -> Option<u32> {
+        match self.sus.get(slot(id)) {
+            Some(su) if su.su_id().0 == id => Some(id),
+            _ => self.moved.get(&id).copied(),
+        }
+    }
+}
+
 /// The heap plus the per-SU bookkeeping the loop threads through every
 /// step.
 struct DriveState<M> {
     queue: EventQueue<Ev<M>>,
-    deliveries: Vec<Delivery<M>>,
+    deliveries: Vec<Delivery<SessionMsg<M>>>,
+    /// The frames the party just handled sent, reused for every event.
+    outbox: Outbox<M>,
     epochs: Vec<u32>,
     done: Vec<Option<(Option<bool>, u32)>>,
     finish_ns: Vec<u64>,
@@ -208,6 +220,7 @@ impl<M: Clone + WireSize> DriveState<M> {
         DriveState {
             queue: EventQueue::new(),
             deliveries: Vec::new(),
+            outbox: Vec::new(),
             epochs: vec![0u32; slot(n)],
             done: vec![None; slot(n)],
             finish_ns: vec![0u64; slot(n)],
@@ -219,27 +232,42 @@ impl<M: Clone + WireSize> DriveState<M> {
         self.done.get(slot(i)).is_some_and(Option::is_some)
     }
 
-    /// Applies one SU step at virtual time `now`: route its sends into
-    /// the network and (re-)arm its deadline, or record its outcome.
-    fn apply(&mut self, net: &mut SimNet<M>, from: Party, i: u32, step: SuStep<M>, now: u64) {
-        match step {
-            SuStep::Wait { sends, deadline_ns } => {
-                for msg in sends {
-                    net.send(now, from, Party::Sdc, msg, &mut self.deliveries);
-                }
+    /// Routes what `from` just sent into the network at virtual time
+    /// `now`.
+    fn send(&mut self, net: &mut SimNet<SessionMsg<M>>, from: Party, now: u64) {
+        for (to, msg) in self.outbox.drain(..) {
+            net.send(now, from, to, msg, &mut self.deliveries);
+        }
+    }
+
+    /// Applies SU `i`'s action at virtual time `now`: its sends enter
+    /// the network, then its deadline is (re-)armed or its outcome
+    /// recorded.
+    fn apply(
+        &mut self,
+        net: &mut SimNet<SessionMsg<M>>,
+        from: Party,
+        i: u32,
+        action: SuAction,
+        now: u64,
+    ) {
+        self.send(net, from, now);
+        match action {
+            SuAction::Wait { deadline } => {
                 let Some(epoch) = self.epochs.get_mut(slot(i)) else {
                     return;
                 };
                 *epoch = epoch.wrapping_add(1);
                 let epoch = *epoch;
+                let deadline_ns = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
                 self.queue.push(
                     now.saturating_add(deadline_ns),
                     Ev::SuTimeout { su: i, epoch },
                 );
             }
-            SuStep::Done { granted, attempts } => {
+            SuAction::Finish(outcome) => {
                 if let Some(d) = self.done.get_mut(slot(i)) {
-                    *d = Some((granted, attempts));
+                    *d = Some((outcome.granted, outcome.attempts));
                 }
                 if let Some(f) = self.finish_ns.get_mut(slot(i)) {
                     *f = now;
@@ -259,17 +287,17 @@ impl<M: Clone + WireSize> DriveState<M> {
 /// The discrete-event loop: pop the earliest event, advance the clock,
 /// let the party schedule more. Runs until the heap drains (every
 /// session terminal, nothing in flight) or the event cap trips.
-fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult {
-    let n = logic.su_count();
+fn drive<B: Backend>(p: &mut Parties<B>, net: &mut SimNet<SessionMsg<B::Msg>>) -> DriveResult {
+    let n = narrow(p.sus.len());
     let cap = EVENTS_PER_SU * u64::from(n) + EVENT_FLOOR;
-    let mut st: DriveState<L::Msg> = DriveState::new(n);
+    let mut st: DriveState<B::Msg> = DriveState::new(n);
     let mut now = 0u64;
     let mut events = 0u64;
     let mut truncated = false;
 
-    for i in 0..n {
-        let step = logic.su_start(i);
-        st.apply(net, logic.su_party(i), i, step, 0);
+    for (i, su) in (0..n).zip(&p.sus) {
+        let action = su.start(&mut st.outbox);
+        st.apply(net, Party::Su(su.su_id().0), i, action, 0);
         st.commit();
     }
 
@@ -283,32 +311,31 @@ fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult 
         match ev {
             Ev::Deliver { to, msg } => match to {
                 Party::Sdc => {
-                    for (to, msg) in logic.sdc_handle(msg) {
-                        net.send(now, Party::Sdc, to, msg, &mut st.deliveries);
-                    }
+                    p.sdc.handle(msg, &mut st.outbox);
+                    st.send(net, to, now);
                 }
                 Party::Stp => {
-                    for (to, msg) in logic.stp_handle(msg) {
-                        net.send(now, Party::Stp, to, msg, &mut st.deliveries);
-                    }
+                    p.stp.handle(msg, &mut st.outbox);
+                    st.send(net, to, now);
                 }
                 Party::Su(id) => {
                     // A corrupted frame can name a party that does not
                     // exist; the threaded network's send just errors,
                     // here the delivery is simply unclaimed.
-                    if let Some(i) = logic.su_index(id) {
-                        if !st.is_done(i) {
-                            let step = logic.su_frame(i, msg);
-                            st.apply(net, logic.su_party(i), i, step, now);
+                    if let Some(i) = p.slot_of(id).filter(|&i| !st.is_done(i)) {
+                        if let Some(su) = p.sus.get_mut(slot(i)) {
+                            let action = su.on_event(SuEvent::Frame(msg), &mut st.outbox);
+                            st.apply(net, to, i, action, now);
                         }
                     }
                 }
                 Party::Pu(_) => {}
             },
-            Ev::SuTimeout { su, epoch } => {
-                if !st.is_done(su) && st.epochs.get(slot(su)) == Some(&epoch) {
-                    let step = logic.su_timeout(su);
-                    st.apply(net, logic.su_party(su), su, step, now);
+            Ev::SuTimeout { su: i, epoch } => {
+                let armed = !st.is_done(i) && st.epochs.get(slot(i)) == Some(&epoch);
+                if let Some(su) = p.sus.get_mut(slot(i)).filter(|_| armed) {
+                    let action = su.on_event(SuEvent::Timeout, &mut st.outbox);
+                    st.apply(net, Party::Su(su.su_id().0), i, action, now);
                 }
             }
         }
@@ -322,21 +349,17 @@ fn drive<L: StormLogic>(logic: &mut L, net: &mut SimNet<L::Msg>) -> DriveResult 
 
     let mut outcomes = Vec::with_capacity(slot(n));
     let mut unfinished = 0u32;
-    for i in 0..n {
-        let su = match logic.su_party(i) {
-            Party::Su(id) => id,
-            _ => i,
-        };
-        let (granted, attempts) = match st.done.get(slot(i)).copied().flatten() {
+    for (i, su) in p.sus.iter().enumerate() {
+        let (granted, attempts) = match st.done.get(i).copied().flatten() {
             Some((granted, attempts)) => (granted, attempts),
             None => {
                 unfinished += 1;
                 (None, 0)
             }
         };
-        let finished_ns = st.finish_ns.get(slot(i)).copied().unwrap_or(0);
+        let finished_ns = st.finish_ns.get(i).copied().unwrap_or(0);
         outcomes.push(SimOutcome {
-            su,
+            su: su.su_id().0,
             granted,
             attempts,
             finished_ns,
@@ -417,100 +440,6 @@ fn assemble(
     }
 }
 
-// ---------------------------------------------------------------------
-// Real fidelity
-// ---------------------------------------------------------------------
-
-/// The real engines behind the [`StormLogic`] seam. The SDC and STP
-/// send through [`SimTransport`] — the same `Transport` surface the
-/// threaded endpoints implement — so the engines stay byte-for-byte
-/// the ones the threaded storm runs.
-struct RealLogic {
-    sdc: SdcSessionEngine,
-    stp: StpSessionEngine,
-    sdc_tx: SimTransport<SessionMsg>,
-    stp_tx: SimTransport<SessionMsg>,
-    sus: Vec<SuSessionEngine>,
-    index_of: HashMap<u32, u32>,
-}
-
-impl StormLogic for RealLogic {
-    type Msg = SessionMsg;
-
-    fn su_count(&self) -> u32 {
-        narrow(self.sus.len())
-    }
-
-    fn su_party(&self, i: u32) -> Party {
-        match self.sus.get(slot(i)) {
-            Some(su) => Party::Su(su.su_id().0),
-            None => Party::Su(i),
-        }
-    }
-
-    fn su_index(&self, id: u32) -> Option<u32> {
-        self.index_of.get(&id).copied()
-    }
-
-    fn su_start(&mut self, i: u32) -> SuStep<SessionMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => action_to_step(su.start()),
-            None => missing_su(),
-        }
-    }
-
-    fn su_frame(&mut self, i: u32, msg: SessionMsg) -> SuStep<SessionMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => action_to_step(su.on_event(SuEvent::Frame(msg))),
-            None => missing_su(),
-        }
-    }
-
-    fn su_timeout(&mut self, i: u32) -> SuStep<SessionMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => action_to_step(su.on_event(SuEvent::Timeout)),
-            None => missing_su(),
-        }
-    }
-
-    fn sdc_handle(&mut self, msg: SessionMsg) -> Vec<(Party, SessionMsg)> {
-        for (to, frame) in self.sdc.handle(msg) {
-            let _ = self.sdc_tx.try_send(to, frame);
-        }
-        self.sdc_tx.drain()
-    }
-
-    fn stp_handle(&mut self, msg: SessionMsg) -> Vec<(Party, SessionMsg)> {
-        for (to, frame) in self.stp.handle(msg) {
-            let _ = self.stp_tx.try_send(to, frame);
-        }
-        self.stp_tx.drain()
-    }
-}
-
-/// The step for an out-of-range SU index. [`drive`] only produces
-/// indices below `su_count`, so this is dead in practice; a terminal
-/// no-outcome step keeps the loop honest instead of panicking.
-fn missing_su<M>() -> SuStep<M> {
-    SuStep::Done {
-        granted: None,
-        attempts: 0,
-    }
-}
-
-fn action_to_step(action: SuAction) -> SuStep<SessionMsg> {
-    match action {
-        SuAction::Continue { sends, deadline } => SuStep::Wait {
-            sends,
-            deadline_ns: u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX),
-        },
-        SuAction::Finish(outcome) => SuStep::Done {
-            granted: outcome.granted,
-            attempts: outcome.attempts,
-        },
-    }
-}
-
 /// Runs a real-fidelity storm on virtual time over explicitly built
 /// parties — the same signature shape as `pisa::run_storm`, which is
 /// exactly what the sim-vs-threaded equivalence test wants. The per-SU
@@ -546,9 +475,6 @@ pub fn run_sim_storm_with(
     net.set_corruptor(Arc::new(corrupt_session_frame));
     let metrics = net.metrics().clone();
 
-    let sdc_engine = SdcSessionEngine::new(sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
-    let stp_engine = StpSessionEngine::new(stp, metrics.clone(), seed ^ 0x517);
-
     let params = SuSessionParams {
         cfg: &cfg,
         pk_g: &pk_g,
@@ -557,94 +483,24 @@ pub fn run_sim_storm_with(
         engine,
         metrics: &metrics,
     };
-    let mut engines = Vec::with_capacity(sus.len());
-    let mut index_of = HashMap::with_capacity(sus.len());
-    for (i, (su, channels)) in sus.into_iter().enumerate() {
-        // The same dedicated request-randomness stream as the threaded
-        // storm's SU thread.
-        let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
-        index_of.insert(su.id().0, narrow(i));
-        engines.push(SuSessionEngine::new(su, &channels, &params, &mut rng));
-    }
-
-    let mut logic = RealLogic {
-        sdc: sdc_engine,
-        stp: stp_engine,
-        sdc_tx: SimTransport::new(Party::Sdc),
-        stp_tx: SimTransport::new(Party::Stp),
-        sus: engines,
-        index_of,
-    };
-    let result = drive(&mut logic, &mut net);
+    let engines = sus
+        .into_iter()
+        .enumerate()
+        .map(|(i, (su, channels))| {
+            // The same dedicated request-randomness stream as the
+            // threaded storm's SU thread.
+            let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
+            SuSessionEngine::new(su, &channels, &params, &mut rng)
+        })
+        .collect();
+    let mut parties = Parties::new(
+        SdcSessionEngine::new(sdc, su_keys, metrics.clone(), seed ^ 0x5dc),
+        StpSessionEngine::new(stp, metrics.clone(), seed ^ 0x517),
+        engines,
+    );
+    let result = drive(&mut parties, &mut net);
     Ok(assemble(seed, Fidelity::Real, &net, result, Vec::new()))
 }
-
-// ---------------------------------------------------------------------
-// Modeled fidelity
-// ---------------------------------------------------------------------
-
-/// The plaintext mirrors behind the [`StormLogic`] seam.
-struct ModelLogic {
-    sdc: ModelSdc,
-    stp: ModelStp,
-    sus: Vec<ModelSu>,
-}
-
-impl StormLogic for ModelLogic {
-    type Msg = ModelMsg;
-
-    fn su_count(&self) -> u32 {
-        narrow(self.sus.len())
-    }
-
-    fn su_party(&self, i: u32) -> Party {
-        Party::Su(i)
-    }
-
-    fn su_index(&self, id: u32) -> Option<u32> {
-        (id < self.su_count()).then_some(id)
-    }
-
-    fn su_start(&mut self, i: u32) -> SuStep<ModelMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => model_step(su.start()),
-            None => missing_su(),
-        }
-    }
-
-    fn su_frame(&mut self, i: u32, msg: ModelMsg) -> SuStep<ModelMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => model_step(su.on_frame(msg)),
-            None => missing_su(),
-        }
-    }
-
-    fn su_timeout(&mut self, i: u32) -> SuStep<ModelMsg> {
-        match self.sus.get_mut(slot(i)) {
-            Some(su) => model_step(su.on_timeout()),
-            None => missing_su(),
-        }
-    }
-
-    fn sdc_handle(&mut self, msg: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        self.sdc.handle(msg)
-    }
-
-    fn stp_handle(&mut self, msg: ModelMsg) -> Vec<(Party, ModelMsg)> {
-        self.stp.handle(msg)
-    }
-}
-
-fn model_step(step: ModelSuStep) -> SuStep<ModelMsg> {
-    match step {
-        ModelSuStep::Wait { sends, deadline_ns } => SuStep::Wait { sends, deadline_ns },
-        ModelSuStep::Done { granted, attempts } => SuStep::Done { granted, attempts },
-    }
-}
-
-// ---------------------------------------------------------------------
-// The storm entry point
-// ---------------------------------------------------------------------
 
 /// Runs one seeded storm of the canonical `pisa storm` population —
 /// one PU at block 0 on channel 0, SU `i` at block `i % blocks`
@@ -685,31 +541,30 @@ pub fn run_sim_storm(seed: u64, config: &SimConfig) -> StormReport {
         }
         Fidelity::Modeled => {
             let cfg = SystemConfig::small_test();
-            let watch = cfg.watch().clone();
-            let ct_bytes = cfg.paillier_bits() * 2 / 8;
-            let wire = ModelWire::new(cfg.channels(), cfg.blocks(), ct_bytes);
+            let watch = cfg.watch();
+            let sus = config.sus;
 
-            let mut net: SimNet<ModelMsg> = SimNet::new(faults, config.jitter);
+            let mut net = SimNet::new(faults, config.jitter);
             net.set_corruptor(Arc::new(corrupt_model_frame));
             let metrics = net.metrics().clone();
             let corrupt_possible = net.corrupt_possible();
 
-            let mut expected_oracle = ModelOracle::new(&watch);
-            let expected: Vec<bool> = (0..config.sus)
-                .map(|i| expected_oracle.su_decision(i))
-                .collect();
+            let mut expected_oracle = ModelOracle::new(watch);
+            let expected: Vec<bool> = (0..sus).map(|i| expected_oracle.su_decision(i)).collect();
 
-            let oracle = ModelOracle::new(&watch);
-            let mut logic = ModelLogic {
-                sdc: ModelSdc::new(config.sus, oracle, wire, metrics.clone()),
-                stp: ModelStp::new(config.sus, wire, metrics.clone()),
-                sus: (0..config.sus)
-                    .map(|i| {
-                        ModelSu::new(i, &config.engine, corrupt_possible, wire, metrics.clone())
-                    })
-                    .collect(),
+            let sdc = PlainSdc {
+                oracle: ModelOracle::new(watch),
+                sus,
             };
-            let result = drive(&mut logic, &mut net);
+            let engines = (0..sus)
+                .map(|i| su_session(i, corrupt_possible, &config.engine, &metrics))
+                .collect();
+            let mut parties = Parties::new(
+                SdcSessionEngine::with_backend(sdc, metrics.clone(), seed ^ 0x5dc),
+                StpSessionEngine::with_backend(sus, metrics, seed ^ 0x517),
+                engines,
+            );
+            let result = drive(&mut parties, &mut net);
             assemble(seed, Fidelity::Modeled, &net, result, expected)
         }
     }

@@ -154,9 +154,15 @@ pub mod channel {
             }
         }
 
-        /// Blocks up to `timeout` for a message.
+        /// Blocks up to `timeout` for a message. A timeout too long
+        /// for an [`Instant`] to represent waits without bound, as in
+        /// crossbeam-channel.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            let Some(deadline) = Instant::now().checked_add(timeout) else {
+                return self
+                    .recv()
+                    .map_err(|RecvError| RecvTimeoutError::Disconnected);
+            };
             let mut state = self.shared.queue.lock().unwrap();
             loop {
                 if let Some(item) = state.items.pop_front() {
@@ -220,6 +226,22 @@ mod tests {
         );
         tx.send(7u8).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(7));
+    }
+
+    /// A deadline past what `Instant` can hold waits like `recv`
+    /// instead of overflowing.
+    #[test]
+    fn unrepresentable_timeout_waits_without_bound() {
+        let (tx, rx) = unbounded();
+        tx.send(3u8).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(3));
+        let handle = std::thread::spawn(move || tx.send(4u8).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(4));
+        handle.join().unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::MAX),
+            Err(RecvTimeoutError::Disconnected)
+        );
     }
 
     #[test]
