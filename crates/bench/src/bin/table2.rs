@@ -99,6 +99,27 @@ fn main() {
         "-",
         time_avg(iters, || pk.rerandomize(&c1, &mut rr_rng)),
     );
+    // A matrix-wide fan-out hands each worker up to eight entries, whose
+    // powers share the key and the exponent (`MontCtx::pow_many`).
+    let mut group_rng = StdRng::seed_from_u64(3);
+    row(
+        "Encryption, per entry of a group of 8",
+        "-",
+        time_avg(iters, || {
+            let entries: Vec<_> = (0..8)
+                .map(|_| (m.clone(), pk.draw_nonce(&mut group_rng)))
+                .collect();
+            pk.encrypt_with_nonces(&entries)
+        }) / 8,
+    );
+    let group: Vec<_> = (0..8i64)
+        .map(|i| pk.encrypt(&Ibig::from(i), &mut group_rng))
+        .collect();
+    row(
+        "Decryption (CRT), per entry of a group of 8",
+        "-",
+        time_avg(iters, || kp.secret().decrypt_many(&group)) / 8,
+    );
 
     println!("\nshape checks: add ≪ sub ≪ scale(100) < scale(full) ≈ enc ≈ dec·(1..2)");
 }

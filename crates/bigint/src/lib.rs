@@ -8,8 +8,10 @@
 //!   multiplication, Knuth Algorithm-D division, shifts and bit operations.
 //! * [`Ibig`] — signed big integers (sign–magnitude) used for the
 //!   centered-lift plaintext domain of Paillier.
-//! * [`modular`] — Montgomery-form modular exponentiation, and modular
-//!   inverses and GCD by one constant-time divsteps kernel.
+//! * [`modular`] — Montgomery-form modular exponentiation (one power at a
+//!   time, or eight that share a modulus and an exponent at once with
+//!   AVX-512 IFMA where the CPU has it), and modular inverses and GCD by
+//!   one constant-time divsteps kernel.
 //! * [`prime`] — Miller–Rabin testing and random prime generation.
 //! * [`random`] — uniform sampling of big integers from any `rand::Rng`.
 //!
@@ -24,8 +26,11 @@
 //! assert_eq!(modular::mod_pow(&base, &exp, &modulus), Ubig::one());
 //! ```
 
-// `deny` rather than `forbid`: the zeroize module needs volatile writes
-// for its drop-wipe and carries the crate's only #![allow(unsafe_code)].
+// `deny` rather than `forbid`: two places carry scoped allows. The
+// zeroize module needs volatile writes for its drop-wipe
+// (#![allow(unsafe_code)]), and the lane tier (`modular/lanes.rs`) makes
+// one call into its AVX-512 IFMA kernel after the runtime CPU-feature
+// check (#[allow(unsafe_code)] on that one function).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

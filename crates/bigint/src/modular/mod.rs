@@ -20,11 +20,13 @@
 mod divsteps;
 mod gcd;
 mod inv;
+mod lanes;
 mod mont;
 mod pow;
 
 pub use gcd::{gcd, lcm};
 pub use inv::mod_inverse;
+pub use lanes::{pow_many_width, LANES};
 #[doc(hidden)]
 pub use mont::{mont_mul_count, reset_mont_mul_count, NARROW_MAX_LIMBS};
 pub use mont::{MontCtx, MontScratch};

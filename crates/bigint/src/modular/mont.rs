@@ -39,7 +39,14 @@ pub fn mont_mul_count() -> u64 {
 
 #[inline]
 fn bump_mul_count() {
-    MONT_MUL_COUNT.with(|c| c.set(c.get().wrapping_add(1)));
+    bump_mul_count_by(1);
+}
+
+/// Counts `lanes` Montgomery multiplications: a lane multiply counts
+/// once per lane it serves.
+#[inline]
+pub(super) fn bump_mul_count_by(lanes: u64) {
+    MONT_MUL_COUNT.with(|c| c.set(c.get().wrapping_add(lanes)));
 }
 
 /// Widest modulus, in limbs, that takes the narrow kernel (`cios_mul`).
@@ -136,11 +143,11 @@ impl crate::zeroize::Zeroize for MontScratch {
 #[derive(Debug, Clone)]
 pub struct MontCtx {
     /// The modulus `n` (odd, > 1).
-    n: Ubig,
+    pub(super) n: Ubig,
     /// Limb count of `n`; all Montgomery residues use this width.
-    k: usize,
+    pub(super) k: usize,
     /// `-n⁻¹ mod 2⁶⁴`.
-    n0_inv: u64,
+    pub(super) n0_inv: u64,
     /// `R mod n` where `R = 2^(64k)` — the Montgomery form of 1.
     r_mod_n: Ubig,
     /// `R² mod n`, used to convert into Montgomery form.
@@ -548,7 +555,7 @@ impl crate::zeroize::Zeroize for MontCtx {
 /// model gives 6 % fewer kernel operations than w = 4, and 4 % fewer for
 /// the 1024-bit CRT exponents (w = 5). Six is the widest tier: the
 /// protocol's longest exponents have 2048 bits.
-fn window_width(bits: usize) -> usize {
+pub(super) fn window_width(bits: usize) -> usize {
     match bits {
         0..=3 => 1,
         4..=28 => 2,
@@ -693,7 +700,7 @@ fn mac(t: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
 /// or all-zeros mask, and the second pass subtracts `n & mask`, so the
 /// same instructions run whichever way the choice falls — the extra
 /// reduction is the Schindler timing channel on CRT exponentiation.
-fn reduce_once(out: &mut [u64], n: &[u64], carry: u64) {
+pub(super) fn reduce_once(out: &mut [u64], n: &[u64], carry: u64) {
     let mut borrow = 0u64;
     for (&x, &y) in out.iter().zip(n) {
         borrow = sub_borrow(x, y, borrow).1;
@@ -977,9 +984,15 @@ mod tests {
     /// `pow` costs exactly what the window model in [`window_width`]
     /// counts, on both tiers and in every window tier: one `to_mont`,
     /// 2ʷ − 2 table products, and w squarings plus one multiply per
-    /// window below the top one.
+    /// window below the top one. A `pow_many` group of b bases counts
+    /// exactly b times the model of its ladder: `pow`'s window on the
+    /// scalar path, the capped lane window on the lane path (checked
+    /// where the CPU has it).
     #[test]
     fn pow_count_follows_the_window_model_on_both_tiers() {
+        use super::super::lanes::{lane_window, pow_lanes, pow_scalar, Ifma};
+        let model = |bits: usize, w: usize| 1 + ((1 << w) - 2) + (bits.div_ceil(w) - 1) * (w + 1);
+        let ifma = Ifma::detect();
         for k in [
             6usize,
             NARROW_MAX_LIMBS,
@@ -990,12 +1003,30 @@ mod tests {
             let ctx = MontCtx::new(&n).unwrap();
             for bits in [1usize, 3, 17, 65, 127, 500, 1100] {
                 let exp = (Ubig::one() << (bits - 1)) + Ubig::from(bits as u64 >> 1);
-                let w = window_width(bits);
-                let windows = bits.div_ceil(w);
-                let expected = 1 + ((1 << w) - 2) + (windows - 1) * (w + 1);
+                let expected = model(bits, window_width(bits)) as u64;
                 reset_mont_mul_count();
                 ctx.pow(&Ubig::from(3u64), &exp);
-                assert_eq!(mont_mul_count(), expected as u64, "k = {k}, bits = {bits}");
+                assert_eq!(mont_mul_count(), expected, "k = {k}, bits = {bits}");
+                for b in [1u64, 3, 8] {
+                    let group: Vec<Ubig> = (1..=b).map(|i| &n >> i as usize).collect();
+                    reset_mont_mul_count();
+                    pow_scalar(&ctx, &group, &exp, &mut None).for_each(drop);
+                    assert_eq!(
+                        mont_mul_count(),
+                        b * expected,
+                        "scalar, k = {k}, bits = {bits}, {b}"
+                    );
+                    if let Some(ifma) = ifma {
+                        reset_mont_mul_count();
+                        pow_lanes(ifma, &ctx, &group, &exp);
+                        let lanes = b * model(bits, lane_window(bits)) as u64;
+                        assert_eq!(
+                            mont_mul_count(),
+                            lanes,
+                            "lanes, k = {k}, bits = {bits}, {b}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -14,9 +14,10 @@
 //! optimizer from eliding "dead" stores to memory that is about to be
 //! freed.
 //!
-//! This is the only module in the crate allowed to use `unsafe`; the
-//! crate root downgrades `#![forbid(unsafe_code)]` to `deny` so the
-//! allow below can scope it to exactly these writes.
+//! Besides the lane tier's one call into its AVX-512 kernel
+//! (`modular/lanes.rs`), this is the only module in the crate allowed to
+//! use `unsafe`; the crate root downgrades `#![forbid(unsafe_code)]` to
+//! `deny` so the allow below can scope it to exactly these writes.
 
 #![allow(unsafe_code)]
 
@@ -37,17 +38,26 @@ pub trait Zeroize {
 /// not just `len` — then truncates it to empty.
 impl Zeroize for Vec<u64> {
     fn zeroize(&mut self) {
-        let cap = self.capacity();
-        let ptr = self.as_mut_ptr();
-        for i in 0..cap {
-            // SAFETY: `ptr..ptr+cap` is a single live allocation owned by
-            // this Vec; writing `u64` zeros into it (initialized or not)
-            // is valid, and we never read the uninitialized part.
-            unsafe { core::ptr::write_volatile(ptr.add(i), 0) };
-        }
-        compiler_fence(Ordering::SeqCst);
-        self.clear();
+        wipe(self, 0);
     }
+}
+
+/// Volatile-writes `zero` over the whole allocation of `v` — `capacity`,
+/// not just `len` — then truncates it to empty. The one wipe behind
+/// every `Vec` this crate zeroizes, limbs and the lane tier's vectors
+/// alike.
+pub(crate) fn wipe<T: Copy>(v: &mut Vec<T>, zero: T) {
+    let cap = v.capacity();
+    let ptr = v.as_mut_ptr();
+    for i in 0..cap {
+        // SAFETY: `ptr..ptr+cap` is a single live allocation owned by
+        // this Vec; writing a `T: Copy` into it (initialized or not)
+        // drops nothing and is valid, and we never read the
+        // uninitialized part.
+        unsafe { core::ptr::write_volatile(ptr.add(i), zero) };
+    }
+    compiler_fence(Ordering::SeqCst);
+    v.clear();
 }
 
 impl Zeroize for Ubig {

@@ -6,7 +6,10 @@
 //! - the narrow kernel against `mont_mul_reference` at 6 and 12 limbs,
 //!   the widths of p² and n² for 384-bit keys;
 //! - `mod_inverse` against `mont_mul_reference` at 12 and 64 limbs, the
-//!   widths of n² for 384- and 2048-bit keys.
+//!   widths of n² for 384- and 2048-bit keys;
+//! - an 8-entry `pow_many` against eight scalar `pow` calls at 12 and 64
+//!   limbs, on a CPU with AVX-512 IFMA (elsewhere the gate prints that it
+//!   skipped and why).
 //!
 //! Both sides of a ratio run on the same host in interleaved batches, so
 //! the ratio does not depend on how fast the host is. Ignored by default
@@ -16,7 +19,21 @@
 use pisa_bigint::modular::{gcd, mod_inverse, MontCtx};
 use pisa_bigint::Ubig;
 use std::hint::black_box;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Held by each gate for its whole run. `cargo test` runs tests on
+/// parallel threads, and on a 2-vCPU host one gate's batches (the
+/// eight-lane AVX-512 ones above all) then share a core with another
+/// gate's: the narrow gate once read 0.68 at 12 limbs beside the lane
+/// gate and 0.48 alone.
+static ONE_GATE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_gate_at_a_time() -> MutexGuard<'static, ()> {
+    ONE_GATE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Limb width of n² for 2048-bit keys.
 const LIMBS: usize = 64;
@@ -38,6 +55,11 @@ const MAX_NARROW_RATIO: f64 = 0.63;
 /// and the binary extended GCD it replaced 134–145 at both widths; the
 /// cut-off sits between the two ranges.
 const MAX_INVERSE_MULS: f64 = 40.0;
+/// An 8-entry `pow_many` fails the gate above this fraction of the time
+/// of eight scalar `pow` calls. On a shared 2-vCPU Xeon with
+/// `avx512ifma` the lane tier measures 0.13–0.25 at 6–64 limbs; eight
+/// scalar calls, which `pow_many` runs without it, measure 1.
+const MAX_LANES_RATIO: f64 = 0.5;
 
 fn xorshift_limbs(state: &mut u64, k: usize) -> Vec<u64> {
     (0..k)
@@ -73,6 +95,7 @@ fn ns_per_call(x: &Ubig, iters: usize, mut op: impl FnMut(&Ubig) -> Ubig) -> f64
 #[test]
 #[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
 fn fused_kernels_beat_the_reference_at_64_limbs() {
+    let _serial = one_gate_at_a_time();
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let n = odd_modulus(&mut state, LIMBS);
     let ctx = MontCtx::new(&n).expect("odd modulus");
@@ -107,6 +130,7 @@ fn fused_kernels_beat_the_reference_at_64_limbs() {
 #[test]
 #[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
 fn narrow_kernel_beats_the_reference_at_6_and_12_limbs() {
+    let _serial = one_gate_at_a_time();
     let mut state = 0xd1b5_4a32_d192_ed03u64;
     let ratios: Vec<(usize, f64)> = [6, 12]
         .into_iter()
@@ -141,6 +165,7 @@ fn narrow_kernel_beats_the_reference_at_6_and_12_limbs() {
 #[test]
 #[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
 fn inverse_costs_few_mont_muls_at_12_and_64_limbs() {
+    let _serial = one_gate_at_a_time();
     let mut state = 0x2545_f491_4f6c_dd1du64;
     let mut readings = Vec::new();
     for limbs in [12, 64] {
@@ -177,5 +202,64 @@ fn inverse_costs_few_mont_muls_at_12_and_64_limbs() {
             "mod_inverse at {limbs} limbs costs {muls:.1} reference multiplies \
              (max {MAX_INVERSE_MULS})"
         );
+    }
+}
+
+#[test]
+#[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
+fn eight_lane_pow_many_beats_eight_pows_at_12_and_64_limbs() {
+    let _serial = one_gate_at_a_time();
+    #[cfg(target_arch = "x86_64")]
+    let lanes = std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512ifma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let lanes = false;
+    if !lanes {
+        println!(
+            "skipped: this CPU lacks avx512f + avx512ifma, so pow_many runs the scalar \
+             pow it would be timed against"
+        );
+        return;
+    }
+    let mut state = 0x6a09_e667_f3bc_c909u64;
+    let mut readings = Vec::new();
+    // Each width with the exponent of its protocol role: half the
+    // modulus width (rⁿ mod n² at 12 and 64 limbs, c^(p−1) mod p² at 6
+    // and 32). 6 and 32 are reported, not gated.
+    for (limbs, rounds) in [(6usize, 40), (12, 20), (32, 5), (64, 3)] {
+        let n = odd_modulus(&mut state, limbs);
+        let ctx = MontCtx::new(&n).expect("odd modulus");
+        let exp = Ubig::from_limbs(xorshift_limbs(&mut state, limbs / 2)) | Ubig::one();
+        let bases: Vec<Ubig> = (0..8)
+            .map(|_| Ubig::from_limbs(xorshift_limbs(&mut state, limbs)) % &n)
+            .collect();
+        let (mut scalar, mut many) = (f64::MAX, f64::MAX);
+        for _ in 0..rounds {
+            let t = Instant::now();
+            for b in &bases {
+                black_box(ctx.pow(black_box(b), black_box(&exp)));
+            }
+            scalar = scalar.min(t.elapsed().as_nanos() as f64);
+            let t = Instant::now();
+            black_box(ctx.pow_many(black_box(&bases), black_box(&exp)));
+            many = many.min(t.elapsed().as_nanos() as f64);
+        }
+        let ratio = many / scalar;
+        println!(
+            "{limbs} limbs: 8 x pow {:.3} ms, pow_many(8) {:.3} ms ({ratio:.2}x; the group \
+             costs {:.1} scalar pows)",
+            scalar / 1e6,
+            many / 1e6,
+            8.0 * ratio
+        );
+        readings.push((limbs, ratio));
+    }
+    for (limbs, ratio) in readings {
+        if limbs == 12 || limbs == 64 {
+            assert!(
+                ratio <= MAX_LANES_RATIO,
+                "pow_many(8) at {limbs} limbs at {ratio:.2}x of eight pows (max {MAX_LANES_RATIO})"
+            );
+        }
     }
 }

@@ -4,12 +4,16 @@ use pisa_bigint::Ibig;
 use pisa_crypto::paillier::{Ciphertext, PaillierPublicKey};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense `C × B` matrix of Paillier ciphertexts — the encrypted
 /// counterpart of [`pisa_watch::IntMatrix`].
 ///
 /// All operations take the public key explicitly so a matrix can be
-/// moved between parties as plain data.
+/// moved between parties as plain data. The entries sit behind an
+/// [`Arc`]: a clone shares them, and [`set`](Self::set) copies them
+/// first if another clone still holds them, so a session engine can keep
+/// a request or query and resend it without copying every ciphertext.
 ///
 /// # Examples
 ///
@@ -30,7 +34,7 @@ use std::fmt;
 pub struct CipherMatrix {
     channels: usize,
     blocks: usize,
-    data: Vec<Ciphertext>,
+    data: Arc<Vec<Ciphertext>>,
 }
 
 impl CipherMatrix {
@@ -43,35 +47,25 @@ impl CipherMatrix {
         pk: &PaillierPublicKey,
         rng: &mut R,
     ) -> Self {
-        CipherMatrix {
-            channels: m.channels(),
-            blocks: m.blocks(),
-            data: encrypt_all(pk, m.as_slice(), rng),
-        }
+        Self::from_ciphertexts(m.channels(), m.blocks(), encrypt_all(pk, m.as_slice(), rng))
     }
 
     /// Deterministic encryption (r = 1) for **public** matrices such as
     /// **E** — not semantically secure, used only where the paper treats
     /// the data as public knowledge.
     pub fn encrypt_public(m: &pisa_watch::IntMatrix, pk: &PaillierPublicKey) -> Self {
-        CipherMatrix {
-            channels: m.channels(),
-            blocks: m.blocks(),
-            data: m
-                .as_slice()
-                .iter()
-                .map(|&v| pk.encrypt_public_constant(&i128_to_ibig(v)))
-                .collect(),
-        }
+        let data = m
+            .as_slice()
+            .iter()
+            .map(|&v| pk.encrypt_public_constant(&i128_to_ibig(v)))
+            .collect();
+        Self::from_ciphertexts(m.channels(), m.blocks(), data)
     }
 
     /// A matrix of trivial encryptions of zero (the ⊕-identity).
     pub fn zeros(channels: usize, blocks: usize, pk: &PaillierPublicKey) -> Self {
-        CipherMatrix {
-            channels,
-            blocks,
-            data: (0..channels * blocks).map(|_| pk.trivial_zero()).collect(),
-        }
+        let data = (0..channels * blocks).map(|_| pk.trivial_zero()).collect();
+        Self::from_ciphertexts(channels, blocks, data)
     }
 
     /// Builds a matrix from raw ciphertexts (row-major, channel-major).
@@ -84,7 +78,7 @@ impl CipherMatrix {
         CipherMatrix {
             channels,
             blocks,
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -117,10 +111,11 @@ impl CipherMatrix {
         &self.data[self.index(c, b)]
     }
 
-    /// Replaces entry `(c, b)`.
+    /// Replaces entry `(c, b)`. Clones sharing the entries keep theirs:
+    /// the entries are copied first when another clone holds them.
     pub fn set(&mut self, c: usize, b: usize, ct: Ciphertext) {
         let i = self.index(c, b);
-        self.data[i] = ct;
+        Arc::make_mut(&mut self.data)[i] = ct;
     }
 
     /// The flat ciphertext storage (channel-major).
@@ -135,7 +130,8 @@ impl CipherMatrix {
     /// Panics on shape mismatch.
     pub fn add(&self, other: &CipherMatrix, pk: &PaillierPublicKey) -> CipherMatrix {
         self.check_shape(other);
-        self.map_entries(|i, a| pk.add(a, &other.data[i]))
+        let data = fan_out(&self.data, |i, a| pk.add(a, &other.data[i]));
+        self.with_data(data.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     }
 
     /// Element-wise homomorphic subtraction ⊖. Fails on a non-unit
@@ -150,7 +146,8 @@ impl CipherMatrix {
         pk: &PaillierPublicKey,
     ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
         self.check_shape(other);
-        self.try_map_entries(|i, a| pk.sub(a, &other.data[i]))
+        let data = fan_out(&self.data, |i, a| pk.sub(a, &other.data[i]));
+        self.try_with_data(data.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     }
 
     /// Scalar multiplication ⊗ of every entry by `k`. Fails on a
@@ -160,7 +157,8 @@ impl CipherMatrix {
         k: &Ibig,
         pk: &PaillierPublicKey,
     ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
-        self.try_map_entries(|_, c| pk.scalar_mul(c, k))
+        let data = fan_out_groups(&self.data, |_, group| pk.scalar_mul_many(group, k));
+        self.try_with_data(data.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     }
 
     /// Re-randomizes every entry (the paper's cheap request refresh).
@@ -172,13 +170,24 @@ impl CipherMatrix {
         rng: &mut R,
     ) -> CipherMatrix {
         let draws: Vec<_> = self.data.iter().map(|_| pk.draw_randomizer(rng)).collect();
-        self.map_entries(|i, c| pk.rerandomize_precomputed(c, &pk.raise_randomizer(&draws[i])))
+        let data = fan_out_groups(&draws, |start, group| {
+            let entries = &self.data[start..start + group.len()];
+            let factors = pk.raise_randomizers(group);
+            entries
+                .iter()
+                .zip(&factors)
+                .map(|(c, f)| pk.rerandomize_precomputed(c, f))
+                .collect()
+        });
+        self.with_data(data.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     }
 
     /// Decrypts every entry (test/diagnostic use by key holders).
     pub fn decrypt(&self, sk: &pisa_crypto::paillier::PaillierSecretKey) -> pisa_watch::IntMatrix {
-        let plain = fan_out(&self.data, |_, c| ibig_to_i128(&sk.decrypt(c)))
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let plain = fan_out_groups(&self.data, |_, group| {
+            sk.decrypt_many(group).iter().map(ibig_to_i128).collect()
+        })
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         pisa_watch::IntMatrix::from_fn(self.channels, self.blocks, |c, b| {
             plain[c * self.blocks + b]
         })
@@ -207,29 +216,15 @@ impl CipherMatrix {
         );
     }
 
-    /// Applies `f(index, entry)` to every entry across the host's cores.
-    fn map_entries(&self, f: impl Fn(usize, &Ciphertext) -> Ciphertext + Sync) -> CipherMatrix {
-        CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: fan_out(&self.data, f).unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-        }
+    /// A matrix of this shape over `data`.
+    fn with_data(&self, data: Vec<Ciphertext>) -> CipherMatrix {
+        Self::from_ciphertexts(self.channels, self.blocks, data)
     }
 
-    /// [`map_entries`](Self::map_entries) for a fallible `f`: every entry is computed,
-    /// then the first error in entry order is returned.
-    fn try_map_entries<E: Send>(
-        &self,
-        f: impl Fn(usize, &Ciphertext) -> Result<Ciphertext, E> + Sync,
-    ) -> Result<CipherMatrix, E> {
-        Ok(CipherMatrix {
-            channels: self.channels,
-            blocks: self.blocks,
-            data: fan_out(&self.data, f)
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                .into_iter()
-                .collect::<Result<_, _>>()?,
-        })
+    /// [`with_data`](Self::with_data) over per-entry results: the first
+    /// error in entry order, or the matrix.
+    fn try_with_data<E>(&self, data: Vec<Result<Ciphertext, E>>) -> Result<CipherMatrix, E> {
+        Ok(self.with_data(data.into_iter().collect::<Result<_, _>>()?))
     }
 }
 
@@ -291,6 +286,35 @@ pub(crate) fn fan_out<T: Sync, U: Send>(
     Ok(placed.into_iter().map(|(_, u)| u).collect())
 }
 
+/// [`fan_out`] over groups of consecutive entries instead of single
+/// ones, for work that [`MontCtx::pow_many`](pisa_bigint::modular::MontCtx::pow_many)
+/// runs side by side: `job(start, group)` returns one result per entry
+/// of `group = &items[start..start + group.len()]`, and the results come
+/// back flattened in entry order.
+///
+/// A group holds `min(lanes, ⌈entries/workers⌉)` entries, where `lanes`
+/// is [`pow_many_width`](pisa_bigint::modular::pow_many_width): every
+/// worker gets work, no group is wider than one lane group, and a CPU
+/// without the lane tier fans out single entries. The width changes the
+/// grouping but not the results: every batched entry point equals its
+/// single call entry by entry.
+pub(crate) fn fan_out_groups<T: Sync, U: Send>(
+    items: &[T],
+    job: impl Fn(usize, &[T]) -> Vec<U> + Sync,
+) -> std::thread::Result<Vec<U>> {
+    let size = group_size(items.len());
+    let groups: Vec<&[T]> = items.chunks(size).collect();
+    let done = fan_out(&groups, |g, group| job(g * size, group))?;
+    Ok(done.into_iter().flatten().collect())
+}
+
+/// Entries per group of [`fan_out_groups`] over `entries`.
+fn group_size(entries: usize) -> usize {
+    entries
+        .div_ceil(width(entries))
+        .clamp(1, pisa_bigint::modular::pow_many_width())
+}
+
 /// Workers for a fan-out over `entries`: the host's parallelism (read
 /// once per process), capped by the entry count.
 fn width(entries: usize) -> usize {
@@ -321,17 +345,18 @@ pub(crate) fn at_width<T>(workers: usize, f: impl FnOnce() -> T) -> T {
 
 /// Encrypts `plain` under `pk`, byte-identical to a loop of
 /// `pk.encrypt(v, rng)`: every nonce is drawn from `rng` in entry order,
-/// then only the exponentiations fan out.
+/// then the exponentiations fan out in groups.
 pub(crate) fn encrypt_all<R: rand::Rng + ?Sized>(
     pk: &PaillierPublicKey,
     plain: &[i128],
     rng: &mut R,
 ) -> Vec<Ciphertext> {
-    let nonces: Vec<_> = plain.iter().map(|_| pk.draw_nonce(rng)).collect();
-    fan_out(&nonces, |i, nonce| {
-        pk.encrypt_with_nonce(&i128_to_ibig(plain[i]), nonce)
-    })
-    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    let entries: Vec<_> = plain
+        .iter()
+        .map(|&v| (i128_to_ibig(v), pk.draw_nonce(rng)))
+        .collect();
+    fan_out_groups(&entries, |_, group| pk.encrypt_with_nonces(group))
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Converts a plaintext i128 into the signed big-integer domain.
@@ -500,11 +525,17 @@ mod tests {
         assert_eq!(re_one.decrypt(kp.secret()), m);
     }
 
-    /// A denied and a granted round through phase 1, key conversion and
-    /// phase 2, unpooled and pooled, as bytes. Returns the bytes and the
-    /// two rounds' decisions per pooling mode.
+    /// A PU update, then a denied and a granted round through phase 1,
+    /// key conversion and phase 2, then a pooled and an online request
+    /// refresh and their decryption, unpooled and pooled, as bytes. The
+    /// request covers a 4-block region (16 entries), so the widths group
+    /// it differently. The pools hold 21 factors: the first round takes
+    /// 16 and the second 5, which splits a group into pooled and online
+    /// entries at every grouping. Returns the bytes and the two rounds'
+    /// decisions per pooling mode.
     fn every_fanned_out_path() -> (Vec<Vec<u8>>, Vec<bool>) {
         use crate::messages::PisaMessage;
+        use crate::privacy::LocationPrivacy;
         use crate::{PuClient, SdcServer, StpServer, SuClient, SuId, SystemConfig};
         use pisa_crypto::paillier::RandomizerPool;
         use pisa_radio::tv::Channel;
@@ -519,6 +550,7 @@ mod tests {
             let mut stp = StpServer::new(rng, cfg.paillier_bits());
             let mut sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.fan", rng);
             let mut su = SuClient::new(SuId(0), BlockId(3), &cfg, rng);
+            su.set_privacy(LocationPrivacy::Region(4));
             stp.register_su(su.id(), su.public_key().clone());
             // A PU next door on channel 0: channel 0 is denied, 1 granted.
             let update = PuClient::new(0, BlockId(2)).tune(
@@ -528,13 +560,18 @@ mod tests {
                 stp.public_key(),
                 rng,
             );
+            out.push(
+                PisaMessage::PuUpdate(update.clone())
+                    .encode()
+                    .unwrap()
+                    .to_vec(),
+            );
             sdc.handle_pu_update(0, update).unwrap();
             if pooled {
-                let entries = cfg.channels() * cfg.blocks();
-                let beta = Arc::new(RandomizerPool::new(stp.public_key(), entries));
+                let beta = Arc::new(RandomizerPool::new(stp.public_key(), 21));
                 beta.refill(rng);
                 sdc.attach_beta_pool(beta).unwrap();
-                stp.enable_su_pool(su.id(), entries).unwrap().refill(rng);
+                stp.enable_su_pool(su.id(), 21).unwrap().refill(rng);
             }
             let su_pk = su.public_key().clone();
             for channel in [Channel(0), Channel(1)] {
@@ -553,12 +590,30 @@ mod tests {
                     out.push(msg.encode().unwrap().to_vec());
                 }
             }
+            su.precompute_refresh(stp.public_key(), rng);
+            for _ in 0..2 {
+                let refreshed = su.refresh_request(stp.public_key(), rng);
+                out.push(
+                    format!("{:?}", stp.audit_decrypt_matrix(&refreshed.f_matrix)).into_bytes(),
+                );
+                out.push(PisaMessage::SuRequest(refreshed).encode().unwrap().to_vec());
+            }
         }
         (out, decisions)
     }
 
     #[test]
     fn fan_out_width_never_changes_bytes() {
+        // The groupings the widths give the 16-entry request and the
+        // 4-entry PU update: with the lane tier (8, 4), (8, 2) and (2, 1),
+        // without it single entries.
+        let lanes = pisa_bigint::modular::pow_many_width();
+        let sizes: Vec<_> = [1usize, 2, 8]
+            .into_iter()
+            .map(|w| at_width(w, || (group_size(16), group_size(4))))
+            .collect();
+        let want = [(8, 4), (8, 2), (2, 1)].map(|(a, b)| (a.min(lanes), b.min(lanes)));
+        assert_eq!(sizes, want);
         let (one, decisions) = at_width(1, every_fanned_out_path);
         assert_eq!(decisions, [false, true, false, true]);
         for workers in [2usize, 8] {
@@ -618,6 +673,52 @@ mod tests {
                 assert_eq!(started.load(SeqCst), 15, "survivors claim the rest");
             }
         }
+    }
+
+    /// `fan_out_groups` hands out consecutive groups with their start
+    /// index and returns the results flattened in entry order, for every
+    /// width and entry count.
+    #[test]
+    fn grouped_fan_out_covers_every_entry_in_order() {
+        for workers in [1usize, 2, 3, 8] {
+            for entries in [0usize, 1, 4, 7, 16, 17, 100] {
+                let items: Vec<usize> = (0..entries).collect();
+                let got = at_width(workers, || {
+                    fan_out_groups(&items, |start, group| {
+                        assert!(group.len() <= pisa_bigint::modular::pow_many_width());
+                        (start..).zip(group).map(|(i, &x)| (i, x)).collect()
+                    })
+                })
+                .unwrap();
+                let want: Vec<_> = items.iter().map(|&x| (x, x)).collect();
+                assert_eq!(got, want, "{workers} workers, {entries} entries");
+            }
+        }
+    }
+
+    /// A clone shares the entries; `set` on a shared matrix copies them
+    /// first, so the other owner keeps its own, and `set` on an unshared
+    /// one writes in place.
+    #[test]
+    fn clones_share_entries_and_set_copies_on_write() {
+        let kp = kp();
+        let pk = kp.public();
+        let m = CipherMatrix::encrypt_public(&IntMatrix::from_fn(2, 3, |c, b| (c + b) as i128), pk);
+        let before = bytes(&m);
+        let mut copy = m.clone();
+        assert!(
+            std::ptr::eq(m.ciphertexts(), copy.ciphertexts()),
+            "clone copied"
+        );
+        let fresh = pk.encrypt_public_constant(&Ibig::from(99i64));
+        copy.set(1, 2, fresh.clone());
+        assert_eq!(bytes(&m), before, "the other owner changed");
+        assert_eq!(copy.get(1, 2), &fresh);
+        assert!(!std::ptr::eq(m.ciphertexts(), copy.ciphertexts()));
+        let storage = copy.ciphertexts().as_ptr();
+        copy.set(0, 0, fresh.clone());
+        assert_eq!(copy.ciphertexts().as_ptr(), storage, "unshared set copied");
+        assert_eq!(copy.get(0, 0), &fresh);
     }
 
     #[test]

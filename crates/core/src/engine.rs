@@ -813,6 +813,40 @@ impl SuSessionEngine {
 mod tests {
     use super::*;
 
+    /// Every attempt's request frame shares the engine's ciphertexts, so
+    /// a resend copies no entry of the encrypted request.
+    #[test]
+    fn resent_requests_share_the_encrypted_matrix() {
+        use rand::SeedableRng;
+        let rng = &mut StdRng::seed_from_u64(0x5e4d);
+        let cfg = SystemConfig::small_test();
+        let stp = StpServer::new(rng, cfg.paillier_bits());
+        let sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.resend", rng);
+        let su = SuClient::new(SuId(4), pisa_radio::BlockId(1), &cfg, rng);
+        let (engine, metrics) = (EngineConfig::default(), NetMetrics::new());
+        let params = SuSessionParams {
+            cfg: &cfg,
+            pk_g: stp.public_key(),
+            signing: sdc.signing_public_key(),
+            corrupt_possible: false,
+            engine: &engine,
+            metrics: &metrics,
+        };
+        let mut machine = SuSessionEngine::new(su, &[Channel(0)], &params, rng);
+        let storage = |m: &PisaMessage| match m {
+            PisaMessage::SuRequest(r) => Some(r.f_matrix.ciphertexts().as_ptr()),
+            _ => None,
+        };
+        let mut out = Vec::new();
+        machine.start(&mut out);
+        machine.on_event(SuEvent::Timeout, &mut out);
+        assert_eq!(out.len(), 2);
+        assert!(storage(&machine.request).is_some());
+        for (_, frame) in &out {
+            assert_eq!(storage(&frame.msg), storage(&machine.request));
+        }
+    }
+
     /// A backend whose messages carry their step in the clear. A query
     /// records which phase-1 run made it, so a resend (same blinding)
     /// is told apart from a re-blind.

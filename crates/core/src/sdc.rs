@@ -1,6 +1,6 @@
 //! The Spectrum Database Controller server.
 
-use crate::cipher_matrix::{fan_out, i128_to_ibig, CipherMatrix};
+use crate::cipher_matrix::{fan_out, fan_out_groups, i128_to_ibig, CipherMatrix};
 use crate::config::SystemConfig;
 use crate::error::PisaError;
 use crate::keys::SuId;
@@ -317,14 +317,8 @@ impl SdcServer {
         let base = rng.next_u64();
         let beta_factors = self.take_beta_factors(channels * region);
         let this = &*self;
-        let blinded = fan_out(msg.f_matrix.ciphertexts(), |idx, f_ct| {
-            let mut erng = entry_rng(base, idx);
-            this.blind_entry(
-                f_ct,
-                (idx / region, idx % region),
-                beta_factors.get(idx),
-                &mut erng,
-            )
+        let blinded = fan_out_groups(msg.f_matrix.ciphertexts(), |start, f_cts| {
+            this.blind_group(start, f_cts, region, base, &beta_factors)
         })
         .map_err(|_| PisaError::EngineFailure("phase-1 blinding worker panicked"))?;
         let (v_entries, epsilons): (Vec<_>, Vec<_>) = blinded
@@ -357,38 +351,65 @@ impl SdcServer {
         })
     }
 
-    /// Eqs. (11)–(14) for one entry: `R = X ⊗ F`, `I = N ⊖ R`,
-    /// `V = ε ⊗ (α ⊗ I ⊖ β̃)`. Returns the blinded ciphertext and the ε
-    /// needed to unblind in phase 2, or [`PisaError::Crypto`] when the
-    /// SU supplied a non-unit (adversarial) ciphertext entry.
+    /// Eqs. (11)–(14) for the entries `start..start + f_cts.len()`:
+    /// `R = X ⊗ F`, `I = N ⊖ R`, `V = ε ⊗ (α ⊗ I ⊖ β̃)`. Returns each
+    /// entry's blinded ciphertext and the ε needed to unblind it in phase
+    /// 2, or [`PisaError::Crypto`] when the SU supplied a non-unit
+    /// (adversarial) ciphertext entry.
     ///
-    /// With a pooled `beta_factor` the β̃ encryption is two modular
+    /// The shared-exponent powers — `X ⊗ F` and the `rⁿ` of each online
+    /// β̃ — run side by side for the group; α is each entry's own and
+    /// stays a single power. Each entry draws from its own
+    /// `entry_rng(base, idx)`: its blinding factors, then (unpooled) its
+    /// β̃ nonce. With a pooled factor the β̃ encryption is two modular
     /// multiplications instead of the full `rⁿ` exponentiation — the
     /// dominant per-entry cost of the sign test.
-    fn blind_entry<R: Rng + ?Sized>(
+    fn blind_group(
         &self,
-        f_ct: &Ciphertext,
-        (c, b): (usize, usize),
-        beta_factor: Option<&Randomizer>,
-        rng: &mut R,
-    ) -> Result<(Ciphertext, SignFlip), PisaError> {
+        start: usize,
+        f_cts: &[Ciphertext],
+        region: usize,
+        base: u64,
+        beta_factors: &[Randomizer],
+    ) -> Vec<Result<(Ciphertext, SignFlip), PisaError>> {
         let x = Ibig::from(self.cfg.watch().params().x_integer());
         // R = X ⊗ F (eq. 11)
-        let r = self.pk_g.scalar_mul(f_ct, &x)?;
-        // I = N ⊖ R (eq. 12)
-        let i = self.pk_g.sub(self.n_matrix.get(c, b), &r)?;
-        // V = ε ⊗ (α ⊗ I ⊖ β̃) (eq. 14)
-        let factors = self.blinder.sample(rng);
-        let scaled = self
-            .pk_g
-            .scalar_mul(&i, &Ibig::from(factors.alpha.clone()))?;
-        let beta = Ibig::from(factors.beta.clone());
-        let beta_ct = match beta_factor {
-            Some(f) => self.pk_g.encrypt_with_randomizer(&beta, f),
-            None => self.pk_g.encrypt(&beta, rng),
-        };
-        let v = signed_difference(&self.pk_g, &scaled, &beta_ct, factors.epsilon)?;
-        Ok((v, factors.epsilon))
+        let rs = self.pk_g.scalar_mul_many(f_cts, &x);
+        // The pool hands out a prefix of the entries; the rest draw a β̃
+        // nonce after their factors and encrypt side by side.
+        let pooled = beta_factors.get(start..).unwrap_or_default();
+        let mut online = Vec::new();
+        let factors: Vec<_> = (0..f_cts.len())
+            .map(|i| {
+                let mut erng = entry_rng(base, start + i);
+                let f = self.blinder.sample(&mut erng);
+                if i >= pooled.len() {
+                    online.push((Ibig::from(f.beta.clone()), self.pk_g.draw_nonce(&mut erng)));
+                }
+                f
+            })
+            .collect();
+        let beta_cts = factors
+            .iter()
+            .zip(pooled)
+            .map(|(f, p)| {
+                self.pk_g
+                    .encrypt_with_randomizer(&Ibig::from(f.beta.clone()), p)
+            })
+            .chain(self.pk_g.encrypt_with_nonces(&online));
+        (start..)
+            .zip(rs.into_iter().zip(&factors).zip(beta_cts))
+            .map(|(idx, ((r, f), beta_ct))| {
+                // I = N ⊖ R (eq. 12)
+                let i = self
+                    .pk_g
+                    .sub(self.n_matrix.get(idx / region, idx % region), &r?)?;
+                // V = ε ⊗ (α ⊗ I ⊖ β̃) (eq. 14)
+                let scaled = self.pk_g.scalar_mul(&i, &Ibig::from(f.alpha.clone()))?;
+                let v = signed_difference(&self.pk_g, &scaled, &beta_ct, f.epsilon)?;
+                Ok((v, f.epsilon))
+            })
+            .collect()
     }
 
     /// Phase 2 (Figure 5 steps 9–11): unblinds the STP's signs into

@@ -1,6 +1,6 @@
 //! The Semi-trusted Third Party: key generation and key conversion.
 
-use crate::cipher_matrix::{fan_out, CipherMatrix};
+use crate::cipher_matrix::{fan_out_groups, CipherMatrix};
 use crate::error::PisaError;
 use crate::keys::{GlobalKeys, SuId, SuKeyDirectory};
 use crate::messages::{SdcToStpMsg, StpToSdcMsg};
@@ -229,18 +229,34 @@ impl StpServer {
         let base = rng.next_u64();
         let factors = self.take_su_factors(msg.su_id, msg.v_matrix.len());
         let sk = self.global.secret();
-        let converted = fan_out(msg.v_matrix.ciphertexts(), |idx, ct| {
-            let v = sk.decrypt(ct);
-            let x = if v.is_positive() {
-                Ibig::from(1i64)
-            } else {
-                Ibig::from(-1i64)
-            };
-            let x_ct = match factors.get(idx) {
-                Some(f) => su_pk.encrypt_with_randomizer(&x, f),
-                None => su_pk.encrypt(&x, &mut crate::sdc::entry_rng(base, idx)),
-            };
-            (x_ct, v)
+        let converted = fan_out_groups(msg.v_matrix.ciphertexts(), |start, group| {
+            let vs = sk.decrypt_many(group);
+            let signs: Vec<Ibig> = vs
+                .iter()
+                .map(|v| Ibig::from(if v.is_positive() { 1i64 } else { -1 }))
+                .collect();
+            // The pool hands out a prefix of the entries. The rest draw
+            // their nonce from their own stream, as
+            // `su_pk.encrypt(x, entry_rng(base, idx))` would, and encrypt
+            // side by side.
+            let pooled = factors.get(start..).unwrap_or_default();
+            let online: Vec<_> = (start..)
+                .zip(&signs)
+                .skip(pooled.len())
+                .map(|(idx, x)| {
+                    (
+                        x.clone(),
+                        su_pk.draw_nonce(&mut crate::sdc::entry_rng(base, idx)),
+                    )
+                })
+                .collect();
+            signs
+                .iter()
+                .zip(pooled)
+                .map(|(x, f)| su_pk.encrypt_with_randomizer(x, f))
+                .chain(su_pk.encrypt_with_nonces(&online))
+                .zip(vs)
+                .collect()
         })
         .map_err(|_| PisaError::EngineFailure("key-conversion worker panicked"))?;
         let (x_entries, v_values): (Vec<_>, Vec<_>) = converted.into_iter().unzip();
@@ -364,9 +380,11 @@ mod tests {
         };
 
         // Prime the pool identically before each run so the factor stream
-        // the conversion consumes is the same at every width.
+        // the conversion consumes is the same at every width. It covers
+        // four of the six entries, so a group can hold pooled and online
+        // entries.
         let mut convert = |workers: usize| {
-            let pool = stp.enable_su_pool(SuId(0), values.len()).unwrap();
+            let pool = stp.enable_su_pool(SuId(0), 4).unwrap();
             pool.refill(&mut StdRng::seed_from_u64(0xf00d));
             at_width(workers, || {
                 stp.key_convert(&msg, &mut StdRng::seed_from_u64(7))
@@ -384,10 +402,32 @@ mod tests {
             assert_eq!(seq_obs.v_values, par_obs.v_values, "workers = {workers}");
         }
 
-        // Pooled conversion still decrypts to the right signs.
+        // Pooled conversion still decrypts to the right signs, and every
+        // entry is the single-entry encryption: a pooled factor for the
+        // first four, `encrypt` on the entry's own stream for the rest.
         let expected_signs = [1i64, -1, 1, -1, 1, -1];
         for (ct, want) in seq.x_matrix.ciphertexts().iter().zip(expected_signs) {
             assert_eq!(su_keys.secret().decrypt(ct), Ibig::from(want));
+        }
+        let probe = pisa_crypto::paillier::RandomizerPool::new(su_keys.public(), 4);
+        probe.refill(&mut StdRng::seed_from_u64(0xf00d));
+        let factors = probe.take_batch(4);
+        let base = rand::RngCore::next_u64(&mut StdRng::seed_from_u64(7));
+        for (idx, (ct, want)) in seq
+            .x_matrix
+            .ciphertexts()
+            .iter()
+            .zip(expected_signs)
+            .enumerate()
+        {
+            let x = Ibig::from(want);
+            let single = match factors.get(idx) {
+                Some(f) => su_keys.public().encrypt_with_randomizer(&x, f),
+                None => su_keys
+                    .public()
+                    .encrypt(&x, &mut crate::sdc::entry_rng(base, idx)),
+            };
+            assert_eq!(ct, &single, "entry {idx}");
         }
     }
 

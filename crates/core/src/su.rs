@@ -1,6 +1,6 @@
 //! The secondary-user client.
 
-use crate::cipher_matrix::{encrypt_all, fan_out, CipherMatrix};
+use crate::cipher_matrix::{encrypt_all, fan_out_groups, CipherMatrix};
 use crate::config::SystemConfig;
 use crate::keys::SuId;
 use crate::messages::{SdcResponseMsg, SuRequestMsg};
@@ -148,10 +148,11 @@ impl SuClient {
             .as_ref()
             .expect("precompute_refresh requires a previously built request")
             .len();
-        // Draw in entry order, then raise across the host's cores: the
-        // factors equal `needed` sequential `precompute_randomizer` calls.
+        // Draw in entry order, then raise in groups across the host's
+        // cores: the factors equal `needed` sequential
+        // `precompute_randomizer` calls.
         let draws: Vec<_> = (0..needed).map(|_| pk_g.draw_randomizer(rng)).collect();
-        self.refresh_pool = fan_out(&draws, |_, draw| pk_g.raise_randomizer(draw))
+        self.refresh_pool = fan_out_groups(&draws, |_, group| pk_g.raise_randomizers(group))
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
     }
 

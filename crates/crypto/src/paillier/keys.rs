@@ -4,7 +4,7 @@ use super::ops::{Ciphertext, Nonce, Randomizer, RandomizerDraw};
 use crate::error::CryptoError;
 use pisa_bigint::modular::{gcd, lcm, mod_inverse, MontCtx};
 use pisa_bigint::random::random_coprime;
-use pisa_bigint::zeroize::Zeroize;
+use pisa_bigint::zeroize::{Zeroize, Zeroizing};
 use pisa_bigint::{prime, Ibig, Sign, Ubig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -132,6 +132,34 @@ impl PaillierPublicKey {
         self.raw_encrypt(m, &nonce.0)
     }
 
+    /// [`encrypt_with_nonce`](Self::encrypt_with_nonce) for a batch of
+    /// `(plaintext, nonce)` entries, equal to the single call entry by
+    /// entry. The `rⁿ` exponentiations share `n` and `n²`, so they run
+    /// side by side through [`MontCtx::pow_many`]. Counts one
+    /// encryption per entry, as the single call does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `|m| > n/2`.
+    pub fn encrypt_with_nonces(&self, entries: &[(Ibig, Nonce)]) -> Vec<Ciphertext> {
+        let g_ms: Vec<Ubig> = entries.iter().map(|(m, _)| self.g_pow(m)).collect();
+        let rs: Vec<&Ubig> = entries.iter().map(|(_, nonce)| &nonce.0).collect();
+        let powers = self.ctx_n2.pow_many(&rs, &self.n);
+        let mut s = self.ctx_n2.scratch();
+        g_ms.iter()
+            .zip(powers)
+            .map(|(g_m, r_n)| {
+                obs_count!(ModExp);
+                obs_count!(ModMul);
+                obs_count!(ModMul);
+                obs_count!(Encrypt);
+                // REDC(gᵐ · rⁿR) = gᵐ · rⁿ mod n², as in `raw_encrypt`.
+                let rn_m = self.ctx_n2.to_mont(&r_n, &mut s);
+                Ciphertext::from_raw(self.ctx_n2.mont_mul(g_m, &rn_m, &mut s))
+            })
+            .collect()
+    }
+
     /// Encrypts with an explicit random factor `r` (deterministic; used
     /// by tests and by the re-randomization benchmarks).
     ///
@@ -235,6 +263,21 @@ impl PaillierPublicKey {
         Randomizer(self.ctx_n2.pow(&draw.value, &self.n))
     }
 
+    /// [`raise_randomizer`](Self::raise_randomizer) for a batch of draws,
+    /// equal to the single call entry by entry: the `rⁿ` exponentiations
+    /// run side by side through [`MontCtx::pow_many`].
+    pub fn raise_randomizers(&self, draws: &[RandomizerDraw]) -> Vec<Randomizer> {
+        let rs: Vec<&Ubig> = draws.iter().map(|d| &d.value).collect();
+        self.ctx_n2
+            .pow_many(&rs, &self.n)
+            .into_iter()
+            .map(|r_n| {
+                obs_count!(ModExp);
+                Randomizer(r_n)
+            })
+            .collect()
+    }
+
     /// Online phase of request refresh: one modular multiplication —
     /// "the same amount of time as homomorphic addition" (§VI-A).
     ///
@@ -292,6 +335,35 @@ impl PaillierPublicKey {
         } else {
             Ok(Ciphertext::from_raw(powed))
         }
+    }
+
+    /// [`scalar_mul`](Self::scalar_mul) of every ciphertext by one
+    /// shared `k`: entry by entry the single call's result, error
+    /// included. The exponentiations run side by side through
+    /// [`MontCtx::pow_many`].
+    pub fn scalar_mul_many(
+        &self,
+        cs: &[Ciphertext],
+        k: &Ibig,
+    ) -> Vec<Result<Ciphertext, CryptoError>> {
+        if k.magnitude().is_one() {
+            return cs.iter().map(|c| self.scalar_mul(c, k)).collect();
+        }
+        let raw: Vec<&Ubig> = cs.iter().map(Ciphertext::as_raw).collect();
+        self.ctx_n2
+            .pow_many(&raw, k.magnitude())
+            .into_iter()
+            .map(|powed| {
+                obs_count!(ModExp);
+                if k.is_negative() {
+                    let inv = mod_inverse(&powed, &self.n_squared)
+                        .ok_or(CryptoError::MalformedCiphertext)?;
+                    Ok(Ciphertext::from_raw(inv))
+                } else {
+                    Ok(Ciphertext::from_raw(powed))
+                }
+            })
+            .collect()
     }
 
     /// Encryption of zero with `r = 1`; the homomorphic identity.
@@ -411,16 +483,43 @@ impl PaillierSecretKey {
         obs_count!(ModExp);
         obs_count!(Decrypt);
         let crt = &self.crt;
-        let mp = {
-            let cp = crt.ctx_p2.pow(c.as_raw(), &(&crt.p - &Ubig::one()));
-            let lp = l_function(&cp, &crt.p);
-            (&lp * &crt.hp) % &crt.p
-        };
-        let mq = {
-            let cq = crt.ctx_q2.pow(c.as_raw(), &(&crt.q - &Ubig::one()));
-            let lq = l_function(&cq, &crt.q);
-            (&lq * &crt.hq) % &crt.q
-        };
+        let cp = crt.ctx_p2.pow(c.as_raw(), &(&crt.p - &Ubig::one()));
+        let cq = crt.ctx_q2.pow(c.as_raw(), &(&crt.q - &Ubig::one()));
+        self.crt_combine(&cp, &cq)
+    }
+
+    /// [`decrypt`](Self::decrypt) for a batch, equal to the single call
+    /// entry by entry. Each CRT half raises every entry to one exponent
+    /// (`p − 1`, `q − 1`) under one modulus (`p²`, `q²`), so the halves run
+    /// side by side through [`MontCtx::pow_many`]. Counts one decryption
+    /// per entry, as the single call does.
+    pub fn decrypt_many(&self, cs: &[Ciphertext]) -> Vec<Ibig> {
+        let crt = &self.crt;
+        let raw: Vec<&Ubig> = cs.iter().map(Ciphertext::as_raw).collect();
+        let p1 = Zeroizing::new(&crt.p - &Ubig::one());
+        let q1 = Zeroizing::new(&crt.q - &Ubig::one());
+        let mut cps = crt.ctx_p2.pow_many(&raw, &p1);
+        let mut cqs = crt.ctx_q2.pow_many(&raw, &q1);
+        let plain = cps
+            .iter()
+            .zip(&cqs)
+            .map(|(cp, cq)| {
+                obs_count!(ModExp);
+                obs_count!(ModExp);
+                obs_count!(Decrypt);
+                self.crt_combine(cp, cq)
+            })
+            .collect();
+        cps.iter_mut().chain(&mut cqs).for_each(Zeroize::zeroize);
+        plain
+    }
+
+    /// The plaintext from its CRT halves `cp = c^(p−1) mod p²` and
+    /// `cq = c^(q−1) mod q²`.
+    fn crt_combine(&self, cp: &Ubig, cq: &Ubig) -> Ibig {
+        let crt = &self.crt;
+        let mp = (&l_function(cp, &crt.p) * &crt.hp) % &crt.p;
+        let mq = (&l_function(cq, &crt.q) * &crt.hq) % &crt.q;
         // CRT combine: m = mq + q · ((mp − mq) · q⁻¹ mod p)
         let diff = (Ibig::from(mp) - Ibig::from(mq.clone())).rem_euclid(&crt.p);
         let m = (&mq + &(&crt.q * &((&diff * &crt.q_inv_p) % &crt.p))) % &self.pk.n;

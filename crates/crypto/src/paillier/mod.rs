@@ -164,6 +164,60 @@ mod tests {
         assert_eq!(sk.decrypt(&sum), half - Ibig::from(1i64));
     }
 
+    /// The batched entry points equal their single calls entry by entry,
+    /// at sizes below, at and above one lane group, with the extremes of
+    /// the plaintext range and the edge ciphertexts 1 and n² − 1.
+    #[test]
+    fn batched_entry_points_equal_the_single_calls() {
+        let mut r = rng();
+        let kp = PaillierKeyPair::generate(&mut r, 384);
+        let (pk, sk) = (kp.public(), kp.secret());
+        let half = Ibig::from(pk.modulus() >> 1);
+        for size in [1usize, 3, 8, 9] {
+            let plain: Vec<Ibig> = (0..size as i64)
+                .map(|i| match i {
+                    0 => half.clone(),
+                    1 => -half.clone(),
+                    _ => Ibig::from(i * 1_000_003 - 7),
+                })
+                .collect();
+            let entries: Vec<(Ibig, Nonce)> = plain
+                .iter()
+                .map(|m| (m.clone(), pk.draw_nonce(&mut r)))
+                .collect();
+            let batch = pk.encrypt_with_nonces(&entries);
+            let single: Vec<Ciphertext> = entries
+                .iter()
+                .map(|(m, nonce)| pk.encrypt_with_nonce(m, nonce))
+                .collect();
+            assert_eq!(batch, single, "encrypt, {size}");
+            assert_eq!(sk.decrypt_many(&batch), plain, "decrypt, {size}");
+
+            let mut edges = batch.clone();
+            edges[0] = Ciphertext::from_raw(Ubig::one());
+            edges[size - 1] = Ciphertext::from_raw(pk.modulus_squared() - &Ubig::one());
+            let single: Vec<Ibig> = edges.iter().map(|c| sk.decrypt(c)).collect();
+            assert_eq!(sk.decrypt_many(&edges), single, "decrypt edges, {size}");
+
+            let draws: Vec<RandomizerDraw> =
+                (0..size).map(|_| pk.draw_randomizer(&mut r)).collect();
+            let single: Vec<Randomizer> = draws.iter().map(|d| pk.raise_randomizer(d)).collect();
+            assert_eq!(pk.raise_randomizers(&draws), single, "randomizers, {size}");
+
+            // A non-unit entry fails on its own under a negative k.
+            edges[size / 2] = Ciphertext::from_raw(pk.modulus().clone());
+            for k in [-3i64, -1, 0, 1, 7] {
+                let k = Ibig::from(k);
+                let single: Vec<_> = edges.iter().map(|c| pk.scalar_mul(c, &k)).collect();
+                assert_eq!(
+                    pk.scalar_mul_many(&edges, &k),
+                    single,
+                    "scale by {k:?}, {size}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn different_key_sizes() {
         let mut r = rng();
