@@ -9,7 +9,7 @@
 //! * [`Ibig`] — signed big integers (sign–magnitude) used for the
 //!   centered-lift plaintext domain of Paillier.
 //! * [`modular`] — Montgomery-form modular exponentiation (one power at a
-//!   time, or eight that share a modulus and an exponent at once with
+//!   time, or eight that share a modulus and an exponent at once, with
 //!   AVX-512 IFMA where the CPU has it), and modular inverses and GCD by
 //!   one constant-time divsteps kernel.
 //! * [`prime`] — Miller–Rabin testing and random prime generation.
@@ -28,9 +28,10 @@
 
 // `deny` rather than `forbid`: two places carry scoped allows. The
 // zeroize module needs volatile writes for its drop-wipe
-// (#![allow(unsafe_code)]), and the lane tier (`modular/lanes.rs`) makes
-// one call into its AVX-512 IFMA kernel after the runtime CPU-feature
-// check (#[allow(unsafe_code)] on that one function).
+// (#![allow(unsafe_code)]), and the IFMA tiers (`modular/lanes.rs`) call
+// their two AVX-512 IFMA kernels only through a token of the runtime
+// CPU-feature check (#[allow(unsafe_code)] on the two token methods
+// that make those calls).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

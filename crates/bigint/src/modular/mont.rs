@@ -433,18 +433,24 @@ impl MontCtx {
     /// multiplication count depends only on `exp.bit_len()`, not on which
     /// exponent bits are set (the square-and-multiply timing leak).
     ///
-    /// `base` need not be reduced.
+    /// A batch of one [`MontCtx::pow_many`]: on a CPU with AVX-512 IFMA,
+    /// moduli of 11 to 64 limbs take the single-number IFMA ladder, and
+    /// every other power the scalar tiers. `base` need not be reduced.
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        let mut s = self.scratch();
-        self.pow_with(base, exp, &mut s)
+        self.pow_many(std::slice::from_ref(base), exp)
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// [`MontCtx::pow`] reusing caller-provided scratch, for call sites
-    /// that exponentiate in a loop (matrix rows, pool refills).
+    /// [`MontCtx::pow`] on the scalar tiers alone, reusing caller-provided
+    /// scratch: what `pow` runs where no IFMA tier does, and the ladder
+    /// the kernel gates time the IFMA tiers against. Not a stable API.
+    #[doc(hidden)]
     pub fn pow_with(&self, base: &Ubig, exp: &Ubig, s: &mut MontScratch) -> Ubig {
         // Guard on exponent *presence* only; secret exponents (λ, p−1,
         // q−1, n) are never zero, so this branch is taken solely for
         // public zero-exponent calls.
+        // pisa-lint: allow(secret-branching): the branch reveals only whether the exponent is zero, and no secret exponent (λ, p−1, q−1, d) is
         if exp.is_zero() {
             return Ubig::one() % &self.n;
         }
@@ -462,15 +468,14 @@ impl MontCtx {
         self.from_mont(&acc_m, s)
     }
 
-    /// `base_m^exp` for a base already in Montgomery form, returning the
-    /// result **still in Montgomery form** so chained operations (the
-    /// `(1 + m·n) · r^n` encryption product, rerandomization factors)
-    /// skip the per-step `to_mont`/`from_mont` round trip.
+    /// The scalar ladder of [`MontCtx::pow_with`]: `base_m^exp` for a
+    /// base already in Montgomery form, returning the result still in
+    /// Montgomery form.
     ///
     /// The window width is chosen from `exp.bit_len()` alone and every
     /// window multiplies unconditionally, so the multiplication count is
     /// a pure function of the exponent's bit length (constant shape).
-    pub fn pow_mont(&self, base_m: &Ubig, exp: &Ubig, s: &mut MontScratch) -> Ubig {
+    fn pow_mont(&self, base_m: &Ubig, exp: &Ubig, s: &mut MontScratch) -> Ubig {
         let bits = exp.bit_len();
         // Zero-exponent guard; see `pow_with`.
         if bits == 0 {
@@ -982,22 +987,25 @@ mod tests {
     }
 
     /// `pow` costs exactly what the window model in [`window_width`]
-    /// counts, on both tiers and in every window tier: one `to_mont`,
+    /// counts, on every tier and in every window tier: one `to_mont`,
     /// 2ʷ − 2 table products, and w squarings plus one multiply per
-    /// window below the top one. A `pow_many` group of b bases counts
-    /// exactly b times the model of its ladder: `pow`'s window on the
-    /// scalar path, the capped lane window on the lane path (checked
-    /// where the CPU has it).
+    /// window below the top one. The single tier runs the same model, and
+    /// so does `pow` whichever tier it takes. A `pow_many` group of b
+    /// bases counts exactly b times the model of its ladder: `pow`'s
+    /// window on the scalar path, the capped lane window on the lane path
+    /// (the IFMA tiers checked where the CPU has them).
     #[test]
     fn pow_count_follows_the_window_model_on_both_tiers() {
-        use super::super::lanes::{lane_window, pow_lanes, pow_scalar, Ifma};
+        use super::super::lanes::{lane_window, pow_lanes, pow_scalar, pow_single, Ifma};
         let model = |bits: usize, w: usize| 1 + ((1 << w) - 2) + (bits.div_ceil(w) - 1) * (w + 1);
         let ifma = Ifma::detect();
         for k in [
             6usize,
+            12,
             NARROW_MAX_LIMBS,
             NARROW_MAX_LIMBS + 1,
             SQR_MIN_LIMBS,
+            64,
         ] {
             let n = (Ubig::one() << (64 * k)) - Ubig::from(159u64);
             let ctx = MontCtx::new(&n).unwrap();
@@ -1007,6 +1015,14 @@ mod tests {
                 reset_mont_mul_count();
                 ctx.pow(&Ubig::from(3u64), &exp);
                 assert_eq!(mont_mul_count(), expected, "k = {k}, bits = {bits}");
+                reset_mont_mul_count();
+                ctx.pow_with(&Ubig::from(3u64), &exp, &mut ctx.scratch());
+                assert_eq!(mont_mul_count(), expected, "scalar, k = {k}, bits = {bits}");
+                if let Some(ifma) = ifma {
+                    reset_mont_mul_count();
+                    pow_single(ifma, &ctx, &Ubig::from(3u64), &exp);
+                    assert_eq!(mont_mul_count(), expected, "single, k = {k}, bits = {bits}");
+                }
                 for b in [1u64, 3, 8] {
                     let group: Vec<Ubig> = (1..=b).map(|i| &n >> i as usize).collect();
                     reset_mont_mul_count();

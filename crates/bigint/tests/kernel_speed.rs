@@ -7,9 +7,12 @@
 //!   the widths of p² and n² for 384-bit keys;
 //! - `mod_inverse` against `mont_mul_reference` at 12 and 64 limbs, the
 //!   widths of n² for 384- and 2048-bit keys;
-//! - an 8-entry `pow_many` against eight scalar `pow` calls at 12 and 64
-//!   limbs, on a CPU with AVX-512 IFMA (elsewhere the gate prints that it
-//!   skipped and why).
+//! - an 8-entry `pow_many` against eight powers on the scalar ladder at
+//!   12 and 64 limbs, and one `pow` against the scalar ladder at 32 and
+//!   64 limbs, on a CPU with AVX-512 IFMA (elsewhere these gates print
+//!   that they skipped and why). The scalar ladder is `pow_with`, which
+//!   never takes an IFMA tier, as the inverse gate prices in
+//!   `mont_mul_reference`.
 //!
 //! Both sides of a ratio run on the same host in interleaved batches, so
 //! the ratio does not depend on how fast the host is. Ignored by default
@@ -56,10 +59,18 @@ const MAX_NARROW_RATIO: f64 = 0.63;
 /// cut-off sits between the two ranges.
 const MAX_INVERSE_MULS: f64 = 40.0;
 /// An 8-entry `pow_many` fails the gate above this fraction of the time
-/// of eight scalar `pow` calls. On a shared 2-vCPU Xeon with
+/// of eight powers on the scalar ladder. On a shared 2-vCPU Xeon with
 /// `avx512ifma` the lane tier measures 0.13–0.25 at 6–64 limbs; eight
-/// scalar calls, which `pow_many` runs without it, measure 1.
+/// scalar powers, which `pow_many` runs without it, measure 1. At 64
+/// limbs eight single-tier powers cost less than one lane ladder, so
+/// there the gate times them.
 const MAX_LANES_RATIO: f64 = 0.5;
+/// A single-tier `pow` fails the gate above this fraction of the time of
+/// the scalar ladder. On a shared 2-vCPU Xeon with `avx512ifma` it
+/// measures 0.31–0.33 at 32 limbs and 0.17–0.21 at 64; the scalar ladder,
+/// which `pow` runs without it, measures 1 (0.99–1.04 with the scalar
+/// tier put back in `pow`'s dispatch).
+const MAX_SINGLE_RATIO: f64 = 0.5;
 
 fn xorshift_limbs(state: &mut u64, k: usize) -> Vec<u64> {
     (0..k)
@@ -205,20 +216,28 @@ fn inverse_costs_few_mont_muls_at_12_and_64_limbs() {
     }
 }
 
+/// Whether this CPU runs the IFMA tiers; if not, says that `gate`
+/// skipped and why.
+fn ifma_here(gate: &str) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let here = std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512ifma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let here = false;
+    if !here {
+        println!(
+            "skipped: this CPU lacks avx512f + avx512ifma, so {gate} runs the scalar ladder \
+             it would be timed against"
+        );
+    }
+    here
+}
+
 #[test]
 #[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
 fn eight_lane_pow_many_beats_eight_pows_at_12_and_64_limbs() {
     let _serial = one_gate_at_a_time();
-    #[cfg(target_arch = "x86_64")]
-    let lanes = std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512ifma");
-    #[cfg(not(target_arch = "x86_64"))]
-    let lanes = false;
-    if !lanes {
-        println!(
-            "skipped: this CPU lacks avx512f + avx512ifma, so pow_many runs the scalar \
-             pow it would be timed against"
-        );
+    if !ifma_here("pow_many") {
         return;
     }
     let mut state = 0x6a09_e667_f3bc_c909u64;
@@ -229,6 +248,7 @@ fn eight_lane_pow_many_beats_eight_pows_at_12_and_64_limbs() {
     for (limbs, rounds) in [(6usize, 40), (12, 20), (32, 5), (64, 3)] {
         let n = odd_modulus(&mut state, limbs);
         let ctx = MontCtx::new(&n).expect("odd modulus");
+        let mut s = ctx.scratch();
         let exp = Ubig::from_limbs(xorshift_limbs(&mut state, limbs / 2)) | Ubig::one();
         let bases: Vec<Ubig> = (0..8)
             .map(|_| Ubig::from_limbs(xorshift_limbs(&mut state, limbs)) % &n)
@@ -237,7 +257,7 @@ fn eight_lane_pow_many_beats_eight_pows_at_12_and_64_limbs() {
         for _ in 0..rounds {
             let t = Instant::now();
             for b in &bases {
-                black_box(ctx.pow(black_box(b), black_box(&exp)));
+                black_box(ctx.pow_with(black_box(b), black_box(&exp), &mut s));
             }
             scalar = scalar.min(t.elapsed().as_nanos() as f64);
             let t = Instant::now();
@@ -246,8 +266,8 @@ fn eight_lane_pow_many_beats_eight_pows_at_12_and_64_limbs() {
         }
         let ratio = many / scalar;
         println!(
-            "{limbs} limbs: 8 x pow {:.3} ms, pow_many(8) {:.3} ms ({ratio:.2}x; the group \
-             costs {:.1} scalar pows)",
+            "{limbs} limbs: 8 scalar powers {:.3} ms, pow_many(8) {:.3} ms ({ratio:.2}x; the \
+             group costs {:.1} scalar powers)",
             scalar / 1e6,
             many / 1e6,
             8.0 * ratio
@@ -259,6 +279,58 @@ fn eight_lane_pow_many_beats_eight_pows_at_12_and_64_limbs() {
             assert!(
                 ratio <= MAX_LANES_RATIO,
                 "pow_many(8) at {limbs} limbs at {ratio:.2}x of eight pows (max {MAX_LANES_RATIO})"
+            );
+        }
+    }
+}
+
+#[test]
+#[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
+fn single_tier_pow_beats_the_scalar_ladder_at_32_and_64_limbs() {
+    let _serial = one_gate_at_a_time();
+    if !ifma_here("pow") {
+        return;
+    }
+    let mut state = 0xbb67_ae85_84ca_a73bu64;
+    let mut readings = Vec::new();
+    // Each width with the exponent of its protocol role: half the
+    // modulus width (c^(p−1) mod p² at 32 limbs, rⁿ mod n² at 64). 12
+    // and 16 limbs (n² of 384-bit keys, Miller–Rabin of 1024-bit primes)
+    // are reported, not gated.
+    for (limbs, rounds) in [(12usize, 40), (16, 30), (32, 10), (64, 5)] {
+        let n = odd_modulus(&mut state, limbs);
+        let ctx = MontCtx::new(&n).expect("odd modulus");
+        let mut s = ctx.scratch();
+        let exp = Ubig::from_limbs(xorshift_limbs(&mut state, limbs / 2)) | Ubig::one();
+        let bases: Vec<Ubig> = (0..4)
+            .map(|_| Ubig::from_limbs(xorshift_limbs(&mut state, limbs)) % &n)
+            .collect();
+        let (mut scalar, mut single) = (f64::MAX, f64::MAX);
+        for _ in 0..rounds {
+            let t = Instant::now();
+            for b in &bases {
+                black_box(ctx.pow_with(black_box(b), black_box(&exp), &mut s));
+            }
+            scalar = scalar.min(t.elapsed().as_nanos() as f64);
+            let t = Instant::now();
+            for b in &bases {
+                black_box(ctx.pow(black_box(b), black_box(&exp)));
+            }
+            single = single.min(t.elapsed().as_nanos() as f64);
+        }
+        let ratio = single / scalar;
+        println!(
+            "{limbs} limbs: scalar power {:.3} ms, pow {:.3} ms ({ratio:.2}x)",
+            scalar / 4e6,
+            single / 4e6
+        );
+        readings.push((limbs, ratio));
+    }
+    for (limbs, ratio) in readings {
+        if limbs == 32 || limbs == 64 {
+            assert!(
+                ratio <= MAX_SINGLE_RATIO,
+                "pow at {limbs} limbs at {ratio:.2}x of the scalar ladder (max {MAX_SINGLE_RATIO})"
             );
         }
     }

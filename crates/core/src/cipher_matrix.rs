@@ -531,22 +531,23 @@ mod tests {
     /// request covers a 4-block region (16 entries), so the widths group
     /// it differently. The pools hold 21 factors: the first round takes
     /// 16 and the second 5, which splits a group into pooled and online
-    /// entries at every grouping. Returns the bytes and the two rounds'
-    /// decisions per pooling mode.
-    fn every_fanned_out_path() -> (Vec<Vec<u8>>, Vec<bool>) {
+    /// entries at every grouping. Keys have `bits` bits. Returns the
+    /// bytes and the two rounds' decisions per pooling mode.
+    fn every_fanned_out_path(bits: usize) -> (Vec<Vec<u8>>, Vec<bool>) {
         use crate::messages::PisaMessage;
         use crate::privacy::LocationPrivacy;
         use crate::{PuClient, SdcServer, StpServer, SuClient, SuId, SystemConfig};
         use pisa_crypto::paillier::RandomizerPool;
         use pisa_radio::tv::Channel;
         use pisa_radio::BlockId;
+        use pisa_watch::WatchConfig;
         use std::sync::Arc;
 
         let mut out: Vec<Vec<u8>> = Vec::new();
         let mut decisions = Vec::new();
         for pooled in [false, true] {
             let rng = &mut StdRng::seed_from_u64(0xe403);
-            let cfg = SystemConfig::small_test();
+            let cfg = SystemConfig::new(WatchConfig::small_test(), bits, 64, 64);
             let mut stp = StpServer::new(rng, cfg.paillier_bits());
             let mut sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.fan", rng);
             let mut su = SuClient::new(SuId(0), BlockId(3), &cfg, rng);
@@ -614,15 +615,27 @@ mod tests {
             .collect();
         let want = [(8, 4), (8, 2), (2, 1)].map(|(a, b)| (a.min(lanes), b.min(lanes)));
         assert_eq!(sizes, want);
-        let (one, decisions) = at_width(1, every_fanned_out_path);
-        assert_eq!(decisions, [false, true, false, true]);
-        for workers in [2usize, 8] {
-            let (many, many_decisions) = at_width(workers, every_fanned_out_path);
-            assert_eq!(many_decisions, decisions, "{workers} workers");
-            for (k, (a, b)) in one.iter().zip(&many).enumerate() {
-                assert_eq!(a, b, "output {k} diverged with {workers} workers");
+        // 384-bit keys put n² (12 limbs) just past the single tier's floor
+        // and p² (6 limbs) below it. 768-bit keys put every modulus in the
+        // single tier's span, and their 24-limb n² has a lane break-even
+        // of 5, which the groupings of 8 reach and those of 2 do not.
+        for bits in [384usize, 768] {
+            let (one, decisions) = at_width(1, || every_fanned_out_path(bits));
+            assert_eq!(decisions, [false, true, false, true], "{bits}-bit keys");
+            for workers in [2usize, 8] {
+                let (many, many_decisions) = at_width(workers, || every_fanned_out_path(bits));
+                assert_eq!(
+                    many_decisions, decisions,
+                    "{bits}-bit keys, {workers} workers"
+                );
+                for (k, (a, b)) in one.iter().zip(&many).enumerate() {
+                    assert_eq!(
+                        a, b,
+                        "{bits}-bit keys: output {k} diverged with {workers} workers"
+                    );
+                }
+                assert_eq!(one.len(), many.len());
             }
-            assert_eq!(one.len(), many.len());
         }
     }
 

@@ -122,14 +122,15 @@ impl PaillierPublicKey {
     }
 
     /// The pure half of [`encrypt`](Self::encrypt): one exponentiation
-    /// under a nonce drawn by [`draw_nonce`](Self::draw_nonce). Use each
+    /// under a nonce drawn by [`draw_nonce`](Self::draw_nonce), as a batch
+    /// of one [`encrypt_with_nonces`](Self::encrypt_with_nonces). Use each
     /// nonce for at most one ciphertext.
     ///
     /// # Panics
     ///
     /// Panics if `|m| > n/2`.
     pub fn encrypt_with_nonce(&self, m: &Ibig, nonce: &Nonce) -> Ciphertext {
-        self.raw_encrypt(m, &nonce.0)
+        only(self.encrypt_many(&[m], &[&nonce.0]))
     }
 
     /// [`encrypt_with_nonce`](Self::encrypt_with_nonce) for a batch of
@@ -142,22 +143,9 @@ impl PaillierPublicKey {
     ///
     /// Panics if some `|m| > n/2`.
     pub fn encrypt_with_nonces(&self, entries: &[(Ibig, Nonce)]) -> Vec<Ciphertext> {
-        let g_ms: Vec<Ubig> = entries.iter().map(|(m, _)| self.g_pow(m)).collect();
+        let ms: Vec<&Ibig> = entries.iter().map(|(m, _)| m).collect();
         let rs: Vec<&Ubig> = entries.iter().map(|(_, nonce)| &nonce.0).collect();
-        let powers = self.ctx_n2.pow_many(&rs, &self.n);
-        let mut s = self.ctx_n2.scratch();
-        g_ms.iter()
-            .zip(powers)
-            .map(|(g_m, r_n)| {
-                obs_count!(ModExp);
-                obs_count!(ModMul);
-                obs_count!(ModMul);
-                obs_count!(Encrypt);
-                // REDC(gᵐ · rⁿR) = gᵐ · rⁿ mod n², as in `raw_encrypt`.
-                let rn_m = self.ctx_n2.to_mont(&r_n, &mut s);
-                Ciphertext::from_raw(self.ctx_n2.mont_mul(g_m, &rn_m, &mut s))
-            })
-            .collect()
+        self.encrypt_many(&ms, &rs)
     }
 
     /// Encrypts with an explicit random factor `r` (deterministic; used
@@ -173,32 +161,32 @@ impl PaillierPublicKey {
         if !gcd(r, &self.n).is_one() {
             return Err(CryptoError::MalformedCiphertext);
         }
-        Ok(self.raw_encrypt(m, r))
+        Ok(only(self.encrypt_many(&[m], &[r])))
     }
 
-    /// Shared encryption core; callers must guarantee `r ∈ Z_n*`.
+    /// The encryption core every entry point shares: `ms[i]` under
+    /// `rs[i]`; callers must guarantee each `r ∈ Z_n*`.
     ///
-    /// Performs one exponentiation (`rⁿ`) and two multiplications (the
-    /// `m·n` product inside `gᵐ` and the final `gᵐ · rⁿ`). `rⁿ` stays in
-    /// Montgomery form, so the final product is one reduction of the
-    /// plain `gᵐ` against it: REDC(gᵐ · rⁿR) = gᵐ · rⁿ mod n².
-    fn raw_encrypt(&self, m: &Ibig, r: &Ubig) -> Ciphertext {
-        let g_m = self.g_pow(m);
-        obs_count!(ModExp);
-        obs_count!(ModMul);
-        obs_count!(ModMul);
-        obs_count!(Encrypt);
+    /// Per entry, one exponentiation (`rⁿ`, all of them through
+    /// [`MontCtx::pow_many`]) and two multiplications (the `m·n` product
+    /// inside `gᵐ` and the final `gᵐ · rⁿ`). The final product is one
+    /// reduction of the plain `gᵐ` against the Montgomery form of `rⁿ`:
+    /// REDC(gᵐ · rⁿR) = gᵐ · rⁿ mod n².
+    fn encrypt_many(&self, ms: &[&Ibig], rs: &[&Ubig]) -> Vec<Ciphertext> {
+        let g_ms: Vec<Ubig> = ms.iter().map(|m| self.g_pow(m)).collect();
+        let powers = self.ctx_n2.pow_many(rs, &self.n);
         let mut s = self.ctx_n2.scratch();
-        let reduced;
-        let r = if r < &self.n_squared {
-            r
-        } else {
-            reduced = r % &self.n_squared;
-            &reduced
-        };
-        let r_m = self.ctx_n2.to_mont(r, &mut s);
-        let rn_m = self.ctx_n2.pow_mont(&r_m, &self.n, &mut s);
-        Ciphertext::from_raw(self.ctx_n2.mont_mul(&g_m, &rn_m, &mut s))
+        g_ms.iter()
+            .zip(powers)
+            .map(|(g_m, r_n)| {
+                obs_count!(ModExp);
+                obs_count!(ModMul);
+                obs_count!(ModMul);
+                obs_count!(Encrypt);
+                let rn_m = self.ctx_n2.to_mont(&r_n, &mut s);
+                Ciphertext::from_raw(self.ctx_n2.mont_mul(g_m, &rn_m, &mut s))
+            })
+            .collect()
     }
 
     /// `gᵐ = (n + 1)ᵐ = 1 + m·n mod n²` for the encoded `m`. The encoding
@@ -257,10 +245,10 @@ impl PaillierPublicKey {
 
     /// The pure half of
     /// [`precompute_randomizer`](Self::precompute_randomizer): the one
-    /// exponentiation `rⁿ mod n²`.
+    /// exponentiation `rⁿ mod n²`, as a batch of one
+    /// [`raise_randomizers`](Self::raise_randomizers).
     pub fn raise_randomizer(&self, draw: &RandomizerDraw) -> Randomizer {
-        obs_count!(ModExp);
-        Randomizer(self.ctx_n2.pow(&draw.value, &self.n))
+        only(self.raise_randomizers(std::slice::from_ref(draw)))
     }
 
     /// [`raise_randomizer`](Self::raise_randomizer) for a batch of draws,
@@ -317,7 +305,8 @@ impl PaillierPublicKey {
     /// `k = ±1` short-circuits the exponentiation ladder entirely: `c¹`
     /// is `c`. Its timing shows whether `|k| = 1`, so the protocol's
     /// secret sign flips ε do not come through here: the SDC folds each
-    /// one into the operand order of a ⊖ instead.
+    /// one into the operand order of a ⊖ instead. Any other `k` is a
+    /// batch of one [`scalar_mul_many`](Self::scalar_mul_many).
     pub fn scalar_mul(&self, c: &Ciphertext, k: &Ibig) -> Result<Ciphertext, CryptoError> {
         if k.magnitude().is_one() {
             obs_count!(ModExpAvoided);
@@ -326,15 +315,7 @@ impl PaillierPublicKey {
             }
             return Ok(c.clone());
         }
-        obs_count!(ModExp);
-        let powed = self.ctx_n2.pow(c.as_raw(), k.magnitude());
-        if k.is_negative() {
-            let inv = pisa_bigint::modular::mod_inverse(&powed, &self.n_squared)
-                .ok_or(CryptoError::MalformedCiphertext)?;
-            Ok(Ciphertext::from_raw(inv))
-        } else {
-            Ok(Ciphertext::from_raw(powed))
-        }
+        only(self.scalar_mul_many(std::slice::from_ref(c), k))
     }
 
     /// [`scalar_mul`](Self::scalar_mul) of every ciphertext by one
@@ -476,20 +457,15 @@ impl PaillierSecretKey {
     }
 
     /// Decrypts via the CRT fast path (the default; ~4× standard
-    /// decryption).
+    /// decryption): a batch of one [`decrypt_many`](Self::decrypt_many),
+    /// which wipes the secret exponents and CRT halves it works with.
     pub fn decrypt(&self, c: &Ciphertext) -> Ibig {
-        // CRT decryption is two half-size exponentiations.
-        obs_count!(ModExp);
-        obs_count!(ModExp);
-        obs_count!(Decrypt);
-        let crt = &self.crt;
-        let cp = crt.ctx_p2.pow(c.as_raw(), &(&crt.p - &Ubig::one()));
-        let cq = crt.ctx_q2.pow(c.as_raw(), &(&crt.q - &Ubig::one()));
-        self.crt_combine(&cp, &cq)
+        only(self.decrypt_many(std::slice::from_ref(c)))
     }
 
     /// [`decrypt`](Self::decrypt) for a batch, equal to the single call
-    /// entry by entry. Each CRT half raises every entry to one exponent
+    /// entry by entry. CRT decryption is two half-size exponentiations
+    /// per entry. Each CRT half raises every entry to one exponent
     /// (`p − 1`, `q − 1`) under one modulus (`p²`, `q²`), so the halves run
     /// side by side through [`MontCtx::pow_many`]. Counts one decryption
     /// per entry, as the single call does.
@@ -537,6 +513,13 @@ impl PaillierSecretKey {
         let m = (&l * &self.mu) % &self.pk.n;
         self.pk.decode(m)
     }
+}
+
+/// The one result of a batch of one.
+fn only<T>(batch: Vec<T>) -> T {
+    let first = batch.into_iter().next();
+    // pisa-lint: allow(panic-freedom): every batched entry point in this file returns one result per entry, so a batch of one holds exactly one; no input reaches the empty case
+    first.expect("a batch of one has one result")
 }
 
 /// `L(x) = (x - 1) / d` — exact division by construction for honest
