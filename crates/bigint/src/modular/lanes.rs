@@ -212,13 +212,13 @@ pub(super) fn lane_window(bits: usize) -> usize {
     window_width(bits).min(MAX_LANE_WINDOW)
 }
 
-/// A ladder's inputs in radix 2⁵²: the modulus and its constants, and up
-/// to `stride` bases, base `i`'s digit `j` at `[j·stride + i]`. A lane
-/// group interleaves its bases (stride [`LANES`]); a single power lays
-/// its digits out in order (stride 1). For a secret modulus (`p²`, `q²`)
-/// every field derives from it, so the whole job is wiped on drop, and
-/// so are the big integers it is built from.
-struct Job {
+/// A modulus and its constants in radix 2⁵², which every ladder under
+/// it shares: [`radix52`] computes them once per [`MontCtx`], on the
+/// first IFMA ladder that context runs. Under a secret modulus (`p²`,
+/// `q²`) they derive from it, so the context's wipe clears them; the big
+/// integers they are built from are wiped as soon as they are made.
+#[derive(Debug, Clone)]
+pub(super) struct Radix52 {
     /// `L`, the digit count.
     digits: usize,
     /// The modulus, `L` digits.
@@ -229,6 +229,44 @@ struct Job {
     one: Vec<u64>,
     /// `R′² mod n`, which carries a base into the form, `L` digits.
     r2: Vec<u64>,
+}
+
+impl Zeroize for Radix52 {
+    fn zeroize(&mut self) {
+        self.n.zeroize();
+        self.one.zeroize();
+        self.r2.zeroize();
+        self.k0.zeroize();
+    }
+}
+
+/// `ctx`'s radix-2⁵² constants, computed on the first call: two
+/// divisions and a square that every ladder under `ctx` used to repeat.
+fn radix52(ctx: &MontCtx) -> &Radix52 {
+    ctx.radix52.get_or_init(|| {
+        let l = lane_digits(ctx);
+        // R′ − one and one² − r2 are multiples of n.
+        let one = Zeroizing::new((Ubig::one() << (DIGIT_BITS * l)) % &ctx.n);
+        let square = Zeroizing::new(&*one * &*one);
+        let r2 = Zeroizing::new(&*square % &ctx.n);
+        Radix52 {
+            digits: l,
+            n: digits_of(&ctx.n, l),
+            k0: ctx.n0_inv & DIGIT_MASK,
+            one: digits_of(&one, l),
+            r2: digits_of(&r2, l),
+        }
+    })
+}
+
+/// A ladder's inputs in radix 2⁵²: the modulus's shared constants and up
+/// to `stride` bases, base `i`'s digit `j` at `[j·stride + i]`. A lane
+/// group interleaves its bases (stride [`LANES`]); a single power lays
+/// its digits out in order (stride 1). Under a secret modulus the bases
+/// are secret residues, so they are wiped on drop.
+struct Job<'a> {
+    /// The modulus and its constants.
+    radix52: &'a Radix52,
     /// The bases, reduced below `n`, `L · stride` digits.
     bases: Vec<u64>,
     /// The ladder's window width.
@@ -238,13 +276,9 @@ struct Job {
     lanes: u64,
 }
 
-impl Drop for Job {
+impl Drop for Job<'_> {
     fn drop(&mut self) {
-        self.n.zeroize();
-        self.one.zeroize();
-        self.r2.zeroize();
         self.bases.zeroize();
-        self.k0.zeroize();
     }
 }
 
@@ -292,15 +326,17 @@ fn from_digits(ctx: &MontCtx, digits: impl Iterator<Item = u64>) -> Ubig {
     Ubig::from_limbs(limbs)
 }
 
-impl Job {
+impl Job<'_> {
     /// Lays out `group`, at most `stride` bases, for a ladder of window
     /// `window`.
-    fn new<B: Borrow<Ubig>>(ctx: &MontCtx, group: &[B], stride: usize, window: usize) -> Job {
-        let l = lane_digits(ctx);
-        // R′ − one and one² − r2 are multiples of n.
-        let one = Zeroizing::new((Ubig::one() << (DIGIT_BITS * l)) % &ctx.n);
-        let square = Zeroizing::new(&*one * &*one);
-        let r2 = Zeroizing::new(&*square % &ctx.n);
+    fn new<'a, B: Borrow<Ubig>>(
+        ctx: &'a MontCtx,
+        group: &[B],
+        stride: usize,
+        window: usize,
+    ) -> Job<'a> {
+        let shared = radix52(ctx);
+        let l = shared.digits;
         let mut bases = vec![0u64; l * stride];
         for (i, b) in group.iter().take(stride).enumerate() {
             let b = b.borrow();
@@ -316,11 +352,7 @@ impl Job {
             }
         }
         Job {
-            digits: l,
-            n: digits_of(&ctx.n, l),
-            k0: ctx.n0_inv & DIGIT_MASK,
-            one: digits_of(&one, l),
-            r2: digits_of(&r2, l),
+            radix52: shared,
             bases,
             window,
             lanes: group.len().min(stride) as u64,
@@ -355,7 +387,7 @@ pub(super) fn pow_single(ifma: Ifma, ctx: &MontCtx, base: &Ubig, exp: &Ubig) -> 
         window_width(exp.bit_len()),
     );
     let mut digits = ifma.single(&job, exp);
-    let power = from_digits(ctx, digits.iter().take(job.digits).copied());
+    let power = from_digits(ctx, digits.iter().take(job.radix52.digits).copied());
     digits.zeroize();
     power
 }
@@ -400,7 +432,7 @@ impl Ifma {
     fn single(self, job: &Job, exp: &Ubig) -> Vec<u64> {
         macro_rules! vectors {
             ($($v:literal)*) => {
-                match job.digits.div_ceil(LANES) {
+                match job.radix52.digits.div_ceil(LANES) {
                     // SAFETY: as for `Ifma::lanes`: `ifma::single` is
                     // compiled for avx512f and avx512ifma, which this
                     // token's existence proves the CPU runs.
@@ -447,9 +479,9 @@ mod ifma {
     /// digit-major. The workspace is wiped before it is kept.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) fn lanes(job: &Job, exp: &Ubig) -> Vec<u64> {
-        let l = job.digits;
+        let l = job.radix52.digits;
         let zero = _mm512_setzero_si512();
-        let k0 = _mm512_set1_epi64(job.k0 as i64);
+        let k0 = _mm512_set1_epi64(job.radix52.k0 as i64);
         // The table, the multiply's 2L digits of working space, the
         // ladder's two registers and the modulus.
         let mut space = take_space();
@@ -458,10 +490,10 @@ mod ifma {
         let (t, rest) = rest.split_at_mut(2 * l);
         let (acc, rest) = rest.split_at_mut(l);
         let (tmp, n) = rest.split_at_mut(l);
-        splat(&job.n, n);
-        splat(&job.one, &mut table[..l]);
+        splat(&job.radix52.n, n);
+        splat(&job.radix52.one, &mut table[..l]);
         gather(&job.bases, acc);
-        splat(&job.r2, tmp);
+        splat(&job.radix52.r2, tmp);
         let n = &*n;
         let unit = _mm512_set1_epi64(1);
         let out = scatter(ladder(job, exp, table, acc, tmp, unit, |a, b, out| {
@@ -478,19 +510,19 @@ mod ifma {
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) fn single<const V: usize>(job: &Job, exp: &Ubig) -> Vec<u64> {
         let zero = _mm512_setzero_si512();
-        let k0 = _mm512_set1_epi64(job.k0 as i64);
+        let k0 = _mm512_set1_epi64(job.radix52.k0 as i64);
         // The table, the ladder's two registers and the modulus.
         let mut space = take_space();
         space.resize(((1 << job.window) + 3) * V, zero);
         let (table, rest) = space.split_at_mut((1 << job.window) * V);
         let (acc, rest) = rest.split_at_mut(V);
         let (tmp, n) = rest.split_at_mut(V);
-        gather(&job.n, n);
-        gather(&job.one, &mut table[..V]);
+        gather(&job.radix52.n, n);
+        gather(&job.radix52.one, &mut table[..V]);
         gather(&job.bases, acc);
-        gather(&job.r2, tmp);
+        gather(&job.radix52.r2, tmp);
         let n = &*n;
-        let l = job.digits;
+        let l = job.radix52.digits;
         let unit = _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, 1);
         let out = scatter(ladder(job, exp, table, acc, tmp, unit, |a, b, out| {
             amm1::<V>(a, b, n, k0, l, out)
@@ -983,6 +1015,27 @@ mod tests {
             .unwrap()
             .pow_many::<Ubig>(&[], &Ubig::one())
             .is_empty());
+    }
+
+    /// The first IFMA ladder under a context makes its radix-2⁵² constants,
+    /// later ladders reuse them, and the context's wipe clears them.
+    #[test]
+    fn radix52_constants_are_made_once_per_context_and_wiped_with_it() {
+        if ifma_here().is_none() {
+            return;
+        }
+        let n = &moduli(12)[0];
+        let mut ctx = MontCtx::new(n).unwrap();
+        assert!(ctx.radix52.get().is_none());
+        let (group, e) = (bases(n, 3, 5), exponent(65));
+        let want = expected(&ctx, &group, &e);
+        assert_eq!(ctx.pow_many(&group, &e), want);
+        let made: Option<*const Radix52> = ctx.radix52.get().map(|c| c as *const _);
+        assert!(made.is_some(), "the ladder made no constants");
+        assert_eq!(ctx.pow(&group[2], &e), want[2]);
+        assert_eq!(ctx.radix52.get().map(|c| c as *const _), made);
+        ctx.zeroize();
+        assert!(ctx.radix52.get().is_none(), "the wipe kept the constants");
     }
 
     /// Radix-2⁵² digits round-trip through limbs at widths where digits

@@ -12,9 +12,11 @@
 //! each cross product once and doubles it. Leaving Montgomery form is a
 //! reduction alone, at every width.
 
+use super::lanes::Radix52;
 use crate::arith::{mul_limbs, sub_assign_slice};
 use crate::Ubig;
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Montgomery multiplications and squarings performed on this
@@ -152,6 +154,9 @@ pub struct MontCtx {
     r_mod_n: Ubig,
     /// `R² mod n`, used to convert into Montgomery form.
     r2_mod_n: Ubig,
+    /// The IFMA tiers' radix-2⁵² form of the modulus and its constants,
+    /// made by the first IFMA ladder under this context.
+    pub(super) radix52: OnceLock<Radix52>,
 }
 
 impl MontCtx {
@@ -172,6 +177,7 @@ impl MontCtx {
             n0_inv,
             r_mod_n,
             r2_mod_n,
+            radix52: OnceLock::new(),
         })
     }
 
@@ -527,13 +533,17 @@ impl MontCtx {
 }
 
 impl crate::zeroize::Zeroize for MontCtx {
-    /// Wipes the modulus and precomputed residues. A context built for a
-    /// secret modulus (`p²`, `q²` in CRT decryption) reveals that modulus,
-    /// so secret-key `Drop` impls wipe their contexts too.
+    /// Wipes the modulus and precomputed residues, the IFMA tiers' among
+    /// them. A context built for a secret modulus (`p²`, `q²` in CRT
+    /// decryption) reveals that modulus, so secret-key `Drop` impls wipe
+    /// their contexts too.
     fn zeroize(&mut self) {
         self.n.zeroize();
         self.r_mod_n.zeroize();
         self.r2_mod_n.zeroize();
+        if let Some(mut radix52) = self.radix52.take() {
+            radix52.zeroize();
+        }
         self.n0_inv.zeroize();
         self.k.zeroize();
     }

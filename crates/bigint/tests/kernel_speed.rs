@@ -7,6 +7,8 @@
 //!   the widths of p² and n² for 384-bit keys;
 //! - `mod_inverse` against `mont_mul_reference` at 12 and 64 limbs, the
 //!   widths of n² for 384- and 2048-bit keys;
+//! - `MontCtx::inverse_many` of eight values against eight `mod_inverse`
+//!   calls at the same widths;
 //! - an 8-entry `pow_many` against eight powers on the scalar ladder at
 //!   12 and 64 limbs, and one `pow` against the scalar ladder at 32 and
 //!   64 limbs, on a CPU with AVX-512 IFMA (elsewhere these gates print
@@ -58,6 +60,12 @@ const MAX_NARROW_RATIO: f64 = 0.63;
 /// and the binary extended GCD it replaced 134–145 at both widths; the
 /// cut-off sits between the two ranges.
 const MAX_INVERSE_MULS: f64 = 40.0;
+/// A batched inverse of eight values fails the gate above this fraction
+/// of the time of eight `mod_inverse` calls. On a shared 2-vCPU Xeon
+/// `MontCtx::inverse_many` (one inversion and 21 Montgomery multiplies)
+/// measures 0.16–0.20 at 12 limbs and 0.24–0.25 at 64; inverting each value
+/// on its own measures 1.00 at both.
+const MAX_BATCH_INVERSE_RATIO: f64 = 0.5;
 /// An 8-entry `pow_many` fails the gate above this fraction of the time
 /// of eight powers on the scalar ladder. On a shared 2-vCPU Xeon with
 /// `avx512ifma` the lane tier measures 0.13–0.25 at 6–64 limbs; eight
@@ -212,6 +220,52 @@ fn inverse_costs_few_mont_muls_at_12_and_64_limbs() {
             muls <= MAX_INVERSE_MULS,
             "mod_inverse at {limbs} limbs costs {muls:.1} reference multiplies \
              (max {MAX_INVERSE_MULS})"
+        );
+    }
+}
+
+#[test]
+#[ignore = "tier-2: timing ratio, run in release via the CI bench lane"]
+fn batched_inverse_of_eight_beats_eight_inversions_at_12_and_64_limbs() {
+    let _serial = one_gate_at_a_time();
+    let mut state = 0x3c6e_f372_fe94_f82bu64;
+    let mut readings = Vec::new();
+    for (limbs, rounds) in [(12usize, 200), (64, 40)] {
+        let n = odd_modulus(&mut state, limbs);
+        let ctx = MontCtx::new(&n).expect("odd modulus");
+        let values: Vec<Ubig> = (0..8)
+            .map(|_| {
+                let mut a = Ubig::from_limbs(xorshift_limbs(&mut state, limbs)) % &n;
+                while !gcd(&a, &n).is_one() {
+                    a = &a + &Ubig::one();
+                }
+                a
+            })
+            .collect();
+        let (mut single, mut batch) = (f64::MAX, f64::MAX);
+        for _ in 0..rounds {
+            let t = Instant::now();
+            for v in &values {
+                black_box(mod_inverse(black_box(v), &n));
+            }
+            single = single.min(t.elapsed().as_nanos() as f64);
+            let t = Instant::now();
+            black_box(ctx.inverse_many(black_box(&values)));
+            batch = batch.min(t.elapsed().as_nanos() as f64);
+        }
+        let ratio = batch / single;
+        println!(
+            "{limbs} limbs: 8 mod_inverse {:.1} us, inverse_many(8) {:.1} us ({ratio:.2}x)",
+            single / 1e3,
+            batch / 1e3
+        );
+        readings.push((limbs, ratio));
+    }
+    for (limbs, ratio) in readings {
+        assert!(
+            ratio <= MAX_BATCH_INVERSE_RATIO,
+            "inverse_many(8) at {limbs} limbs at {ratio:.2}x of eight inversions \
+             (max {MAX_BATCH_INVERSE_RATIO})"
         );
     }
 }

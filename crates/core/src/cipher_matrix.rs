@@ -134,8 +134,9 @@ impl CipherMatrix {
         self.with_data(data.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     }
 
-    /// Element-wise homomorphic subtraction ⊖. Fails on a non-unit
-    /// (adversarial) ciphertext in `other`; every entry is checked.
+    /// Element-wise homomorphic subtraction ⊖, one inversion per fan-out
+    /// group. Fails on a non-unit (adversarial) ciphertext in `other`;
+    /// every entry is checked.
     ///
     /// # Panics
     ///
@@ -146,7 +147,10 @@ impl CipherMatrix {
         pk: &PaillierPublicKey,
     ) -> Result<CipherMatrix, pisa_crypto::CryptoError> {
         self.check_shape(other);
-        let data = fan_out(&self.data, |i, a| pk.sub(a, &other.data[i]));
+        let data = fan_out_groups(&self.data, |start, group| {
+            let pairs: Vec<_> = group.iter().zip(&other.data[start..]).collect();
+            pk.sub_many(&pairs)
+        });
         self.try_with_data(data.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     }
 
@@ -163,13 +167,14 @@ impl CipherMatrix {
 
     /// Re-randomizes every entry (the paper's cheap request refresh).
     /// Byte-identical to `pk.rerandomize` entry by entry: the factors'
-    /// randomness is drawn from `rng` in entry order first.
+    /// randomness is drawn from `rng` in entry order first, with one gcd
+    /// for the batch.
     pub fn rerandomize<R: rand::Rng + ?Sized>(
         &self,
         pk: &PaillierPublicKey,
         rng: &mut R,
     ) -> CipherMatrix {
-        let draws: Vec<_> = self.data.iter().map(|_| pk.draw_randomizer(rng)).collect();
+        let draws = pk.draw_randomizers(rng, self.data.len());
         let data = fan_out_groups(&draws, |start, group| {
             let entries = &self.data[start..start + group.len()];
             let factors = pk.raise_randomizers(group);
@@ -345,7 +350,8 @@ pub(crate) fn at_width<T>(workers: usize, f: impl FnOnce() -> T) -> T {
 
 /// Encrypts `plain` under `pk`, byte-identical to a loop of
 /// `pk.encrypt(v, rng)`: every nonce is drawn from `rng` in entry order,
-/// then the exponentiations fan out in groups.
+/// with one gcd for the batch, then the exponentiations fan out in
+/// groups.
 pub(crate) fn encrypt_all<R: rand::Rng + ?Sized>(
     pk: &PaillierPublicKey,
     plain: &[i128],
@@ -353,7 +359,8 @@ pub(crate) fn encrypt_all<R: rand::Rng + ?Sized>(
 ) -> Vec<Ciphertext> {
     let entries: Vec<_> = plain
         .iter()
-        .map(|&v| (i128_to_ibig(v), pk.draw_nonce(rng)))
+        .map(|&v| i128_to_ibig(v))
+        .zip(pk.draw_nonces(rng, plain.len()))
         .collect();
     fan_out_groups(&entries, |_, group| pk.encrypt_with_nonces(group))
         .unwrap_or_else(|panic| std::panic::resume_unwind(panic))

@@ -10,6 +10,7 @@ use crate::stp::{StpObservation, StpServer};
 use crate::su::SuClient;
 use pisa_net::WireSize;
 use pisa_radio::tv::Channel;
+use pisa_watch::SuRequest;
 use rand::Rng;
 
 /// Result of one full transmission-request round.
@@ -52,8 +53,26 @@ pub fn run_request_direct<R: Rng + ?Sized>(
     channels: &[Channel],
     rng: &mut R,
 ) -> Result<RequestOutcome, PisaError> {
+    let request = SuRequest::full_power(sdc.config().watch(), su.block(), channels);
+    run_request_direct_from(su, sdc, stp, &request, rng)
+}
+
+/// [`run_request_direct`] for an explicit plaintext request (arbitrary
+/// per-channel EIRP): the one copy of the round that both it and
+/// [`PisaSystem::request_with`](crate::PisaSystem::request_with) run.
+///
+/// # Errors
+///
+/// Propagates any [`PisaError`] from the SDC or STP steps.
+pub(crate) fn run_request_direct_from<R: Rng + ?Sized>(
+    su: &mut SuClient,
+    sdc: &mut SdcServer,
+    stp: &StpServer,
+    request: &SuRequest,
+    rng: &mut R,
+) -> Result<RequestOutcome, PisaError> {
     let cfg = sdc.config().clone();
-    let request = su.build_request(&cfg, stp.public_key(), channels, rng);
+    let request = su.build_request_from(&cfg, stp.public_key(), request, rng);
     let request_bytes = request.wire_bytes();
 
     let to_stp = sdc.process_request_phase1(&request, rng)?;

@@ -1,4 +1,15 @@
 //! The Spectrum Database Controller server.
+//!
+//! Phase 1's per-entry work runs in fan-out groups of up to eight
+//! entries, and each group shares its number-theoretic work: one
+//! inversion for the eq. 12 subtractions `N ⊖ R`, one for the eq. 14
+//! differences (ε only picks which operand each entry inverts, so the
+//! work is the same for every ε), and one gcd for the β̃ nonces its
+//! entries draw from their own streams. A PU update checks its column
+//! with one gcd and takes the old column out of Ñ with one inversion.
+//! A non-unit among a batch (only an adversarial ciphertext is one)
+//! sends the batch back to one inversion per entry, so every entry's
+//! result and error equal the single ⊖'s.
 
 use crate::cipher_matrix::{fan_out, fan_out_groups, i128_to_ibig, CipherMatrix};
 use crate::config::SystemConfig;
@@ -209,22 +220,29 @@ impl SdcServer {
                 region_blocks: msg.block.0,
                 blocks: self.cfg.blocks(),
             })?;
-        for w in &msg.w_column {
-            self.pk_g.check_unit(w)?;
-        }
+        // One gcd for the column: its product is a unit exactly when
+        // every entry is.
+        self.pk_g.check_units(&msg.w_column)?;
 
         let b = msg.block.0;
-        // Stage the PU's old block with its previous contribution removed,
-        // then the new block with the new one added on top.
+        // Stage the PU's old block with its previous contribution removed
+        // (one inversion for the column), then the new block with the new
+        // one added on top.
         let removed = match self.contributions.get(&pu_id) {
-            Some((old_block, old_col)) => Some((
-                old_block.0,
-                old_col
+            Some((old_block, old_col)) => {
+                let pairs: Vec<_> = old_col
                     .iter()
                     .enumerate()
-                    .map(|(c, old)| self.pk_g.sub(self.n_matrix.get(c, old_block.0), old))
-                    .collect::<Result<Vec<_>, _>>()?,
-            )),
+                    .map(|(c, old)| (self.n_matrix.get(c, old_block.0), old))
+                    .collect();
+                Some((
+                    old_block.0,
+                    self.pk_g
+                        .sub_many(&pairs)
+                        .into_iter()
+                        .collect::<Result<Vec<_>, _>>()?,
+                ))
+            }
             None => None,
         };
         let added: Vec<Ciphertext> = msg
@@ -359,7 +377,8 @@ impl SdcServer {
     ///
     /// The shared-exponent powers — `X ⊗ F` and the `rⁿ` of each online
     /// β̃ — run side by side for the group; α is each entry's own and
-    /// stays a single power. Each entry draws from its own
+    /// stays a single power. The group's two ⊖ steps cost one inversion
+    /// each, and its β̃ nonces one gcd. Each entry draws from its own
     /// `entry_rng(base, idx)`: its blinding factors, then (unpooled) its
     /// β̃ nonce. With a pooled factor the β̃ encryption is two modular
     /// multiplications instead of the full `rⁿ` exponentiation — the
@@ -375,40 +394,57 @@ impl SdcServer {
         let x = Ibig::from(self.cfg.watch().params().x_integer());
         // R = X ⊗ F (eq. 11)
         let rs = self.pk_g.scalar_mul_many(f_cts, &x);
+        let mut erngs: Vec<_> = (start..start + f_cts.len())
+            .map(|idx| entry_rng(base, idx))
+            .collect();
+        let factors: Vec<_> = erngs
+            .iter_mut()
+            .map(|erng| self.blinder.sample(erng))
+            .collect();
         // The pool hands out a prefix of the entries; the rest draw a β̃
         // nonce after their factors and encrypt side by side.
         let pooled = beta_factors.get(start..).unwrap_or_default();
-        let mut online = Vec::new();
-        let factors: Vec<_> = (0..f_cts.len())
-            .map(|i| {
-                let mut erng = entry_rng(base, start + i);
-                let f = self.blinder.sample(&mut erng);
-                if i >= pooled.len() {
-                    online.push((Ibig::from(f.beta.clone()), self.pk_g.draw_nonce(&mut erng)));
-                }
-                f
-            })
+        let split = pooled.len().min(f_cts.len());
+        let online: Vec<_> = factors
+            .iter()
+            .skip(split)
+            .map(|f| Ibig::from(f.beta.clone()))
+            .zip(
+                self.pk_g
+                    .draw_nonces_each(erngs.get_mut(split..).unwrap_or_default()),
+            )
             .collect();
-        let beta_cts = factors
+        let beta_cts: Vec<_> = factors
             .iter()
             .zip(pooled)
             .map(|(f, p)| {
                 self.pk_g
                     .encrypt_with_randomizer(&Ibig::from(f.beta.clone()), p)
             })
-            .chain(self.pk_g.encrypt_with_nonces(&online));
-        (start..)
-            .zip(rs.into_iter().zip(&factors).zip(beta_cts))
-            .map(|(idx, ((r, f), beta_ct))| {
-                // I = N ⊖ R (eq. 12)
-                let i = self
-                    .pk_g
-                    .sub(self.n_matrix.get(idx / region, idx % region), &r?)?;
-                // V = ε ⊗ (α ⊗ I ⊖ β̃) (eq. 14)
-                let scaled = self.pk_g.scalar_mul(&i, &Ibig::from(f.alpha.clone()))?;
-                let v = signed_difference(&self.pk_g, &scaled, &beta_ct, f.epsilon)?;
-                Ok((v, f.epsilon))
-            })
+            .chain(self.pk_g.encrypt_with_nonces(&online))
+            .collect();
+        // I = N ⊖ R (eq. 12)
+        let is = differences(
+            &self.pk_g,
+            (start..)
+                .zip(&rs)
+                .map(|(idx, r)| {
+                    let n = self.n_matrix.get(idx / region, idx % region);
+                    Ok((n, r.as_ref().map_err(|e| e.clone())?))
+                })
+                .collect(),
+        );
+        // V = ε ⊗ (α ⊗ I ⊖ β̃) (eq. 14)
+        let scaled: Vec<_> = is
+            .into_iter()
+            .zip(&factors)
+            .map(|(i, f)| Ok(self.pk_g.scalar_mul(&i?, &Ibig::from(f.alpha.clone()))?))
+            .collect();
+        let epsilons: Vec<_> = factors.iter().map(|f| f.epsilon).collect();
+        signed_differences(&self.pk_g, &scaled, &beta_cts, &epsilons)
+            .into_iter()
+            .zip(epsilons)
+            .map(|(v, epsilon)| Ok((v?, epsilon)))
             .collect()
     }
 
@@ -746,20 +782,57 @@ impl SdcServer {
     }
 }
 
-/// `V = ε ⊗ (scaled ⊖ β̃)` (eq. 14) with one inversion for either sign:
-/// `scaled ⊖ β̃` for ε = +1 and `β̃ ⊖ scaled` for ε = −1, since
-/// `(x·y⁻¹)⁻¹ = y·x⁻¹`. β̃ is a fresh encryption and always a unit, so
-/// this fails exactly when ε = −1 and `scaled` is not a unit.
-fn signed_difference(
+/// `V = ε ⊗ (scaled ⊖ β̃)` (eq. 14) for a group of entries: `scaled ⊖ β̃`
+/// for ε = +1 and `β̃ ⊖ scaled` for ε = −1, since `(x·y⁻¹)⁻¹ = y·x⁻¹`. ε
+/// only picks which operand is the denominator, so every entry puts one
+/// ciphertext into the group's one inversion whatever its ε, and the
+/// work does not depend on ε. β̃ is a fresh encryption and always a
+/// unit, so an entry fails exactly when its `scaled` failed, or when ε =
+/// −1 and its `scaled` is not a unit.
+fn signed_differences(
     pk: &PaillierPublicKey,
-    scaled: &Ciphertext,
-    beta_ct: &Ciphertext,
-    epsilon: SignFlip,
-) -> Result<Ciphertext, PisaError> {
-    Ok(match epsilon {
-        SignFlip::Keep => pk.sub(scaled, beta_ct)?,
-        SignFlip::Flip => pk.sub(beta_ct, scaled)?,
-    })
+    scaled: &[Result<Ciphertext, PisaError>],
+    beta_cts: &[Ciphertext],
+    epsilons: &[SignFlip],
+) -> Vec<Result<Ciphertext, PisaError>> {
+    let pairs = scaled
+        .iter()
+        .zip(beta_cts)
+        .zip(epsilons)
+        .map(|((scaled, beta_ct), epsilon)| {
+            let scaled = scaled.as_ref().map_err(PisaError::clone)?;
+            Ok(match epsilon {
+                SignFlip::Keep => (scaled, beta_ct),
+                SignFlip::Flip => (beta_ct, scaled),
+            })
+        })
+        .collect();
+    differences(pk, pairs)
+}
+
+/// `a ⊖ b` for every entry whose operands exist, with one inversion for
+/// all of them ([`PaillierPublicKey::sub_many`]); an entry whose operand
+/// already failed keeps that error. Entry by entry the result of
+/// `pk.sub`.
+fn differences(
+    pk: &PaillierPublicKey,
+    pairs: Vec<Result<(&Ciphertext, &Ciphertext), PisaError>>,
+) -> Vec<Result<Ciphertext, PisaError>> {
+    let ready: Vec<_> = pairs
+        .iter()
+        .filter_map(|p| p.as_ref().ok().copied())
+        .collect();
+    let mut diffs = pk.sub_many(&ready).into_iter();
+    pairs
+        .into_iter()
+        .map(|pair| {
+            pair?;
+            let diff = diffs
+                .next()
+                .ok_or(PisaError::EngineFailure("a batched ⊖ lost an entry"))?;
+            Ok(diff?)
+        })
+        .collect()
 }
 
 /// `ΣQ = Σ (ε ⊗ X̃ ⊖ 1̃)` over the decision matrix (eqs. 13, 16), as
@@ -874,21 +947,40 @@ mod tests {
             .iter()
             .map(|&v| pk.encrypt(&Ibig::from(v), &mut rng))
             .collect();
-        let beta_ct = pk.encrypt(&Ibig::from(987_654i64), &mut rng);
+        let beta_cts: Vec<_> = (0..6i64)
+            .map(|b| pk.encrypt(&Ibig::from(987_654 + b), &mut rng))
+            .collect();
+        let malformed = Err(PisaError::Crypto(CryptoError::MalformedCiphertext));
 
-        for eps in [Keep, Flip] {
-            for scaled in [&x_cts[1], &non_unit] {
-                assert_eq!(
-                    signed_difference(pk, scaled, &beta_ct, eps),
-                    scalar_difference(pk, scaled, &beta_ct, eps),
-                    "{eps:?}"
-                );
+        // A group of six with a non-unit `scaled` at the first, a middle
+        // or the last entry, under every ε there: only a flipped ε fails,
+        // and only that entry; every other entry is the entrywise
+        // formula's ciphertext.
+        let mixed = [Keep, Flip, Flip, Keep, Flip, Keep];
+        for at in [0, 2, 5] {
+            for eps in [Keep, Flip] {
+                let mut epsilons = mixed;
+                epsilons[at] = eps;
+                let mut scaled: Vec<Result<Ciphertext, PisaError>> =
+                    x_cts.iter().cloned().map(Ok).collect();
+                scaled[at] = Ok(non_unit.clone());
+                let got = signed_differences(pk, &scaled, &beta_cts, &epsilons);
+                for (i, got) in got.iter().enumerate() {
+                    let want = match &scaled[i] {
+                        Ok(s) => scalar_difference(pk, s, &beta_cts[i], epsilons[i]),
+                        Err(e) => Err(e.clone()),
+                    };
+                    assert_eq!(got, &want, "non-unit at {at} under {eps:?}, entry {i}");
+                    assert_eq!(got == &malformed, i == at && eps == Flip);
+                }
+                // An entry whose `scaled` already failed keeps its error.
+                scaled[at] = Err(PisaError::EngineFailure("upstream"));
+                let got = signed_differences(pk, &scaled, &beta_cts, &epsilons);
+                assert_eq!(got[at], Err(PisaError::EngineFailure("upstream")));
+                assert!(got.iter().enumerate().all(|(i, r)| r.is_ok() == (i != at)));
             }
         }
-        let malformed = Err(PisaError::Crypto(CryptoError::MalformedCiphertext));
-        assert_eq!(signed_difference(pk, &non_unit, &beta_ct, Flip), malformed);
 
-        let mixed = [Keep, Flip, Flip, Keep, Flip, Keep];
         for epsilons in [[Keep; 6], [Flip; 6], mixed] {
             let got = sum_decisions(pk, &x_cts, &epsilons);
             assert!(got.is_ok());
@@ -904,6 +996,51 @@ mod tests {
             assert_eq!(got, entrywise_sum(pk, &x_cts, &mixed), "non-unit at {at}");
         }
         assert_eq!(sum_decisions(pk, &[], &[]), entrywise_sum(pk, &[], &[]));
+    }
+
+    /// A request entry that is a multiple of p (not a unit, so `X ⊗ F` is
+    /// not either) at the first, a middle or the last entry of a fan-out
+    /// group fails phase 1 with the error the entrywise eq. 12 gives,
+    /// and leaves no pending session; the honest request then passes.
+    #[test]
+    fn non_unit_request_entry_fails_phase1_anywhere_in_a_group() {
+        use crate::cipher_matrix::at_width;
+        use pisa_crypto::CryptoError;
+
+        let mut rng = StdRng::seed_from_u64(0x91e);
+        let cfg = SystemConfig::small_test();
+        let half = cfg.paillier_bits() / 2;
+        let p = pisa_bigint::prime::gen_prime(&mut rng, half);
+        let q = pisa_bigint::prime::gen_prime(&mut rng, half);
+        let kp = pisa_crypto::paillier::PaillierKeyPair::from_primes(p.clone(), q).unwrap();
+        let pk = kp.public().clone();
+        let mut sdc = SdcServer::new(cfg.clone(), pk.clone(), "sdc.unit", &mut rng);
+        let mut su = SuClient::new(SuId(8), BlockId(0), &cfg, &mut rng);
+        let honest = su.build_request(&cfg, &pk, &[Channel(0)], &mut rng);
+        // One worker: groups of `pow_many_width()` entries from entry 0.
+        let width = pisa_bigint::modular::pow_many_width();
+        let evil = Ciphertext::from_raw(&p * &Ubig::from(7u64));
+        for at in [0, width / 2, width - 1, width] {
+            let mut cts = honest.f_matrix.ciphertexts().to_vec();
+            // Entry-wise, eq. 12 fails on this entry's X ⊗ F.
+            let x = Ibig::from(cfg.watch().params().x_integer());
+            let r = pk.scalar_mul(&evil, &x).unwrap();
+            assert_eq!(
+                pk.sub(sdc.n_matrix().get(at / cfg.blocks(), at % cfg.blocks()), &r),
+                Err(CryptoError::MalformedCiphertext)
+            );
+            cts[at] = evil.clone();
+            let mut msg = honest.clone();
+            msg.f_matrix = CipherMatrix::from_ciphertexts(cfg.channels(), cfg.blocks(), cts);
+            let got = at_width(1, || sdc.process_request_phase1(&msg, &mut rng));
+            assert_eq!(
+                got.unwrap_err(),
+                PisaError::Crypto(CryptoError::MalformedCiphertext),
+                "non-unit at entry {at}"
+            );
+            assert_eq!(sdc.pending_sessions(), 0);
+        }
+        assert!(at_width(1, || sdc.process_request_phase1(&honest, &mut rng)).is_ok());
     }
 
     #[test]

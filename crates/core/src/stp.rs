@@ -1,4 +1,10 @@
 //! The Semi-trusted Third Party: key generation and key conversion.
+//!
+//! Key conversion runs in fan-out groups of up to eight entries: each
+//! group decrypts its CRT halves side by side, and its online
+//! re-encryptions draw their nonces from their entries' own streams with
+//! one gcd for the group, equal draw for draw to one `encrypt` per
+//! entry.
 
 use crate::cipher_matrix::{fan_out_groups, CipherMatrix};
 use crate::error::PisaError;
@@ -237,18 +243,17 @@ impl StpServer {
                 .collect();
             // The pool hands out a prefix of the entries. The rest draw
             // their nonce from their own stream, as
-            // `su_pk.encrypt(x, entry_rng(base, idx))` would, and encrypt
-            // side by side.
+            // `su_pk.encrypt(x, entry_rng(base, idx))` would, with one gcd
+            // for the group, and encrypt side by side.
             let pooled = factors.get(start..).unwrap_or_default();
-            let online: Vec<_> = (start..)
-                .zip(&signs)
+            let mut erngs: Vec<_> = (start + pooled.len()..start + group.len())
+                .map(|idx| crate::sdc::entry_rng(base, idx))
+                .collect();
+            let online: Vec<_> = signs
+                .iter()
                 .skip(pooled.len())
-                .map(|(idx, x)| {
-                    (
-                        x.clone(),
-                        su_pk.draw_nonce(&mut crate::sdc::entry_rng(base, idx)),
-                    )
-                })
+                .cloned()
+                .zip(su_pk.draw_nonces_each(&mut erngs))
                 .collect();
             signs
                 .iter()

@@ -148,10 +148,10 @@ impl SuClient {
             .as_ref()
             .expect("precompute_refresh requires a previously built request")
             .len();
-        // Draw in entry order, then raise in groups across the host's
-        // cores: the factors equal `needed` sequential
-        // `precompute_randomizer` calls.
-        let draws: Vec<_> = (0..needed).map(|_| pk_g.draw_randomizer(rng)).collect();
+        // Draw in entry order (one gcd for the batch), then raise in
+        // groups across the host's cores: the factors equal `needed`
+        // sequential `precompute_randomizer` calls.
+        let draws = pk_g.draw_randomizers(rng, needed);
         self.refresh_pool = fan_out_groups(&draws, |_, group| pk_g.raise_randomizers(group))
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
     }

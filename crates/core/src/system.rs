@@ -4,7 +4,7 @@ use crate::config::SystemConfig;
 use crate::error::PisaError;
 use crate::keys::SuId;
 use crate::privacy::LocationPrivacy;
-use crate::protocol::{run_request_direct, RequestOutcome};
+use crate::protocol::{run_request_direct, run_request_direct_from, RequestOutcome};
 use crate::pu::PuClient;
 use crate::sdc::SdcServer;
 use crate::stp::StpServer;
@@ -209,28 +209,7 @@ impl PisaSystem {
         rng: &mut R,
     ) -> Result<RequestOutcome, PisaError> {
         let su_client = self.sus.get_mut(&su).ok_or(PisaError::UnknownSu(su))?;
-        let cfg = self.cfg.clone();
-        let msg = su_client.build_request_from(&cfg, self.stp.public_key(), request, rng);
-        let request_bytes = pisa_net::WireSize::wire_bytes(&msg);
-
-        let to_stp = self.sdc.process_request_phase1(&msg, rng)?;
-        let sdc_to_stp_bytes = pisa_net::WireSize::wire_bytes(&to_stp);
-        let (to_sdc, observation) = self.stp.key_convert(&to_stp, rng)?;
-        let stp_to_sdc_bytes = pisa_net::WireSize::wire_bytes(&to_sdc);
-        let su_pk = self.stp.su_key(su).ok_or(PisaError::UnknownSu(su))?.clone();
-        let response = self.sdc.process_request_phase2(&to_sdc, &su_pk, rng)?;
-        let response_bytes = pisa_net::WireSize::wire_bytes(&response);
-        let su_client = self.sus.get(&su).expect("registered SU");
-        let granted = su_client.handle_response(&response, self.sdc.signing_public_key());
-        Ok(RequestOutcome {
-            granted,
-            license: response.license,
-            request_bytes,
-            sdc_to_stp_bytes,
-            stp_to_sdc_bytes,
-            response_bytes,
-            stp_observation: observation,
-        })
+        run_request_direct_from(su_client, &mut self.sdc, &self.stp, request, rng)
     }
 }
 

@@ -38,13 +38,17 @@ macro_rules! obs_count {
     ($op:ident) => {
         pisa_obs::count(pisa_obs::Op::$op)
     };
+    ($op:ident, $n:expr) => {
+        pisa_obs::count_n(pisa_obs::Op::$op, $n as u64)
+    };
 }
 
-/// Records one crypto operation in the observability layer when the
-/// `obs` feature is on; compiles to nothing otherwise.
+/// Records one crypto operation (or `n` of them) in the observability
+/// layer when the `obs` feature is on; compiles to nothing otherwise.
 #[cfg(not(feature = "obs"))]
 macro_rules! obs_count {
     ($op:ident) => {};
+    ($op:ident, $n:expr) => {};
 }
 
 pub mod blind;
@@ -54,3 +58,17 @@ pub mod rsa;
 pub mod sha256;
 
 pub use error::CryptoError;
+
+use pisa_bigint::Ubig;
+
+/// `a⁻¹ mod m`: one divsteps inversion, counted.
+pub(crate) fn invert(a: &Ubig, m: &Ubig) -> Option<Ubig> {
+    obs_count!(Inversion);
+    pisa_bigint::modular::mod_inverse(a, m)
+}
+
+/// Whether `gcd(a, b) = 1`: one divsteps gcd, counted.
+pub(crate) fn coprime(a: &Ubig, b: &Ubig) -> bool {
+    obs_count!(Gcd);
+    pisa_bigint::modular::gcd(a, b).is_one()
+}

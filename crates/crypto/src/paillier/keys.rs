@@ -2,8 +2,9 @@
 
 use super::ops::{Ciphertext, Nonce, Randomizer, RandomizerDraw};
 use crate::error::CryptoError;
-use pisa_bigint::modular::{gcd, lcm, mod_inverse, MontCtx};
-use pisa_bigint::random::random_coprime;
+use crate::{coprime, invert};
+use pisa_bigint::modular::{lcm, MontCtx};
+use pisa_bigint::random::random_below;
 use pisa_bigint::zeroize::{Zeroize, Zeroizing};
 use pisa_bigint::{prime, Ibig, Sign, Ubig};
 use rand::Rng;
@@ -114,11 +115,27 @@ impl PaillierPublicKey {
     }
 
     /// The sequential half of [`encrypt`](Self::encrypt): draws the
-    /// nonce `r ∈ Z_n*` from `rng`, exactly as `encrypt` would.
+    /// nonce `r ∈ Z_n*` from `rng`, exactly as `encrypt` would, as a
+    /// batch of one [`draw_nonces`](Self::draw_nonces).
     pub fn draw_nonce<R: Rng + ?Sized>(&self, rng: &mut R) -> Nonce {
-        // `random_coprime` samples until gcd(r, n) = 1, so every nonce
-        // meets the unit precondition of `raw_encrypt`.
-        Nonce(random_coprime(rng, &self.n))
+        only(self.draw_nonces(rng, 1))
+    }
+
+    /// `count` nonces from one stream, equal draw for draw to `count`
+    /// calls of [`draw_nonce`](Self::draw_nonce). They pay one gcd for
+    /// the batch, of the product of their candidates, where the single
+    /// calls pay one each. Should the product share a factor with n, the
+    /// candidates are checked one by one in order and the rejected ones
+    /// replaced by the stream's next draws, as the single calls would.
+    pub fn draw_nonces<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<Nonce> {
+        self.draw_units(rng, count).into_iter().map(Nonce).collect()
+    }
+
+    /// One nonce from each stream of `rngs`, equal to
+    /// [`draw_nonce`](Self::draw_nonce) on each stream, with one gcd for
+    /// the batch: a stream whose candidate fails it draws on alone.
+    pub fn draw_nonces_each<R: Rng>(&self, rngs: &mut [R]) -> Vec<Nonce> {
+        self.draw_units_each(rngs).into_iter().map(Nonce).collect()
     }
 
     /// The pure half of [`encrypt`](Self::encrypt): one exponentiation
@@ -158,7 +175,7 @@ impl PaillierPublicKey {
     /// `sub`/`scalar_mul`/`invert` that touches it.
     pub fn encrypt_with_r(&self, m: &Ibig, r: &Ubig) -> Result<Ciphertext, CryptoError> {
         // gcd(0, n) = n, so this single check also rejects r = 0.
-        if !gcd(r, &self.n).is_one() {
+        if !coprime(r, &self.n) {
             return Err(CryptoError::MalformedCiphertext);
         }
         Ok(only(self.encrypt_many(&[m], &[r])))
@@ -236,11 +253,131 @@ impl PaillierPublicKey {
 
     /// The sequential half of
     /// [`precompute_randomizer`](Self::precompute_randomizer): draws
-    /// `r ∈ Z_n*` from `rng`, exactly as `precompute_randomizer` would.
+    /// `r ∈ Z_n*` from `rng`, exactly as `precompute_randomizer` would,
+    /// as a batch of one [`draw_randomizers`](Self::draw_randomizers).
     pub fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> RandomizerDraw {
-        RandomizerDraw {
-            value: random_coprime(rng, &self.n),
+        only(self.draw_randomizers(rng, 1))
+    }
+
+    /// `count` draws from one stream, equal draw for draw to `count`
+    /// calls of [`draw_randomizer`](Self::draw_randomizer), with one gcd
+    /// for the batch, as [`draw_nonces`](Self::draw_nonces).
+    pub fn draw_randomizers<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        count: usize,
+    ) -> Vec<RandomizerDraw> {
+        self.draw_units(rng, count)
+            .into_iter()
+            .map(|value| RandomizerDraw { value })
+            .collect()
+    }
+
+    /// `count` units of `Z_n*` from one stream, equal draw for draw to
+    /// `count` sequential draws, each of which keeps the first nonzero
+    /// candidate below n that is coprime to n. A round draws one
+    /// candidate per missing unit and keeps, in order, those `units`
+    /// passes. A rejected candidate is replaced by the stream's next one
+    /// in the following round, as the sequential sampler would replace
+    /// it, and no round draws past the candidate that sampler would stop
+    /// at. At real key sizes a rejection takes a factor of n, so one
+    /// round and one gcd serve the batch.
+    fn draw_units<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<Ubig> {
+        let mut units = Vec::with_capacity(count);
+        while units.len() < count {
+            let round: Vec<Ubig> = (units.len()..count).map(|_| self.candidate(rng)).collect();
+            let passed = self.units(&round);
+            for (mut candidate, unit) in round.into_iter().zip(passed) {
+                if unit {
+                    units.push(candidate);
+                } else {
+                    candidate.zeroize();
+                }
+            }
         }
+        units
+    }
+
+    /// One unit of `Z_n*` from each stream, equal to one sequential draw
+    /// per stream: the first candidates of all streams share one `units`
+    /// check, and a stream whose candidate fails goes on drawing alone.
+    fn draw_units_each<R: Rng>(&self, rngs: &mut [R]) -> Vec<Ubig> {
+        let round: Vec<Ubig> = rngs.iter_mut().map(|rng| self.candidate(rng)).collect();
+        let passed = self.units(&round);
+        round
+            .into_iter()
+            .zip(passed)
+            .zip(rngs)
+            .map(|((mut candidate, unit), rng)| {
+                if unit {
+                    candidate
+                } else {
+                    candidate.zeroize();
+                    only(self.draw_units(rng, 1))
+                }
+            })
+            .collect()
+    }
+
+    /// A nonzero value below n from `rng`: a draw's candidate before its
+    /// coprimality check.
+    fn candidate<R: Rng + ?Sized>(&self, rng: &mut R) -> Ubig {
+        loop {
+            let candidate = random_below(rng, &self.n);
+            if !candidate.is_zero() {
+                return candidate;
+            }
+        }
+    }
+
+    /// Which `values` (below n) are units modulo n. Their product is a
+    /// unit exactly when every value is, so one gcd answers for all;
+    /// only when it fails does each value get its own gcd.
+    fn units(&self, values: &[Ubig]) -> Vec<bool> {
+        match values {
+            [] => Vec::new(),
+            [value] => vec![coprime(value, &self.n)],
+            _ => {
+                let mut product = self.product(values.iter());
+                let all = coprime(&product, &self.n);
+                product.zeroize();
+                if all {
+                    vec![true; values.len()]
+                } else {
+                    values.iter().map(|v| coprime(v, &self.n)).collect()
+                }
+            }
+        }
+    }
+
+    /// `Π values · R⁻⁽ᵏ⁻¹⁾ mod n²` for `k` values, by `k − 1` Montgomery
+    /// multiplies under `n²`, each value reduced below n² first. R is a
+    /// power of two, so the result shares its factors with n exactly as
+    /// the plain product does. The running products are wiped: for
+    /// nonces they are secret.
+    fn product<'a>(&self, values: impl Iterator<Item = &'a Ubig>) -> Ubig {
+        let mut s = self.ctx_n2.scratch();
+        let mut product: Option<Ubig> = None;
+        for value in values {
+            let reduced;
+            let value = if value < &self.n_squared {
+                value
+            } else {
+                reduced = Zeroizing::new(value % &self.n_squared);
+                &*reduced
+            };
+            product = Some(match product {
+                None => value.clone(),
+                Some(mut before) => {
+                    obs_count!(ModMul);
+                    let next = self.ctx_n2.mont_mul(&before, value, &mut s);
+                    before.zeroize();
+                    next
+                }
+            });
+        }
+        s.zeroize();
+        product.unwrap_or_else(Ubig::one)
     }
 
     /// The pure half of
@@ -283,18 +420,39 @@ impl PaillierPublicKey {
         Ciphertext::from_raw((a.as_raw() * b.as_raw()) % &self.n_squared)
     }
 
-    /// Homomorphic subtraction ⊖: `D(sub(E(a), E(b))) = a - b`.
+    /// Homomorphic subtraction ⊖: `D(sub(E(a), E(b))) = a - b`, as a
+    /// batch of one [`sub_many`](Self::sub_many).
     ///
     /// Fails with [`CryptoError::MalformedCiphertext`] if `b` is not a
     /// unit modulo `n²` — only possible for adversarial ciphertexts, so
     /// the error must reach the protocol layer instead of panicking the
     /// decryption oracle.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CryptoError> {
-        let b_inv = self.invert(b)?;
-        obs_count!(ModMul);
-        Ok(Ciphertext::from_raw(
-            (a.as_raw() * &b_inv) % &self.n_squared,
-        ))
+        only(self.sub_many(&[(a, b)]))
+    }
+
+    /// [`sub`](Self::sub) for a batch of `(a, b)` pairs, equal to the
+    /// single call entry by entry, error included. The `b`s share one
+    /// inversion ([`MontCtx::inverse_many`]), so a batch of `k` costs one
+    /// divsteps call and `3(k − 1)` multiplies instead of `k` calls; a
+    /// `b` that is not a unit sends the batch back to one inversion per
+    /// entry, so only its own entry fails.
+    pub fn sub_many(
+        &self,
+        pairs: &[(&Ciphertext, &Ciphertext)],
+    ) -> Vec<Result<Ciphertext, CryptoError>> {
+        let bs: Vec<&Ubig> = pairs.iter().map(|(_, b)| b.as_raw()).collect();
+        pairs
+            .iter()
+            .zip(self.invert_many(&bs))
+            .map(|((a, _), b_inv)| {
+                let b_inv = b_inv.ok_or(CryptoError::MalformedCiphertext)?;
+                obs_count!(ModMul);
+                Ok(Ciphertext::from_raw(
+                    (a.as_raw() * &b_inv) % &self.n_squared,
+                ))
+            })
+            .collect()
     }
 
     /// Homomorphic scalar multiplication ⊗: `D(scalar_mul(E(m), k)) = k·m`.
@@ -311,7 +469,9 @@ impl PaillierPublicKey {
         if k.magnitude().is_one() {
             obs_count!(ModExpAvoided);
             if k.is_negative() {
-                return Ok(Ciphertext::from_raw(self.invert(c)?));
+                return only(self.invert_many(&[c.as_raw()]))
+                    .map(Ciphertext::from_raw)
+                    .ok_or(CryptoError::MalformedCiphertext);
             }
             return Ok(c.clone());
         }
@@ -321,7 +481,8 @@ impl PaillierPublicKey {
     /// [`scalar_mul`](Self::scalar_mul) of every ciphertext by one
     /// shared `k`: entry by entry the single call's result, error
     /// included. The exponentiations run side by side through
-    /// [`MontCtx::pow_many`].
+    /// [`MontCtx::pow_many`], and a negative `k`'s inverses share one
+    /// inversion.
     pub fn scalar_mul_many(
         &self,
         cs: &[Ciphertext],
@@ -331,18 +492,20 @@ impl PaillierPublicKey {
             return cs.iter().map(|c| self.scalar_mul(c, k)).collect();
         }
         let raw: Vec<&Ubig> = cs.iter().map(Ciphertext::as_raw).collect();
-        self.ctx_n2
-            .pow_many(&raw, k.magnitude())
+        let powers = self.ctx_n2.pow_many(&raw, k.magnitude());
+        obs_count!(ModExp, powers.len());
+        if !k.is_negative() {
+            return powers
+                .into_iter()
+                .map(|p| Ok(Ciphertext::from_raw(p)))
+                .collect();
+        }
+        let powers: Vec<&Ubig> = powers.iter().collect();
+        self.invert_many(&powers)
             .into_iter()
-            .map(|powed| {
-                obs_count!(ModExp);
-                if k.is_negative() {
-                    let inv = mod_inverse(&powed, &self.n_squared)
-                        .ok_or(CryptoError::MalformedCiphertext)?;
-                    Ok(Ciphertext::from_raw(inv))
-                } else {
-                    Ok(Ciphertext::from_raw(powed))
-                }
+            .map(|inv| {
+                inv.map(Ciphertext::from_raw)
+                    .ok_or(CryptoError::MalformedCiphertext)
             })
             .collect()
     }
@@ -369,17 +532,44 @@ impl PaillierPublicKey {
     ///
     /// [`CryptoError::MalformedCiphertext`] if `gcd(c, n) ≠ 1`.
     pub fn check_unit(&self, c: &Ciphertext) -> Result<(), CryptoError> {
+        self.check_units(std::slice::from_ref(c))
+    }
+
+    /// [`check_unit`](Self::check_unit) for every ciphertext at the cost
+    /// of one gcd: their product is a unit exactly when each of them is.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::MalformedCiphertext`] if some `gcd(c, n) ≠ 1`.
+    pub fn check_units(&self, cs: &[Ciphertext]) -> Result<(), CryptoError> {
         // A residue is a unit mod n² iff it is a unit mod n; gcd(0, n) = n
         // also rejects the zero ciphertext.
-        if gcd(c.as_raw(), &self.n).is_one() {
+        if cs.is_empty() || coprime(&self.product(cs.iter().map(Ciphertext::as_raw)), &self.n) {
             Ok(())
         } else {
             Err(CryptoError::MalformedCiphertext)
         }
     }
 
-    fn invert(&self, c: &Ciphertext) -> Result<Ubig, CryptoError> {
-        mod_inverse(c.as_raw(), &self.n_squared).ok_or(CryptoError::MalformedCiphertext)
+    /// The inverse of every value modulo n², or `None` where a value has
+    /// none. The batch shares one divsteps inversion
+    /// ([`MontCtx::inverse_many`]). A value that is not a unit (only an
+    /// adversarial ciphertext or a factor of n is one) fails that shared
+    /// inversion, and then each value is inverted on its own, so every
+    /// entry gets the answer of its single inversion.
+    fn invert_many(&self, values: &[&Ubig]) -> Vec<Option<Ubig>> {
+        if values.is_empty() {
+            return Vec::new();
+        }
+        obs_count!(Inversion);
+        obs_count!(ModMul, 3 * (values.len() - 1));
+        if let Some(inverses) = self.ctx_n2.inverse_many(values) {
+            return inverses.into_iter().map(Some).collect();
+        }
+        match values {
+            [_] => vec![None],
+            _ => values.iter().map(|v| invert(v, &self.n_squared)).collect(),
+        }
     }
 }
 
@@ -593,14 +783,14 @@ impl PaillierKeyPair {
         }
         let n = &p * &q;
         let lambda = lcm(&(&p - &Ubig::one()), &(&q - &Ubig::one()));
-        if !pisa_bigint::modular::gcd(&n, &lambda).is_one() {
+        if !coprime(&n, &lambda) {
             return None;
         }
         let pk = PaillierPublicKey::from_modulus(n.clone());
 
         // μ = L(g^λ mod n²)⁻¹ mod n; with g = n+1, g^λ = 1 + λn (mod n²),
         // so L(g^λ) = λ mod n.
-        let mu = mod_inverse(&(&lambda % &n), &n)?;
+        let mu = invert(&(&lambda % &n), &n)?;
 
         let p_squared = p.square();
         let q_squared = q.square();
@@ -609,14 +799,14 @@ impl PaillierKeyPair {
         let hp = {
             let g = (Ubig::one() + &n) % &p_squared;
             let powed = ctx_p2.pow(&g, &(&p - &Ubig::one()));
-            mod_inverse(&l_function(&powed, &p), &p)?
+            invert(&l_function(&powed, &p), &p)?
         };
         let hq = {
             let g = (Ubig::one() + &n) % &q_squared;
             let powed = ctx_q2.pow(&g, &(&q - &Ubig::one()));
-            mod_inverse(&l_function(&powed, &q), &q)?
+            invert(&l_function(&powed, &q), &q)?
         };
-        let q_inv_p = mod_inverse(&q, &p)?;
+        let q_inv_p = invert(&q, &p)?;
 
         Some(PaillierKeyPair {
             sk: PaillierSecretKey {
@@ -675,8 +865,9 @@ impl From<PublicKeyBytes> for PaillierPublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pisa_bigint::random::random_coprime;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn from_primes_known_small() {
@@ -832,6 +1023,130 @@ mod tests {
             let g_m = pk.g_pow(&m);
             assert!(g_m <= peak, "m = {m:?}");
             assert_eq!(g_m, (Ubig::one() + &m.rem_euclid(n) * n) % n2, "m = {m:?}");
+        }
+    }
+
+    /// The sequential sampler the batched draws must equal: the first
+    /// nonzero candidate below n coprime to n, counting the candidates it
+    /// rejected for sharing a factor with n.
+    fn sequential_unit(rng: &mut StdRng, n: &Ubig, rejected: &mut usize) -> Ubig {
+        let mut stream = rng.clone();
+        let unit = random_coprime(&mut stream, n);
+        loop {
+            let candidate = random_below(rng, n);
+            if candidate.is_zero() {
+                continue;
+            }
+            if candidate == unit {
+                return unit;
+            }
+            *rejected += 1;
+        }
+    }
+
+    /// On the toy key n = 293 · 433, where about one candidate in 175
+    /// shares a factor with n, the batched samplers equal the sequential
+    /// one draw for draw: on one shared stream across batches of 1 to 12
+    /// (nonces and randomizers), and on per-entry streams. Both leave
+    /// their streams where the sequential sampler does. The seeds make
+    /// the sequential sampler reject at least 20 candidates, so batch
+    /// checks fail and the walk over a failed batch runs.
+    #[test]
+    fn batched_draws_equal_the_sequential_sampler_on_a_toy_key() {
+        let kp = PaillierKeyPair::from_primes(Ubig::from(293u64), Ubig::from(433u64)).unwrap();
+        let pk = kp.public();
+        let n = pk.modulus();
+        let mut rejected = 0;
+        for seed in 0..150u64 {
+            let (mut batched, mut sequential) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for count in 1..=12 {
+                let want: Vec<Ubig> = (0..count)
+                    .map(|_| sequential_unit(&mut sequential, n, &mut rejected))
+                    .collect();
+                let got: Vec<Ubig> = if count % 2 == 0 {
+                    pk.draw_nonces(&mut batched, count)
+                        .iter()
+                        .map(|r| r.0.clone())
+                        .collect()
+                } else {
+                    pk.draw_randomizers(&mut batched, count)
+                        .iter()
+                        .map(|r| r.value.clone())
+                        .collect()
+                };
+                assert_eq!(got, want, "seed {seed}, batch of {count}");
+            }
+            assert_eq!(batched.next_u64(), sequential.next_u64(), "seed {seed}");
+
+            let mut streams: Vec<StdRng> = (0..9)
+                .map(|i| StdRng::seed_from_u64(seed << 8 | i))
+                .collect();
+            let mut copies = streams.clone();
+            let got = pk.draw_nonces_each(&mut streams);
+            for (i, (r, (stream, copy))) in got
+                .iter()
+                .zip(streams.iter_mut().zip(&mut copies))
+                .enumerate()
+            {
+                assert_eq!(
+                    r.0,
+                    sequential_unit(copy, n, &mut rejected),
+                    "seed {seed}, stream {i}"
+                );
+                assert_eq!(
+                    stream.next_u64(),
+                    copy.next_u64(),
+                    "seed {seed}, stream {i}"
+                );
+            }
+        }
+        assert!(rejected >= 20, "only {rejected} candidates rejected");
+    }
+
+    /// A non-unit (a multiple of p, or n itself) at the first, a middle
+    /// or the last entry of a batch fails that entry alone, as its single
+    /// call does; every other entry of `sub_many` and of a negative
+    /// `scalar_mul_many` is the single call's ciphertext, and
+    /// `check_units` fails exactly when one `check_unit` does.
+    #[test]
+    fn a_non_unit_fails_only_its_own_entry_of_a_batch() {
+        let kp = PaillierKeyPair::from_primes(Ubig::from(293u64), Ubig::from(433u64)).unwrap();
+        let pk = kp.public();
+        let mut rng = StdRng::seed_from_u64(0xba7c);
+        let cs: Vec<Ciphertext> = (0..7i64)
+            .map(|m| pk.encrypt(&Ibig::from(m - 3), &mut rng))
+            .collect();
+        let a = pk.encrypt(&Ibig::from(100i64), &mut rng);
+        assert!(pk.check_units(&cs).is_ok());
+        for evil in [Ubig::from(293u64 * 5), pk.modulus().clone()] {
+            for at in [0, 3, 6] {
+                let mut bs = cs.clone();
+                bs[at] = Ciphertext::from_raw(evil.clone());
+                let pairs: Vec<_> = bs.iter().map(|b| (&a, b)).collect();
+                let single: Vec<_> = bs.iter().map(|b| pk.sub(&a, b)).collect();
+                assert_eq!(pk.sub_many(&pairs), single, "⊖, non-unit at {at}");
+                assert!(single
+                    .iter()
+                    .enumerate()
+                    .all(|(i, r)| r.is_err() == (i == at)));
+                let k = Ibig::from(-3i64);
+                let single: Vec<_> = bs.iter().map(|b| pk.scalar_mul(b, &k)).collect();
+                assert_eq!(
+                    pk.scalar_mul_many(&bs, &k),
+                    single,
+                    "⊗ −3, non-unit at {at}"
+                );
+                assert_eq!(pk.check_units(&bs), Err(CryptoError::MalformedCiphertext));
+                assert_eq!(
+                    pk.check_unit(&bs[at]),
+                    Err(CryptoError::MalformedCiphertext)
+                );
+            }
+        }
+        for (a_i, b) in cs.iter().zip(&cs[1..]) {
+            let diff = pk.sub_many(&[(a_i, b)]).pop().unwrap().unwrap();
+            assert_eq!(kp.secret().decrypt(&diff), Ibig::from(-1i64));
         }
     }
 

@@ -97,9 +97,11 @@ impl RandomizerPool {
         if missing == 0 {
             return;
         }
-        let fresh: Vec<Randomizer> = (0..missing)
-            .map(|_| self.pk.precompute_randomizer(rng))
-            .collect();
+        // The draws equal `missing` sequential `precompute_randomizer`
+        // calls and share one gcd; the powers run side by side.
+        let fresh = self
+            .pk
+            .raise_randomizers(&self.pk.draw_randomizers(rng, missing));
         let mut pool = self.lock();
         pool.extend(fresh);
         pool.truncate(self.capacity);

@@ -26,7 +26,7 @@
 
 use crate::sha256::{sha256, Sha256};
 use crate::CryptoError;
-use pisa_bigint::modular::{lcm, mod_inverse, MontCtx};
+use pisa_bigint::modular::{lcm, MontCtx};
 use pisa_bigint::zeroize::Zeroize;
 use pisa_bigint::{prime, Ubig};
 use rand::Rng;
@@ -185,7 +185,7 @@ impl RsaKeyPair {
                 continue;
             }
             let lam = lcm(&(&p - &Ubig::one()), &(&q - &Ubig::one()));
-            let Some(d) = mod_inverse(&e, &lam) else {
+            let Some(d) = crate::invert(&e, &lam) else {
                 continue;
             };
             let pk = RsaPublicKey::from_modulus(n);

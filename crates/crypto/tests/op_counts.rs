@@ -9,7 +9,7 @@
 #![cfg(feature = "obs")]
 
 use pisa_bigint::{Ibig, Ubig};
-use pisa_crypto::paillier::{PaillierKeyPair, RandomizerPool};
+use pisa_crypto::paillier::{Ciphertext, PaillierKeyPair, RandomizerPool};
 use pisa_obs::OpTotals;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +34,7 @@ fn primitive_op_counts_are_pinned() {
     let m = Ibig::from(77i64);
 
     // Encryption: one r^n exponentiation, two multiplications (m·n and
-    // g^m · r^n).
+    // g^m · r^n), and the nonce's coprimality gcd.
     let mut slot = None;
     let ops = ops_of(|| slot = Some(pk.encrypt(&m, &mut rng)));
     let c = slot.expect("encrypted");
@@ -44,6 +44,7 @@ fn primitive_op_counts_are_pinned() {
             mod_exps: 1,
             mod_muls: 2,
             encryptions: 1,
+            gcds: 1,
             ..OpTotals::default()
         },
         "encrypt"
@@ -61,8 +62,8 @@ fn primitive_op_counts_are_pinned() {
         "decrypt"
     );
 
-    // Online re-randomization: the precomputed exponentiation plus the
-    // one online multiplication.
+    // Online re-randomization: the precomputed exponentiation, its
+    // draw's gcd, and the one online multiplication.
     let ops = ops_of(|| {
         pk.rerandomize(&c, &mut rng);
     });
@@ -72,6 +73,7 @@ fn primitive_op_counts_are_pinned() {
             mod_exps: 1,
             mod_muls: 1,
             rerandomizations: 1,
+            gcds: 1,
             ..OpTotals::default()
         },
         "rerandomize"
@@ -110,7 +112,7 @@ fn primitive_op_counts_are_pinned() {
         "pool miss"
     );
 
-    // ±1 scalars short-circuit the ladder.
+    // ±1 scalars short-circuit the ladder; −1 is one inversion.
     let ops = ops_of(|| {
         pk.scalar_mul(&c, &Ibig::from(1i64)).unwrap();
         pk.scalar_mul(&c, &Ibig::from(-1i64)).unwrap();
@@ -119,6 +121,7 @@ fn primitive_op_counts_are_pinned() {
         ops,
         OpTotals {
             mod_exps_avoided: 2,
+            inversions: 1,
             ..OpTotals::default()
         },
         "scalar_mul fast path"
@@ -135,6 +138,78 @@ fn primitive_op_counts_are_pinned() {
             ..OpTotals::default()
         },
         "scalar_mul general path"
+    );
+
+    // ⊖: one inversion and the product with it.
+    let ops = ops_of(|| {
+        pk.sub(&c, &c).unwrap();
+    });
+    assert_eq!(
+        ops,
+        OpTotals {
+            mod_muls: 1,
+            inversions: 1,
+            ..OpTotals::default()
+        },
+        "sub"
+    );
+
+    // Eight draws from one stream share one gcd of their product (seven
+    // multiplies; this seed draws no candidate with a factor of n), and
+    // so do eight draws from eight streams.
+    let mut nonces = Vec::new();
+    let ops = ops_of(|| nonces = pk.draw_nonces(&mut rng, 8));
+    let batch_gcd = OpTotals {
+        mod_muls: 7,
+        gcds: 1,
+        ..OpTotals::default()
+    };
+    assert_eq!(ops, batch_gcd, "draw_nonces(8)");
+    let ops = ops_of(|| {
+        pk.draw_randomizers(&mut rng, 8);
+    });
+    assert_eq!(ops, batch_gcd, "draw_randomizers(8)");
+    let mut streams: Vec<StdRng> = (0..8).map(StdRng::seed_from_u64).collect();
+    let ops = ops_of(|| {
+        pk.draw_nonces_each(&mut streams);
+    });
+    assert_eq!(ops, batch_gcd, "draw_nonces_each(8)");
+
+    // Eight ⊖ share one inversion: 3·7 multiplies for the batch, one
+    // product per entry.
+    let entries: Vec<(Ibig, _)> = nonces.into_iter().map(|r| (m.clone(), r)).collect();
+    let cs = pk.encrypt_with_nonces(&entries);
+    let pairs: Vec<(&Ciphertext, &Ciphertext)> = cs.iter().map(|b| (&c, b)).collect();
+    let ops = ops_of(|| assert!(pk.sub_many(&pairs).iter().all(Result::is_ok)));
+    assert_eq!(
+        ops,
+        OpTotals {
+            mod_muls: 21 + 8,
+            inversions: 1,
+            ..OpTotals::default()
+        },
+        "sub_many(8)"
+    );
+    let ops = ops_of(|| assert!(pk.check_units(&cs).is_ok()));
+    assert_eq!(ops, batch_gcd, "check_units(8)");
+
+    // A non-unit among them fails the shared inversion; then every entry
+    // is inverted on its own, and the seven units take their products.
+    let evil = Ciphertext::from_raw(Ubig::from(293u64));
+    let mut pairs = pairs;
+    pairs[3].1 = &evil;
+    let ops = ops_of(|| {
+        let results = pk.sub_many(&pairs);
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
+    });
+    assert_eq!(
+        ops,
+        OpTotals {
+            mod_muls: 21 + 7,
+            inversions: 1 + 8,
+            ..OpTotals::default()
+        },
+        "sub_many(8) with a non-unit"
     );
 
     pisa_obs::set_enabled(false);

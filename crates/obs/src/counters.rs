@@ -12,6 +12,11 @@
 //! exponentiation. Together they show which optimization lever paid in a
 //! perf trajectory point.
 //!
+//! Two count the divsteps kernel's calls beside the exponentiations:
+//! `Inversion` (a ⊖, a negative ⊗, or one batch of them sharing an
+//! inverse) and `Gcd` (a coprimality check of one nonce, one ciphertext,
+//! or the product of a batch).
+//!
 //! Counters are process-global relaxed atomics. Span guards snapshot
 //! the totals when they open and subtract on drop, so per-phase deltas
 //! are exact for serial runs; concurrent spans each observe the ops of
@@ -40,6 +45,12 @@ pub enum Op {
     /// A randomizer-pool request that found the pool empty and fell
     /// back to the online exponentiation.
     PoolMiss,
+    /// A modular inverse: one divsteps inversion, serving one entry or a
+    /// whole batch through its product.
+    Inversion,
+    /// A gcd: one divsteps coprimality check, of one value or of the
+    /// product of a batch.
+    Gcd,
     /// A durable checkpoint written to disk (temp-write + rename).
     CheckpointWrite,
     /// A durable checkpoint loaded and verified from disk.
@@ -53,6 +64,8 @@ static DECRYPTIONS: AtomicU64 = AtomicU64::new(0);
 static RERANDOMIZATIONS: AtomicU64 = AtomicU64::new(0);
 static MOD_EXPS_AVOIDED: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
+static INVERSIONS: AtomicU64 = AtomicU64::new(0);
+static GCDS: AtomicU64 = AtomicU64::new(0);
 static CHECKPOINT_WRITES: AtomicU64 = AtomicU64::new(0);
 static CHECKPOINT_LOADS: AtomicU64 = AtomicU64::new(0);
 
@@ -65,6 +78,8 @@ fn cell(op: Op) -> &'static AtomicU64 {
         Op::Rerandomize => &RERANDOMIZATIONS,
         Op::ModExpAvoided => &MOD_EXPS_AVOIDED,
         Op::PoolMiss => &POOL_MISSES,
+        Op::Inversion => &INVERSIONS,
+        Op::Gcd => &GCDS,
         Op::CheckpointWrite => &CHECKPOINT_WRITES,
         Op::CheckpointLoad => &CHECKPOINT_LOADS,
     }
@@ -72,8 +87,14 @@ fn cell(op: Op) -> &'static AtomicU64 {
 
 /// Records one occurrence of `op`. No-op while obs is disabled.
 pub fn count(op: Op) {
+    count_n(op, 1);
+}
+
+/// Records `n` occurrences of `op` at once, as a batch's shared
+/// multiplications do. No-op while obs is disabled.
+pub fn count_n(op: Op, n: u64) {
     if crate::enabled() {
-        cell(op).fetch_add(1, Ordering::Relaxed);
+        cell(op).fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -94,6 +115,10 @@ pub struct OpTotals {
     pub mod_exps_avoided: u64,
     /// Randomizer-pool misses that fell back to the online path.
     pub pool_misses: u64,
+    /// Modular inversions (divsteps calls; a batch shares one).
+    pub inversions: u64,
+    /// Coprimality gcds (divsteps calls; a batch shares one).
+    pub gcds: u64,
     /// Durable checkpoints written (temp-write + rename).
     pub checkpoint_writes: u64,
     /// Durable checkpoints loaded and verified.
@@ -116,6 +141,8 @@ impl OpTotals {
                 .mod_exps_avoided
                 .saturating_sub(earlier.mod_exps_avoided),
             pool_misses: self.pool_misses.saturating_sub(earlier.pool_misses),
+            inversions: self.inversions.saturating_sub(earlier.inversions),
+            gcds: self.gcds.saturating_sub(earlier.gcds),
             checkpoint_writes: self
                 .checkpoint_writes
                 .saturating_sub(earlier.checkpoint_writes),
@@ -136,6 +163,8 @@ impl OpTotals {
             rerandomizations: self.rerandomizations.saturating_add(other.rerandomizations),
             mod_exps_avoided: self.mod_exps_avoided.saturating_add(other.mod_exps_avoided),
             pool_misses: self.pool_misses.saturating_add(other.pool_misses),
+            inversions: self.inversions.saturating_add(other.inversions),
+            gcds: self.gcds.saturating_add(other.gcds),
             checkpoint_writes: self
                 .checkpoint_writes
                 .saturating_add(other.checkpoint_writes),
@@ -159,6 +188,8 @@ pub fn counters() -> OpTotals {
         rerandomizations: RERANDOMIZATIONS.load(Ordering::Relaxed),
         mod_exps_avoided: MOD_EXPS_AVOIDED.load(Ordering::Relaxed),
         pool_misses: POOL_MISSES.load(Ordering::Relaxed),
+        inversions: INVERSIONS.load(Ordering::Relaxed),
+        gcds: GCDS.load(Ordering::Relaxed),
         checkpoint_writes: CHECKPOINT_WRITES.load(Ordering::Relaxed),
         checkpoint_loads: CHECKPOINT_LOADS.load(Ordering::Relaxed),
     }
@@ -172,6 +203,8 @@ pub(crate) fn reset_counters() {
     RERANDOMIZATIONS.store(0, Ordering::Relaxed);
     MOD_EXPS_AVOIDED.store(0, Ordering::Relaxed);
     POOL_MISSES.store(0, Ordering::Relaxed);
+    INVERSIONS.store(0, Ordering::Relaxed);
+    GCDS.store(0, Ordering::Relaxed);
     CHECKPOINT_WRITES.store(0, Ordering::Relaxed);
     CHECKPOINT_LOADS.store(0, Ordering::Relaxed);
 }
@@ -189,8 +222,10 @@ mod tests {
             rerandomizations: base + 4,
             mod_exps_avoided: base + 5,
             pool_misses: base + 6,
-            checkpoint_writes: base + 7,
-            checkpoint_loads: base + 8,
+            inversions: base + 7,
+            gcds: base + 8,
+            checkpoint_writes: base + 9,
+            checkpoint_loads: base + 10,
         }
     }
 
@@ -214,11 +249,11 @@ mod tests {
 
     #[test]
     fn merge_saturates_at_max() {
-        let full = totals(u64::MAX - 8);
+        let full = totals(u64::MAX - 10);
         let merged = full.merge(&totals(100));
         assert_eq!(merged.mod_exps, u64::MAX);
         assert_eq!(merged.checkpoint_loads, u64::MAX);
-        assert_eq!(merged, totals(u64::MAX - 8).merge(&merged));
+        assert_eq!(merged, totals(u64::MAX - 10).merge(&merged));
     }
 
     #[test]
@@ -251,6 +286,14 @@ mod tests {
             },
             OpTotals {
                 pool_misses: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                inversions: 1,
+                ..OpTotals::default()
+            },
+            OpTotals {
+                gcds: 1,
                 ..OpTotals::default()
             },
             OpTotals {

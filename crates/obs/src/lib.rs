@@ -9,8 +9,9 @@
 //!   thread-aware registry (every span records its thread and parent),
 //! * global [`count`]ers for the cryptographic operations the paper
 //!   prices individually (modular exponentiations and multiplications,
-//!   encryptions, decryptions, re-randomizations), incremented from
-//!   `pisa-crypto` behind its `obs` feature,
+//!   encryptions, decryptions, re-randomizations) and for the inversions
+//!   and gcds beside them, incremented from `pisa-crypto` behind its
+//!   `obs` feature,
 //! * fixed-bucket latency [`hist::Histogram`]s with p50/p95/p99
 //!   snapshots per phase, and
 //! * export of one run as a per-phase JSON report ([`Report::to_json`])
@@ -46,7 +47,7 @@ pub mod json;
 mod registry;
 mod span;
 
-pub use counters::{count, counters, Op, OpTotals};
+pub use counters::{count, count_n, counters, Op, OpTotals};
 pub use registry::{record_span, report, reset, FinishedSpan, PhaseReport, Report};
 pub use span::{span, SpanGuard};
 

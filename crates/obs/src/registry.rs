@@ -214,6 +214,8 @@ fn ops_value(o: &OpTotals) -> Value {
         ("rerandomizations", Value::from_u64(o.rerandomizations)),
         ("mod_exps_avoided", Value::from_u64(o.mod_exps_avoided)),
         ("pool_misses", Value::from_u64(o.pool_misses)),
+        ("inversions", Value::from_u64(o.inversions)),
+        ("gcds", Value::from_u64(o.gcds)),
         ("checkpoint_writes", Value::from_u64(o.checkpoint_writes)),
         ("checkpoint_loads", Value::from_u64(o.checkpoint_loads)),
     ])
