@@ -10,19 +10,18 @@ commands:
   keygen [--bits N]            generate a Paillier key pair (default 1024)
   simulate [--hours H] [--pus N] [--sus N] [--seed S]
                                metro-area churn simulation
-  storm [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
-        [--seed S] [--retries N] [--timeout-ms T]
-        [--metrics-out FILE] [--trace-out FILE]
-                               concurrent sessions over a faulty network;
-                               --metrics-out writes a per-phase JSON report,
-                               --trace-out a chrome://tracing file
   sim [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
       [--seed S] [--retries N] [--timeout-ms T] [--mode real|modeled]
-      [--sweep] [--metrics-out FILE]
-                               deterministic virtual-time storm simulator;
+      [--sweep] [--metrics-out FILE] [--trace-out FILE]
+                               concurrent sessions over a faulty network,
+                               on a deterministic virtual-time simulator;
                                --mode modeled (default) scales to 100k SUs,
                                --mode real drives the actual crypto engines,
-                               --sweep runs a multi-seed fault-rate sweep
+                               --sweep runs a multi-seed fault-rate sweep;
+                               --metrics-out writes the report as JSON (for
+                               one --mode real storm with a per-phase
+                               breakdown), --trace-out that storm's
+                               chrome://tracing file
   serve-sdc [--listen ADDR] [--stp ADDR] [--sessions N] [--seed S]
             [--drop P] [--dup P] [--reorder P] [--corrupt P]
             [--retries N] [--timeout-ms T]
@@ -147,29 +146,6 @@ pub enum Command {
         /// RNG seed.
         seed: u64,
     },
-    /// Concurrent session storm over a fault-injecting network.
-    Storm {
-        /// Number of concurrent SU sessions.
-        sus: u32,
-        /// Per-link drop probability.
-        drop: f64,
-        /// Per-link duplicate probability.
-        dup: f64,
-        /// Per-link reorder probability.
-        reorder: f64,
-        /// Per-link corruption probability.
-        corrupt: f64,
-        /// RNG seed (system, sessions and faults all derive from it).
-        seed: u64,
-        /// Retry budget per session.
-        retries: u32,
-        /// Base receive deadline in milliseconds.
-        timeout_ms: u64,
-        /// Where to write the per-phase metrics report as JSON.
-        metrics_out: Option<String>,
-        /// Where to write the Chrome-trace (`chrome://tracing`) file.
-        trace_out: Option<String>,
-    },
     /// Deterministic discrete-event storm simulation on virtual time.
     Sim {
         /// Number of concurrent SU sessions.
@@ -194,6 +170,9 @@ pub enum Command {
         sweep: bool,
         /// Where to write the storm/sweep report as JSON.
         metrics_out: Option<String>,
+        /// Where to write one storm's Chrome-trace (`chrome://tracing`)
+        /// file.
+        trace_out: Option<String>,
     },
     /// The SDC as a networked TCP service.
     ServeSdc {
@@ -314,69 +293,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 seed,
             })
         }
-        "storm" => {
-            let (mut sus, mut seed, mut retries, mut timeout_ms) = (8u32, 2017u64, 8u32, 1500u64);
-            let (mut drop, mut dup, mut reorder, mut corrupt) = (0.1f64, 0.1f64, 0.1f64, 0.0f64);
-            let (mut metrics_out, mut trace_out) = (None, None);
-            let prob = |flag: &str, value: &str, slot: &mut f64| -> Result<(), String> {
-                *slot = parse_num(flag, value)?;
-                if !(0.0..=1.0).contains(slot) {
-                    return Err(format!("{flag} must be a probability in [0, 1]"));
-                }
-                Ok(())
-            };
-            parse_flags(it, |flag, value| match flag {
-                "--sus" => {
-                    sus = parse_num(flag, value)?;
-                    Ok(())
-                }
-                "--drop" => prob(flag, value, &mut drop),
-                "--dup" => prob(flag, value, &mut dup),
-                "--reorder" => prob(flag, value, &mut reorder),
-                "--corrupt" => prob(flag, value, &mut corrupt),
-                "--seed" => {
-                    seed = parse_num(flag, value)?;
-                    Ok(())
-                }
-                "--retries" => {
-                    retries = parse_num(flag, value)?;
-                    Ok(())
-                }
-                "--timeout-ms" => {
-                    timeout_ms = parse_num(flag, value)?;
-                    Ok(())
-                }
-                "--metrics-out" => {
-                    metrics_out = Some(value.to_owned());
-                    Ok(())
-                }
-                "--trace-out" => {
-                    trace_out = Some(value.to_owned());
-                    Ok(())
-                }
-                other => Err(format!("unknown flag {other}")),
-            })?;
-            if sus == 0 || timeout_ms == 0 {
-                return Err("--sus and --timeout-ms must be positive".into());
-            }
-            Ok(Command::Storm {
-                sus,
-                drop,
-                dup,
-                reorder,
-                corrupt,
-                seed,
-                retries,
-                timeout_ms,
-                metrics_out,
-                trace_out,
-            })
-        }
         "sim" => {
             let (mut sus, mut seed, mut retries, mut timeout_ms) = (1024u32, 2017u64, 6u32, 200u64);
             let (mut drop, mut dup, mut reorder, mut corrupt) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
             let (mut real, mut sweep) = (false, false);
-            let mut metrics_out = None;
+            let (mut metrics_out, mut trace_out) = (None, None);
             let prob = |flag: &str, value: &str, slot: &mut f64| -> Result<(), String> {
                 *slot = parse_num(flag, value)?;
                 if !(0.0..=1.0).contains(slot) {
@@ -408,11 +329,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--retries" => retries = parse_num(flag, value()?)?,
                     "--timeout-ms" => timeout_ms = parse_num(flag, value()?)?,
                     "--metrics-out" => metrics_out = Some(value()?.to_owned()),
+                    "--trace-out" => trace_out = Some(value()?.to_owned()),
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
             if sus == 0 || timeout_ms == 0 {
                 return Err("--sus and --timeout-ms must be positive".into());
+            }
+            if trace_out.is_some() && (sweep || !real) {
+                return Err("--trace-out traces one --mode real storm".into());
             }
             if real && sus > 4096 {
                 return Err(format!(
@@ -432,6 +357,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 real,
                 sweep,
                 metrics_out,
+                trace_out,
             })
         }
         "serve-sdc" => {
@@ -741,67 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn storm_defaults_and_flags() {
-        assert_eq!(
-            parse(&argv("storm")).unwrap(),
-            Command::Storm {
-                sus: 8,
-                drop: 0.1,
-                dup: 0.1,
-                reorder: 0.1,
-                corrupt: 0.0,
-                seed: 2017,
-                retries: 8,
-                timeout_ms: 1500,
-                metrics_out: None,
-                trace_out: None,
-            }
-        );
-        assert_eq!(
-            parse(&argv(
-                "storm --sus 4 --drop 0.2 --dup 0 --reorder 0 --corrupt 0.05 \
-                 --seed 9 --retries 3 --timeout-ms 700"
-            ))
-            .unwrap(),
-            Command::Storm {
-                sus: 4,
-                drop: 0.2,
-                dup: 0.0,
-                reorder: 0.0,
-                corrupt: 0.05,
-                seed: 9,
-                retries: 3,
-                timeout_ms: 700,
-                metrics_out: None,
-                trace_out: None,
-            }
-        );
-        assert!(parse(&argv("storm --drop 1.5")).is_err());
-        assert!(parse(&argv("storm --sus 0")).is_err());
-        assert!(parse(&argv("storm --what 1")).is_err());
-    }
-
-    #[test]
-    fn storm_metrics_flags() {
-        let cmd = parse(&argv(
-            "storm --sus 2 --metrics-out m.json --trace-out t.json",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Storm {
-                metrics_out,
-                trace_out,
-                ..
-            } => {
-                assert_eq!(metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(trace_out.as_deref(), Some("t.json"));
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(parse(&argv("storm --metrics-out")).is_err());
-    }
-
-    #[test]
     fn sim_defaults_and_flags() {
         assert_eq!(
             parse(&argv("sim")).unwrap(),
@@ -817,6 +682,7 @@ mod tests {
                 real: false,
                 sweep: false,
                 metrics_out: None,
+                trace_out: None,
             }
         );
         assert_eq!(
@@ -838,15 +704,33 @@ mod tests {
                 real: false,
                 sweep: true,
                 metrics_out: Some("s.json".into()),
+                trace_out: None,
             }
         );
-        match parse(&argv("sim --mode real --sus 16")).unwrap() {
-            Command::Sim { real, sus, .. } => {
+        match parse(&argv(
+            "sim --mode real --sus 16 --metrics-out m.json --trace-out t.json",
+        ))
+        .unwrap()
+        {
+            Command::Sim {
+                real,
+                sus,
+                metrics_out,
+                trace_out,
+                ..
+            } => {
                 assert!(real);
                 assert_eq!(sus, 16);
+                assert_eq!(metrics_out.as_deref(), Some("m.json"));
+                assert_eq!(trace_out.as_deref(), Some("t.json"));
             }
             other => panic!("parsed {other:?}"),
         }
+        // The trace records the spans of one real-fidelity storm.
+        assert!(parse(&argv("sim --mode real --sweep --trace-out t.json")).is_err());
+        assert!(parse(&argv("sim --trace-out t.json")).is_err());
+        assert!(parse(&argv("sim --trace-out")).is_err());
+        assert!(parse(&argv("storm")).is_err());
         // Real mode refuses storm sizes the cryptosystem cannot reach.
         assert!(parse(&argv("sim --mode real --sus 100000")).is_err());
         assert!(parse(&argv("sim --mode turbo")).is_err());

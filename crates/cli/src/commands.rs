@@ -22,29 +22,6 @@ pub fn run(cmd: Command) -> ExitCode {
             sus,
             seed,
         } => done(|| simulate(hours, pus, sus, seed)),
-        Command::Storm {
-            sus,
-            drop,
-            dup,
-            reorder,
-            corrupt,
-            seed,
-            retries,
-            timeout_ms,
-            metrics_out,
-            trace_out,
-        } => storm(StormOpts {
-            sus,
-            drop,
-            dup,
-            reorder,
-            corrupt,
-            seed,
-            retries,
-            timeout_ms,
-            metrics_out,
-            trace_out,
-        }),
         Command::Sim {
             sus,
             drop,
@@ -57,6 +34,7 @@ pub fn run(cmd: Command) -> ExitCode {
             real,
             sweep,
             metrics_out,
+            trace_out,
         } => sim(SimOpts {
             sus,
             drop,
@@ -69,6 +47,7 @@ pub fn run(cmd: Command) -> ExitCode {
             real,
             sweep,
             metrics_out,
+            trace_out,
         }),
         Command::ServeSdc {
             listen,
@@ -110,20 +89,6 @@ pub fn run(cmd: Command) -> ExitCode {
 fn done(f: impl FnOnce()) -> ExitCode {
     f();
     ExitCode::SUCCESS
-}
-
-/// Parsed `storm` options (one struct instead of ten positional args).
-struct StormOpts {
-    sus: u32,
-    drop: f64,
-    dup: f64,
-    reorder: f64,
-    corrupt: f64,
-    seed: u64,
-    retries: u32,
-    timeout_ms: u64,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
 }
 
 /// Builds the "net" section grafted into the metrics report: total
@@ -171,131 +136,6 @@ fn write_output(kind: &str, path: &str, contents: &str) -> bool {
     }
 }
 
-fn storm(opts: StormOpts) -> ExitCode {
-    use pisa::{run_storm, EngineConfig};
-    use pisa_net::{FaultConfig, FaultPlan};
-    use std::time::Duration;
-
-    let StormOpts {
-        sus,
-        drop,
-        dup,
-        reorder,
-        corrupt,
-        seed,
-        retries,
-        timeout_ms,
-        metrics_out,
-        trace_out,
-    } = opts;
-    let observing = metrics_out.is_some() || trace_out.is_some();
-    if observing {
-        pisa_obs::set_enabled(true);
-        pisa_obs::reset();
-    }
-
-    // The shared fixture: one PU on channel 0 (so sessions near it get
-    // denied and the storm exercises both decisions), `sus` SU clients.
-    // The same function seeds the networked roles, so `pisa storm` and
-    // a `serve-sdc`/`serve-stp`/`su` deployment agree on every key.
-    let fixture = match pisa::storm_fixture(sus, seed) {
-        Ok(fixture) => fixture,
-        Err(e) => {
-            eprintln!("storm setup failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pisa::StormFixture {
-        sus: clients,
-        sdc,
-        stp,
-    } = fixture;
-
-    let plan = FaultPlan::none()
-        .with_drop(drop)
-        .with_duplicate(dup)
-        .with_reorder(reorder)
-        .with_corrupt(corrupt);
-    println!(
-        "storm: {sus} sessions, faults/link: {:.0}% drop, {:.0}% dup, {:.0}% reorder, {:.0}% corrupt\n",
-        drop * 100.0,
-        dup * 100.0,
-        reorder * 100.0,
-        corrupt * 100.0
-    );
-    let faults = FaultConfig::new(seed ^ 0xfa17).with_default_plan(plan);
-    let engine = EngineConfig::default()
-        .with_timeout(Duration::from_millis(timeout_ms))
-        .with_max_retries(retries);
-
-    let t = Instant::now();
-    let (report, _sdc, _stp) = run_storm(clients, sdc, stp, Some(faults), &engine, seed).unwrap();
-    let elapsed = t.elapsed();
-
-    for o in &report.outcomes {
-        let stats = report
-            .metrics
-            .session(u64::from(o.su_id.0))
-            .unwrap_or_default();
-        println!(
-            "  SU {:>3}: {:<9} after {} attempt(s)  (timeouts {}, rejects {})",
-            o.su_id.0,
-            match o.granted {
-                Some(true) => "GRANTED",
-                Some(false) => "DENIED",
-                None => "EXHAUSTED",
-            },
-            o.attempts,
-            stats.timeouts,
-            stats.rejected,
-        );
-    }
-    let f = report.metrics.fault_totals();
-    let s = report.metrics.session_totals();
-    println!(
-        "\nfaults injected: {} dropped, {} duplicated, {} reordered, {} corrupted (+{} absorbed)",
-        f.dropped, f.duplicated, f.reordered, f.corrupted, f.corrupt_dropped
-    );
-    println!(
-        "sessions absorbed them with {} retries, {} timeouts, {} rejected messages",
-        s.retries, s.timeouts, s.rejected
-    );
-    println!(
-        "{}/{} sessions decided in {:.2} s ({:.1} KiB moved)",
-        report
-            .outcomes
-            .iter()
-            .filter(|o| o.granted.is_some())
-            .count(),
-        report.outcomes.len(),
-        elapsed.as_secs_f64(),
-        report.metrics.total_bytes() as f64 / 1024.0
-    );
-
-    let mut exports_ok = true;
-    if observing {
-        pisa_obs::set_enabled(false);
-        let obs_report = pisa_obs::report();
-        println!("\nper-phase breakdown (paper Tables 2-3):");
-        print!("{}", obs_report.render_table());
-        if let Some(path) = metrics_out {
-            let mut doc = obs_report.to_value();
-            if let pisa_obs::json::Value::Obj(fields) = &mut doc {
-                fields.push(("net".to_owned(), net_section(&report.metrics)));
-            }
-            exports_ok &= write_output("metrics report", &path, &doc.to_json());
-        }
-        if let Some(path) = trace_out {
-            exports_ok &= write_output("chrome trace", &path, &obs_report.to_chrome_trace());
-        }
-    }
-    if exports_ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// Shared flag translation for the networked roles.
 fn net_storm_opts(net: &NetFlags) -> pisa::NetStormOpts {
     use pisa::{EngineConfig, NetStormOpts};
@@ -312,8 +152,8 @@ fn net_storm_opts(net: &NetFlags) -> pisa::NetStormOpts {
     opts.engine = EngineConfig::default()
         .with_timeout(Duration::from_millis(net.timeout_ms))
         .with_max_retries(net.retries);
-    // The same fault-seed convention as `pisa storm`, so the socket
-    // chaos draws from the link streams the in-memory network would.
+    // The same fault-seed convention as `pisa sim`, so the socket chaos
+    // draws from the link streams the simulator would.
     opts.faults = chaotic.then(|| FaultConfig::new(net.seed ^ 0xfa17).with_default_plan(plan));
     opts
 }
@@ -482,8 +322,8 @@ fn trace(record: Option<String>, replay: Option<String>, sessions: u32, seed: u6
     }
 }
 
-/// `pisa su`: the SU swarm against a live SDC service — `pisa storm`
-/// over real sockets.
+/// `pisa su`: the SU swarm against a live SDC service — a storm over
+/// real sockets.
 fn su_storm(
     sdc: &str,
     net: &NetFlags,
@@ -622,10 +462,13 @@ struct SimOpts {
     real: bool,
     sweep: bool,
     metrics_out: Option<String>,
+    trace_out: Option<String>,
 }
 
-/// Deterministic discrete-event storm simulation: the `pisa storm`
-/// scenario replayed on virtual time, bit-reproducible per seed.
+/// Deterministic discrete-event storm simulation: concurrent sessions
+/// over a faulty network on virtual time, bit-reproducible per seed.
+/// With `--mode real`, an export flag also records the per-phase spans
+/// and crypto-op counts of the run.
 fn sim(opts: SimOpts) -> ExitCode {
     use pisa::EngineConfig;
     use pisa_net::FaultPlan;
@@ -645,6 +488,7 @@ fn sim(opts: SimOpts) -> ExitCode {
         real,
         sweep,
         metrics_out,
+        trace_out,
     } = opts;
     let plan = FaultPlan::none()
         .with_drop(drop)
@@ -709,6 +553,11 @@ fn sim(opts: SimOpts) -> ExitCode {
             ExitCode::FAILURE
         }
     } else {
+        let observing = real && (metrics_out.is_some() || trace_out.is_some());
+        if observing {
+            pisa_obs::set_enabled(true);
+            pisa_obs::reset();
+        }
         println!(
             "sim storm: {sus} sessions ({}), faults/link: {:.0}% drop, {:.0}% dup, {:.0}% reorder, {:.0}% corrupt",
             fidelity.label(),
@@ -737,13 +586,28 @@ fn sim(opts: SimOpts) -> ExitCode {
             report.events as f64 / elapsed.as_secs_f64().max(1e-9),
         );
         println!("decisions digest: {:016x}", report.decisions_digest);
+        let obs_report = observing.then(|| {
+            pisa_obs::set_enabled(false);
+            pisa_obs::report()
+        });
+        if let Some(obs_report) = &obs_report {
+            println!("\nper-phase breakdown (paper Tables 2-3):");
+            print!("{}", obs_report.render_table());
+        }
         let mut exports_ok = true;
         if let Some(path) = metrics_out {
-            let doc = Value::object(vec![
-                ("sim", report.to_value()),
-                ("wall_ms", Value::from_f64(elapsed.as_secs_f64() * 1e3)),
-            ]);
+            let mut doc = obs_report
+                .as_ref()
+                .map_or_else(|| Value::object(Vec::new()), pisa_obs::Report::to_value);
+            if let Value::Obj(fields) = &mut doc {
+                fields.push(("sim".to_owned(), report.to_value()));
+                let wall_ms = Value::from_f64(elapsed.as_secs_f64() * 1e3);
+                fields.push(("wall_ms".to_owned(), wall_ms));
+            }
             exports_ok &= write_output("sim report", &path, &doc.to_json());
+        }
+        if let (Some(path), Some(obs_report)) = (trace_out, &obs_report) {
+            exports_ok &= write_output("chrome trace", &path, &obs_report.to_chrome_trace());
         }
         if report.all_terminal() && exports_ok {
             ExitCode::SUCCESS

@@ -5,9 +5,10 @@
 //! pisa keygen [--bits N]        generate a Paillier key pair
 //! pisa simulate [--hours H] [--pus N] [--sus N] [--seed S]
 //!                               metro-area churn simulation
-//! pisa storm [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
-//!            [--seed S] [--retries N] [--timeout-ms T]
-//!                               concurrent sessions over a faulty network
+//! pisa sim [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
+//!          [--seed S] [--retries N] [--timeout-ms T] [--mode real|modeled]
+//!                               concurrent sessions over a faulty network,
+//!                               on virtual time
 //! pisa attack                   curious-SDC inference demo (WATCH vs PISA)
 //! pisa info                     print the paper's Table I configuration
 //! ```

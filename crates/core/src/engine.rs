@@ -17,9 +17,10 @@
 //! What the frames carry is a [`Backend`]'s business: it computes the
 //! protocol steps of paper Fig. 5 (phase 1, the sign test with key
 //! conversion, phase 2, the license check) and sizes its messages for
-//! the wire. [`Paillier`] is the deployed backend. The threaded storm,
-//! the socket services and the simulator's real fidelity run it, on
-//! the same RNG streams, so their frames are identical byte for byte.
+//! the wire. [`Paillier`] is the deployed backend. The in-process FIFO
+//! storm ([`run_storm`](crate::run_storm)), the socket services and the
+//! simulator's real fidelity run it, on the same RNG streams, so their
+//! frames are identical byte for byte.
 //! The simulator's modeled fidelity runs a plaintext backend over the
 //! WATCH decision oracle, so its 10⁵-session storms exercise these same
 //! state machines.

@@ -1,9 +1,9 @@
 //! Networked storm: SDC, STP and the SU swarm as three real processes.
 //!
-//! [`run_storm`](crate::run_storm) keeps every party in one address
-//! space; this module runs the *same* session engines over the framed
-//! TCP transport in [`pisa_net::socket`], so a storm can execute as
-//! three OS processes on loopback or across hosts:
+//! [`run_storm`](crate::run_storm) keeps every party on one thread;
+//! this module runs the *same* session engines over the framed TCP
+//! transport in [`pisa_net::socket`], so a storm can execute as three
+//! OS processes on loopback or across hosts:
 //!
 //! ```text
 //!   pisa serve-stp  --listen 127.0.0.1:7002
@@ -18,12 +18,12 @@
 //! engine seeds match [`run_storm`](crate::run_storm) exactly
 //! (`seed ^ 0x5dc` for the SDC, `seed ^ 0x517` for the STP,
 //! `seed ^ (0x50 + i)` for SU *i*), so a networked storm reaches the
-//! same grant/deny decisions as the in-memory engine on the same seed —
+//! same grant/deny decisions as the in-memory loop on the same seed —
 //! [`run_memory_baseline`] recomputes that reference for `--verify`.
 //!
 //! Fault injection ports to the socket layer unchanged: each process
 //! runs its *outbound* traffic through the same
-//! [`FaultPipeline`](pisa_net::FaultPipeline) as the in-memory engine,
+//! [`FaultPipeline`](pisa_net::FaultPipeline) as the simulator,
 //! which covers every directed link exactly once (SU→SDC in the SU
 //! process, SDC→STP and SDC→SU in the SDC process, STP→SDC in the STP
 //! process).
@@ -68,7 +68,7 @@ pub struct NetStormOpts {
     pub sessions: u32,
     /// Storm seed: system keys, engines and faults all derive from it.
     pub seed: u64,
-    /// Timeout / retry / worker policy, as for the in-memory engine.
+    /// Timeout / retry / poll policy of the engines and services.
     pub engine: EngineConfig,
     /// Socket-layer fault injection for this process's outbound links
     /// (`None` = clean network).
@@ -103,8 +103,7 @@ impl Default for DurableOpts {
 }
 
 impl NetStormOpts {
-    /// Defaults mirroring `run_storm`'s: `sessions` SUs on a clean
-    /// network with the stock engine policy.
+    /// `sessions` SUs on a clean network with the stock engine policy.
     pub fn new(sessions: u32, seed: u64) -> Self {
         NetStormOpts {
             sessions,
@@ -515,8 +514,9 @@ impl StpService {
 
 /// Runs the SU side of a networked storm: all `sessions` SU state
 /// machines pooled over one dialed connection to the SDC, one thread
-/// per session, exactly mirroring [`run_storm`](crate::run_storm)'s SU
-/// loop (same engine, same per-session seeds, same backoff policy).
+/// per session, with the per-session seeds of
+/// [`run_storm`](crate::run_storm) and the backoff policy of
+/// `opts.engine`.
 ///
 /// With `halt`, a shutdown frame is sent to the SDC after the last
 /// session finishes, cascading to the STP — so one `pisa su --halt`
@@ -651,16 +651,17 @@ pub fn run_su_storm(
 }
 
 /// The in-memory reference run for `--verify`: the same fixture and
-/// seed through [`run_storm`](crate::run_storm) on a clean network.
-/// A networked storm — faulty or not — must reach these grant/deny
-/// decisions (the chaos invariant, now across process boundaries).
+/// seed through [`run_storm`](crate::run_storm), on one thread over a
+/// quiet network. A networked storm — faulty or not — must reach these
+/// grant/deny decisions (the chaos invariant, now across process
+/// boundaries).
 ///
 /// # Errors
 ///
 /// Whatever [`run_storm`](crate::run_storm) reports.
 pub fn run_memory_baseline(opts: &NetStormOpts) -> Result<EngineReport, PisaError> {
     let StormFixture { sus, sdc, stp } = storm_fixture(opts.sessions, opts.seed)?;
-    let (report, _sdc, _stp) = run_storm(sus, sdc, stp, None, &opts.engine, opts.seed)?;
+    let (report, _sdc, _stp) = run_storm(sus, sdc, stp, opts.seed)?;
     Ok(report)
 }
 

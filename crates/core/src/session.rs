@@ -1,23 +1,21 @@
-//! Concurrent multi-session protocol engine over the simulated network.
+//! The session wire envelope, the engines' timeout policy, and the
+//! quiet in-process storm.
 //!
 //! [`run_request_direct`](crate::run_request_direct) runs one request
 //! by direct calls; a real SDC serves many SUs at once over links that
-//! lose, repeat, reorder and mangle frames. This module drives N
-//! sessions that way: threaded SDC and STP **service loops** plus one
-//! thread per SU session, where
+//! lose, repeat, reorder and mangle frames. The per-session rules for
+//! that live in the [`crate::engine`] state machines, which three
+//! drivers run:
 //!
-//! * every session is an explicit state machine ([`SessionPhase`]:
-//!   phase 1 blinding → STP sign test → phase 2 license release),
-//! * all receives use `recv_timeout` (no party can hang forever),
-//! * SUs retry with exponential backoff up to a bounded budget,
-//! * malformed, out-of-order, stale or duplicated messages are
-//!   *rejected and counted* — never panicked on — via
-//!   [`NetMetrics::record_session_reject`] and friends, and
-//! * the whole engine composes with the deterministic fault injection
-//!   that [`pisa_net::FaultConfig`] configures (drop / duplicate /
-//!   reorder / corrupt), run by the same
-//!   [`FaultPipeline`](pisa_net::FaultPipeline) as the socket and
-//!   virtual-time transports.
+//! * [`run_storm`] here: every engine on one thread, every frame through
+//!   one FIFO queue on a quiet network. It is the fault-free reference
+//!   the other drivers are checked against, and what
+//!   [`crate::trace::record_storm`] records.
+//! * The socket services in [`crate::netstorm`]: SDC, STP and the SU
+//!   swarm as separate processes, for real concurrency.
+//! * The `pisa-sim` simulator: the same engines on virtual time over the
+//!   [`FaultPipeline`](pisa_net::FaultPipeline)'s drop / duplicate /
+//!   reorder / corrupt faults. Every faulty in-process storm runs there.
 //!
 //! ## Why retries are safe
 //!
@@ -49,17 +47,16 @@ use crate::engine::{
 use crate::error::PisaError;
 use crate::keys::SuId;
 use crate::messages::PisaMessage;
+use crate::netstorm::StormFixture;
 use crate::sdc::SdcServer;
 use crate::stp::StpServer;
 use crate::su::SuClient;
 use pisa_net::codec::{CodecError, Reader, Writer};
-use pisa_net::{FaultConfig, NetMetrics, Network, Party, WireSize};
+use pisa_net::{NetMetrics, Party, WireSize};
 use pisa_radio::tv::Channel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 /// Wire overhead of the session header (session id + attempt counter).
@@ -154,9 +151,7 @@ impl pisa_net::FrameCodec for SessionMsg {
 /// formed message it must reject at the protocol layer. `None` means
 /// the frame no longer parses and the network absorbs it like a drop.
 ///
-/// Install with
-/// [`Network::set_corruptor`](pisa_net::Network::set_corruptor);
-/// [`run_storm`] does so automatically.
+/// The simulator's real fidelity installs it on its network.
 pub fn corrupt_session_frame(msg: &SessionMsg, tweak: u64) -> Option<SessionMsg> {
     let mut bytes = msg.encode().ok()?.to_vec();
     let nbits = (bytes.len() * 8) as u64;
@@ -181,7 +176,7 @@ pub struct EngineConfig {
     pub timeout: Duration,
     /// Retries an SU may spend before giving up (total sends = 1 + this).
     pub max_retries: u32,
-    /// Poll granularity of the SDC/STP service loops (how often they
+    /// Poll granularity of the socket service loops (how often they
     /// check the shutdown flag while idle).
     pub poll: Duration,
 }
@@ -242,7 +237,7 @@ pub struct SessionOutcome {
 pub struct EngineReport {
     /// Per-session outcomes, sorted by SU id.
     pub outcomes: Vec<SessionOutcome>,
-    /// The network's traffic, fault and per-session resilience counters.
+    /// The traffic, fault and per-session resilience counters.
     pub metrics: NetMetrics,
 }
 
@@ -258,188 +253,108 @@ impl EngineReport {
     }
 }
 
-/// Runs N SU request sessions concurrently over one network: the SDC
-/// and STP each serve a resilient loop on their own thread, every SU
-/// drives its session state machine on its own thread, and the optional
-/// [`FaultConfig`] injects deterministic drop/duplicate/reorder/corrupt
-/// faults underneath. Per-session retry/timeout/reject counters land in
-/// the report's [`NetMetrics`].
-///
-/// With the same seeds and system state, the grant/deny decisions are
-/// identical with and without faults (see the module docs), which is
-/// the property the chaos tests pin down.
+/// Runs N SU request sessions to completion on one thread, over a
+/// quiet network: the SDC, the STP and every SU are session engines,
+/// SUs start in the order given, and each frame is dispatched in send
+/// order from one FIFO queue and counted in the report's
+/// [`NetMetrics`]. No frame is lost, so no deadline ever expires and
+/// the run is a pure function of its inputs and `seed`: SU *i* draws
+/// its request from `seed ^ (0x50 + i)`, the SDC engine from
+/// `seed ^ 0x5dc` and the STP engine from `seed ^ 0x517`, as every
+/// other storm driver does.
 ///
 /// # Errors
 ///
 /// [`PisaError::UnknownSu`] if an SU never registered with the STP, and
-/// [`PisaError::EngineFailure`] if a party thread panics (every thread
-/// is still joined before the error is returned).
+/// [`PisaError::EngineFailure`] if a session is left unfinished (which a
+/// quiet network rules out unless the protocol itself regresses).
 pub fn run_storm(
     sus: Vec<(SuClient, Vec<Channel>)>,
     sdc: SdcServer,
     stp: StpServer,
-    faults: Option<FaultConfig>,
-    engine: &EngineConfig,
     seed: u64,
 ) -> Result<(EngineReport, SdcServer, StpServer), PisaError> {
+    run_fifo(StormFixture { sus, sdc, stp }, seed, |_, _, _| Ok(()))
+}
+
+/// The loop behind [`run_storm`]; `dispatched` sees every frame as it
+/// leaves the queue, which is how a trace recorder taps it.
+pub(crate) fn run_fifo(
+    fixture: StormFixture,
+    seed: u64,
+    mut dispatched: impl FnMut(Party, Party, &SessionMsg) -> Result<(), PisaError>,
+) -> Result<(EngineReport, SdcServer, StpServer), PisaError> {
+    let su_keys = fixture.su_keys()?;
+    let StormFixture { sus, sdc, stp } = fixture;
     let cfg = sdc.config().clone();
     let pk_g = stp.public_key().clone();
     let signing = sdc.signing_public_key().clone();
-    let su_keys: HashMap<_, _> = sus
-        .iter()
-        .map(|(su, _)| {
-            let pk = stp
-                .su_key(su.id())
-                .ok_or(PisaError::UnknownSu(su.id()))?
-                .clone();
-            Ok((su.id(), pk))
-        })
-        .collect::<Result<_, PisaError>>()?;
-    let corrupt_possible = faults.as_ref().is_some_and(FaultConfig::any_corruption);
-
-    let net: Network<SessionMsg> = match faults {
-        Some(config) => Network::with_faults(config),
-        None => Network::new(),
-    };
-    net.set_corruptor(Arc::new(corrupt_session_frame));
-    let metrics = net.metrics().clone();
-    let sdc_ep = net.endpoint(Party::Sdc);
-    let stp_ep = net.endpoint(Party::Stp);
-    let su_eps: Vec<_> = sus
-        .iter()
-        .map(|(su, _)| net.endpoint(Party::Su(su.id().0)))
-        .collect();
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // ---- SDC service loop ------------------------------------------
-    // The protocol logic lives in the transport-agnostic engines (see
-    // crate::engine); these loops only pump mailboxes into them.
-    let sdc_handle = {
-        let stop = Arc::clone(&stop);
-        let poll = engine.poll;
-        let mut machine = SdcSessionEngine::new(sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
-        std::thread::spawn(move || {
-            let mut out = Vec::new();
-            loop {
-                let Some(env) = sdc_ep.recv_timeout(poll) else {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    continue;
-                };
-                machine.handle(env.payload, &mut out);
-                for (to, frame) in out.drain(..) {
-                    let _ = sdc_ep.try_send(to, frame);
-                }
-            }
-            machine.into_server()
-        })
+    let engine = EngineConfig::default();
+    let metrics = NetMetrics::new();
+    let params = SuSessionParams {
+        cfg: &cfg,
+        pk_g: &pk_g,
+        signing: &signing,
+        corrupt_possible: false,
+        engine: &engine,
+        metrics: &metrics,
     };
 
-    // ---- STP service loop ------------------------------------------
-    let stp_handle = {
-        let stop = Arc::clone(&stop);
-        let poll = engine.poll;
-        let mut machine = StpSessionEngine::new(stp, metrics.clone(), seed ^ 0x517);
-        std::thread::spawn(move || {
-            let mut out = Vec::new();
-            loop {
-                let Some(env) = stp_ep.recv_timeout(poll) else {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    continue;
-                };
-                machine.handle(env.payload, &mut out);
-                for (to, frame) in out.drain(..) {
-                    let _ = stp_ep.try_send(to, frame);
-                }
-            }
-            machine.into_server()
-        })
-    };
+    let mut sdc = SdcSessionEngine::new(sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
+    let mut stp = StpSessionEngine::new(stp, metrics.clone(), seed ^ 0x517);
+    let mut queue: VecDeque<(Party, Party, SessionMsg)> = VecDeque::new();
+    let mut live: HashMap<u32, SuSessionEngine> = HashMap::new();
+    let mut outcomes: Vec<SessionOutcome> = Vec::new();
+    let mut out = Vec::new();
 
-    // ---- One session state machine per SU --------------------------
-    let mut su_handles = Vec::new();
-    for (i, ((su, channels), ep)) in sus.into_iter().zip(su_eps).enumerate() {
-        let cfg = cfg.clone();
-        let pk_g = pk_g.clone();
-        let signing = signing.clone();
-        let metrics = metrics.clone();
-        let engine = engine.clone();
-        su_handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
-            // One span per SU session, parent of this thread's request
-            // build / license verification spans.
-            let _session_span = pisa_obs::span("session");
-            let params = SuSessionParams {
-                cfg: &cfg,
-                pk_g: &pk_g,
-                signing: &signing,
-                corrupt_possible,
-                engine: &engine,
-                metrics: &metrics,
-            };
-            let mut machine = SuSessionEngine::new(su, &channels, &params, &mut rng);
-            let mut out = Vec::new();
-            let mut action = machine.start(&mut out);
-            loop {
-                match action {
-                    SuAction::Wait { deadline } => {
-                        for (to, frame) in out.drain(..) {
-                            ep.send(to, frame);
-                        }
-                        let event = match ep.recv_timeout(deadline) {
-                            Some(env) => SuEvent::Frame(env.payload),
-                            None => SuEvent::Timeout,
-                        };
-                        action = machine.on_event(event, &mut out);
-                    }
-                    SuAction::Finish(outcome) => break outcome,
-                }
-            }
-        }));
+    for (i, (su, channels)) in sus.into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
+        let id = su.id().0;
+        let machine = SuSessionEngine::new(su, &channels, &params, &mut rng);
+        if let SuAction::Finish(outcome) = machine.start(&mut out) {
+            outcomes.push(outcome);
+        }
+        queue.extend(out.drain(..).map(|(to, frame)| (Party::Su(id), to, frame)));
+        live.insert(id, machine);
     }
 
-    // Join every thread before reporting any failure: the stop flag must
-    // be raised (and the service loops drained) even when an SU thread
-    // died, or the process would leak spinning servers.
-    let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(su_handles.len());
-    let mut su_died = false;
-    for h in su_handles {
-        match h.join() {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(_) => su_died = true,
+    while let Some((from, to, msg)) = queue.pop_front() {
+        dispatched(from, to, &msg)?;
+        metrics.record(from, to, msg.wire_bytes());
+        match to {
+            Party::Sdc => sdc.handle(msg, &mut out),
+            Party::Stp => stp.handle(msg, &mut out),
+            Party::Su(i) => {
+                let Some(machine) = live.get_mut(&i) else {
+                    continue;
+                };
+                if let SuAction::Finish(outcome) = machine.on_event(SuEvent::Frame(msg), &mut out) {
+                    outcomes.push(outcome);
+                    live.remove(&i);
+                }
+            }
+            // PUs receive nothing in this protocol.
+            Party::Pu(_) => {}
         }
+        queue.extend(out.drain(..).map(|(next, frame)| (to, next, frame)));
+    }
+
+    if !live.is_empty() {
+        return Err(PisaError::EngineFailure(
+            "storm left sessions unfinished on a quiet network",
+        ));
     }
     outcomes.sort_by_key(|o| o.su_id);
-
-    stop.store(true, Ordering::Release);
-    let sdc = sdc_handle.join();
-    let stp = stp_handle.join();
-    net.flush_holdback();
-
-    if su_died {
-        return Err(PisaError::EngineFailure("SU session thread panicked"));
-    }
-    let sdc = sdc.map_err(|_| PisaError::EngineFailure("SDC service thread panicked"))?;
-    let stp = stp.map_err(|_| PisaError::EngineFailure("STP service thread panicked"))?;
-
     Ok((
-        EngineReport {
-            outcomes,
-            metrics: net.metrics().clone(),
-        },
-        sdc,
-        stp,
+        EngineReport { outcomes, metrics },
+        sdc.into_server(),
+        stp.into_server(),
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SystemConfig;
-    use pisa_net::FaultPlan;
     use pisa_radio::BlockId;
 
     fn ct(v: u64) -> pisa_crypto::paillier::Ciphertext {
@@ -505,95 +420,5 @@ mod tests {
                 _ => panic!("oracle not deterministic for tweak {tweak}"),
             }
         }
-    }
-
-    fn storm_setup(n_sus: u32, seed: u64) -> (Vec<(SuClient, Vec<Channel>)>, SdcServer, StpServer) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = SystemConfig::small_test();
-        let mut stp = StpServer::new(&mut rng, cfg.paillier_bits());
-        let sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.storm", &mut rng);
-        let sus = (0..n_sus)
-            .map(|i| {
-                let su = SuClient::new(SuId(i), BlockId(i as usize % cfg.blocks()), &cfg, &mut rng);
-                stp.register_su(su.id(), su.public_key().clone());
-                (su, vec![Channel(i as usize % cfg.channels())])
-            })
-            .collect();
-        (sus, sdc, stp)
-    }
-
-    #[test]
-    fn quiet_storm_grants_every_session_first_try() {
-        let (sus, sdc, stp) = storm_setup(3, 0x570);
-        // A generous deadline: "quiet" asserts no *network* retries, so
-        // keep slow-machine compute time out of the equation.
-        let engine = EngineConfig::default().with_timeout(Duration::from_secs(5));
-        let (report, _sdc, _stp) = run_storm(sus, sdc, stp, None, &engine, 0x570).unwrap();
-        assert_eq!(report.outcomes.len(), 3);
-        assert!(report.all_completed());
-        for outcome in &report.outcomes {
-            assert_eq!(outcome.granted, Some(true), "{:?}", outcome.su_id);
-            assert_eq!(outcome.attempts, 1);
-        }
-        // No faults, no retries, no rejects.
-        let totals = report.metrics.session_totals();
-        assert_eq!(totals.retries + totals.timeouts + totals.rejected, 0);
-        assert_eq!(report.metrics.fault_totals().total(), 0);
-    }
-
-    #[test]
-    fn lossy_storm_reaches_the_same_decisions() {
-        let (sus, sdc, stp) = storm_setup(4, 0x571);
-        let (baseline, _, _) =
-            run_storm(sus, sdc, stp, None, &EngineConfig::default(), 0x571).unwrap();
-
-        let (sus, sdc, stp) = storm_setup(4, 0x571);
-        let faults = FaultConfig::new(0xbad)
-            .with_default_plan(FaultPlan::none().with_drop(0.15).with_duplicate(0.25));
-        let engine = EngineConfig::default().with_max_retries(12);
-        let (report, _, _) = run_storm(sus, sdc, stp, Some(faults), &engine, 0x571).unwrap();
-
-        assert_eq!(report.decisions(), baseline.decisions());
-        assert!(report.all_completed());
-        // The fault layer actually fired and the sessions absorbed it.
-        assert!(report.metrics.fault_totals().total() > 0);
-    }
-
-    /// Chaos extension for the panic-freedom work: with payload
-    /// corruption switched on, every malformed frame must surface as a
-    /// decode error → retry, never as a panic inside the frame-decode
-    /// or homomorphic paths — and the final decisions must match the
-    /// fault-free baseline.
-    #[test]
-    fn corrupting_storm_never_panics_and_still_decides() {
-        let (sus, sdc, stp) = storm_setup(3, 0x573);
-        let (baseline, _, _) =
-            run_storm(sus, sdc, stp, None, &EngineConfig::default(), 0x573).unwrap();
-
-        let (sus, sdc, stp) = storm_setup(3, 0x573);
-        let faults = FaultConfig::new(0xc0de)
-            .with_default_plan(FaultPlan::none().with_corrupt(0.2).with_drop(0.1));
-        let engine = EngineConfig::default().with_max_retries(16);
-        let (report, _, _) = run_storm(sus, sdc, stp, Some(faults), &engine, 0x573).unwrap();
-
-        assert_eq!(report.decisions(), baseline.decisions());
-        assert!(report.all_completed());
-        assert!(
-            report.metrics.fault_totals().total() > 0,
-            "corruption faults must actually have fired"
-        );
-    }
-
-    #[test]
-    fn unregistered_su_is_reported_not_panicked() {
-        let (mut sus, sdc, _stp) = storm_setup(2, 0x572);
-        let mut rng = StdRng::seed_from_u64(9);
-        let cfg = SystemConfig::small_test();
-        // Fresh STP that knows neither SU.
-        let stp = StpServer::new(&mut rng, cfg.paillier_bits());
-        let su_id = sus[0].0.id();
-        sus.truncate(1);
-        let err = run_storm(sus, sdc, stp, None, &EngineConfig::default(), 0x572).unwrap_err();
-        assert_eq!(err, PisaError::UnknownSu(su_id));
     }
 }

@@ -1,9 +1,10 @@
 //! Golden-trace record/replay: a storm's full message sequence as a
 //! versioned, checksummed regression artifact.
 //!
-//! A storm driven single-threaded over a quiet FIFO network is fully
-//! deterministic: the fixture, every RNG stream and the dispatch order
-//! all derive from `(sessions, seed)`. [`record_storm`] captures every
+//! A storm driven single-threaded over a quiet FIFO network
+//! ([`run_storm`](crate::run_storm)) is fully deterministic: the
+//! fixture, every RNG stream and the dispatch order all derive from
+//! `(sessions, seed)`. [`record_storm`] captures every
 //! [`SessionMsg`] such a storm sends — sender, recipient and the exact
 //! wire frame — into a [`StormTrace`]; [`replay_storm`] re-runs the
 //! same storm through the *current* engines and byte-compares each
@@ -20,16 +21,12 @@
 //! trailer; decoding treats the file as adversarial (bounded counts,
 //! checksum before parsing).
 
-use crate::engine::{SdcSessionEngine, StpSessionEngine, SuAction, SuEvent, SuSessionEngine};
 use crate::error::PisaError;
 use crate::netstorm::storm_fixture;
-use crate::session::{EngineConfig, SessionMsg, SessionOutcome};
+use crate::session::{run_fifo, SessionMsg, SessionOutcome};
 use pisa_crypto::sha256::sha256;
 use pisa_net::codec::{CodecError, Reader, Writer};
-use pisa_net::{NetMetrics, Party};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use pisa_net::Party;
 
 /// File magic identifying a PISA storm trace.
 pub const TRACE_MAGIC: [u8; 8] = *b"PISATRCE";
@@ -205,10 +202,10 @@ impl ReplayReport {
     }
 }
 
-/// Records a deterministic storm: every engine driven single-threaded
-/// over a quiet FIFO queue, messages dispatched in send order, SUs
-/// started in id order. Returns the trace and the per-SU outcomes
-/// (sorted by SU id).
+/// Records a deterministic storm: the [`run_storm`](crate::run_storm)
+/// loop over [`storm_fixture`]`(sessions, seed)`, with every frame
+/// encoded as it is dispatched. Returns the trace and the per-SU
+/// outcomes (sorted by SU id).
 ///
 /// # Errors
 ///
@@ -220,86 +217,21 @@ pub fn record_storm(
     sessions: u32,
     seed: u64,
 ) -> Result<(StormTrace, Vec<SessionOutcome>), PisaError> {
-    let fixture = storm_fixture(sessions, seed)?;
-    let su_keys = fixture.su_keys()?;
-    let cfg = fixture.sdc.config().clone();
-    let pk_g = fixture.stp.public_key().clone();
-    let signing = fixture.sdc.signing_public_key().clone();
-    let engine_cfg = EngineConfig::default();
-    let metrics = NetMetrics::new();
-
-    let mut sdc = SdcSessionEngine::new(fixture.sdc, su_keys, metrics.clone(), seed ^ 0x5dc);
-    let mut stp = StpSessionEngine::new(fixture.stp, metrics.clone(), seed ^ 0x517);
-
     let mut records = Vec::new();
-    let mut queue: VecDeque<(Party, Party, SessionMsg)> = VecDeque::new();
-    let mut sus: HashMap<u32, SuSessionEngine> = HashMap::new();
-    let mut outcomes: Vec<SessionOutcome> = Vec::new();
-    let mut out = Vec::new();
-
-    let enc = |msg: &SessionMsg| -> Result<bytes::Bytes, PisaError> {
-        msg.encode()
-            .map_err(|e| PisaError::Durable(format!("trace frame encode failed: {e}")))
-    };
-
-    for (i, (su, channels)) in fixture.sus.into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
-        let params = crate::engine::SuSessionParams {
-            cfg: &cfg,
-            pk_g: &pk_g,
-            signing: &signing,
-            corrupt_possible: false,
-            engine: &engine_cfg,
-            metrics: &metrics,
-        };
-        let id = su.id().0;
-        let machine = SuSessionEngine::new(su, &channels, &params, &mut rng);
-        if let SuAction::Finish(outcome) = machine.start(&mut out) {
-            outcomes.push(outcome);
-        }
-        queue.extend(out.drain(..).map(|(to, frame)| (Party::Su(id), to, frame)));
-        sus.insert(id, machine);
-    }
-
-    while let Some((from, to, msg)) = queue.pop_front() {
-        records.push(TraceRecord {
-            from,
-            to,
-            frame: enc(&msg)?,
-        });
-        match to {
-            Party::Sdc => sdc.handle(msg, &mut out),
-            Party::Stp => stp.handle(msg, &mut out),
-            Party::Su(i) => {
-                let Some(machine) = sus.get_mut(&i) else {
-                    continue;
-                };
-                if let SuAction::Finish(outcome) = machine.on_event(SuEvent::Frame(msg), &mut out) {
-                    outcomes.push(outcome);
-                    sus.remove(&i);
-                }
-            }
-            Party::Pu(_) => {
-                // PUs receive nothing in this protocol; a frame routed
-                // here would be a recorder bug, not a protocol event.
-            }
-        }
-        queue.extend(out.drain(..).map(|(next, frame)| (to, next, frame)));
-    }
-
-    if !sus.is_empty() {
-        return Err(PisaError::EngineFailure(
-            "trace storm left sessions unfinished on a quiet network",
-        ));
-    }
-    outcomes.sort_by_key(|o| o.su_id);
+    let (report, _sdc, _stp) = run_fifo(storm_fixture(sessions, seed)?, seed, |from, to, msg| {
+        let frame = msg
+            .encode()
+            .map_err(|e| PisaError::Durable(format!("trace frame encode failed: {e}")))?;
+        records.push(TraceRecord { from, to, frame });
+        Ok(())
+    })?;
     Ok((
         StormTrace {
             sessions,
             seed,
             records,
         },
-        outcomes,
+        report.outcomes,
     ))
 }
 

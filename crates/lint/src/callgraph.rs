@@ -6,9 +6,11 @@
 //! * `Qual::name(…)` — resolved inside `Qual`'s impl blocks when
 //!   `Qual` is a workspace type (or `Self`, using the caller's impl
 //!   type); a qualifier that names no workspace type falls back to
-//!   module-path resolution (free fns named `name`), and an unknown
-//!   qualifier (`Vec`, `std`, …) makes the call *external* — no
-//!   workspace summary is charged to it;
+//!   module-path resolution: the free fns named `name` in the module
+//!   file `Qual` (`qual.rs` or `qual/mod.rs`), or, when no such file
+//!   defines one, every free fn named `name`. An unknown qualifier
+//!   (`Vec`, `std`, …) makes the call *external* — no workspace
+//!   summary is charged to it;
 //! * `recv.name(…)` — resolved to **every** workspace method named
 //!   `name` (conservative over-approximation, see DESIGN.md §13);
 //! * `name(…)` — resolved to free fns named `name`.
@@ -24,6 +26,9 @@ pub struct CallGraph {
     methods: BTreeMap<String, Vec<usize>>,
     /// Free fns by name.
     free: BTreeMap<String, Vec<usize>>,
+    /// Free fns by (module file, name): `divsteps` for `divsteps.rs`
+    /// and `divsteps/mod.rs`.
+    free_in_module: BTreeMap<(String, String), Vec<usize>>,
     /// Workspace type names with impl blocks (qualifier disambiguation).
     types: BTreeSet<String>,
 }
@@ -34,6 +39,7 @@ impl CallGraph {
             assoc: BTreeMap::new(),
             methods: BTreeMap::new(),
             free: BTreeMap::new(),
+            free_in_module: BTreeMap::new(),
             types: BTreeSet::new(),
         };
         for (idx, f) in prog.fns.iter().enumerate() {
@@ -50,6 +56,12 @@ impl CallGraph {
                 }
                 None => {
                     g.free.entry(f.name.clone()).or_default().push(idx);
+                    if let Some(module) = module_of(&f.file) {
+                        g.free_in_module
+                            .entry((module.to_string(), f.name.clone()))
+                            .or_default()
+                            .push(idx);
+                    }
                 }
             }
         }
@@ -87,12 +99,28 @@ impl CallGraph {
                 return NONE;
             }
             // Module-path call like `frame::write_frame(…)`.
+            if let Some(v) = self.free_in_module.get(&(q.to_string(), name.clone())) {
+                return v;
+            }
             return self.free.get(name).map(Vec::as_slice).unwrap_or(NONE);
         }
         if *method {
             return self.methods.get(name).map(Vec::as_slice).unwrap_or(NONE);
         }
         self.free.get(name).map(Vec::as_slice).unwrap_or(NONE)
+    }
+}
+
+/// The module a source file defines, as a path qualifier names it:
+/// `inv` for `…/inv.rs`, `socket` for `…/socket/mod.rs`; `None` for a
+/// crate root.
+fn module_of(file: &str) -> Option<&str> {
+    let mut parts = file.rsplit('/');
+    let stem = parts.next()?.strip_suffix(".rs")?;
+    match stem {
+        "lib" | "main" => None,
+        "mod" => parts.next(),
+        _ => Some(stem),
     }
 }
 
@@ -114,9 +142,14 @@ mod tests {
                  pub fn send(&self) { helper(); }\n\
              }\n\
              fn helper() {}\n\
-             fn caller(n: &Node) { n.send(); Node::new(); helper(); Vec::new(); }\n",
+             fn caller(n: &Node) { n.send(); Node::new(); helper(); Vec::new(); \
+                 divsteps::inverse(); other::inverse(); }\n",
         )
         .unwrap();
+        // Two free fns share a name in different module files.
+        std::fs::write(dir.join("src/divsteps.rs"), "pub fn inverse() {}\n").unwrap();
+        std::fs::create_dir_all(dir.join("src/field")).unwrap();
+        std::fs::write(dir.join("src/field/mod.rs"), "pub fn inverse() {}\n").unwrap();
         let ws = scan_workspace(&dir);
         let prog = ir::build(&ws);
         let g = CallGraph::build(&prog);
@@ -128,7 +161,9 @@ mod tests {
             }
         }
         // n.send() → Node::send; Node::new() → Node::new (not Vec::new);
-        // helper() → free helper; Vec::new() → external.
+        // helper() → free helper; Vec::new() → external;
+        // divsteps::inverse() → the one in divsteps.rs; other::inverse()
+        // names no module file, so it may be either.
         assert_eq!(
             resolved,
             vec![
@@ -136,8 +171,21 @@ mod tests {
                 ("new".to_string(), 1),
                 ("helper".to_string(), 1),
                 ("new".to_string(), 0),
+                ("inverse".to_string(), 1),
+                ("inverse".to_string(), 2),
             ]
         );
+        let divsteps_call = caller
+            .events
+            .iter()
+            .find(|ev| matches!(&ev.kind, EventKind::Call { qualifier: Some(q), .. } if q == "divsteps"))
+            .unwrap();
+        let [target] = g.resolve(&divsteps_call.kind, None) else {
+            panic!("divsteps::inverse must resolve to one fn");
+        };
+        assert!(prog.fns[*target].file.ends_with("src/divsteps.rs"));
+        assert_eq!(module_of("crates/net/src/socket/mod.rs"), Some("socket"));
+        assert_eq!(module_of("crates/net/src/lib.rs"), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -44,7 +44,7 @@ pub struct Config {
     /// Path prefixes where the secret-branching rule applies.
     pub branching_paths: Vec<String>,
     /// Path prefixes where the lock-discipline and blocking-call rules
-    /// apply (the threaded engine surface).
+    /// apply (the threaded service surface).
     pub locks_paths: Vec<String>,
     /// Extra taint seeds as `"fn_name.param_name"` pairs.
     pub branching_secret_params: Vec<String>,

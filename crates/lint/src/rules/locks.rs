@@ -1,7 +1,7 @@
 //! Rule family 5: lock-discipline (v2, interprocedural).
 //!
 //! Within the configured concurrency-sensitive paths (`[locks] paths`),
-//! the threaded engine must keep its guards short-lived and ordered:
+//! the threaded services must keep their guards short-lived and ordered:
 //!
 //! * **guard across blocking I/O** — a `Mutex`/`RwLock` guard held at a
 //!   direct unbounded-blocking call (`recv()`, `join()`, socket

@@ -5,9 +5,9 @@
 //! four classic link pathologies — drop, duplicate, reorder, corrupt —
 //! plus an optional [`LatencyModel`] that is applied to every delivery.
 //! [`FaultPipeline`] runs them in one stage order (latency → drop →
-//! corrupt → reorder holdback → duplicate) for the threaded
-//! [`Network`](crate::Network), the TCP [`SocketNode`](crate::SocketNode)
-//! and the virtual-time simulator alike. Randomness is drawn from a
+//! corrupt → reorder holdback → duplicate) for the TCP
+//! [`SocketNode`](crate::SocketNode) and the virtual-time simulator
+//! alike. Randomness is drawn from a
 //! dedicated RNG stream *per directed link*, each seeded from the config
 //! seed and the link addresses, so the fault pattern a given sender
 //! observes is a pure function of `(seed, link, send index)`: it is the
@@ -214,10 +214,10 @@ impl Link {
 /// link's fault and latency-jitter RNG streams and its delivery
 /// counters), the corruption oracle and the one-slot reorder holdback.
 /// A transport hands it each frame and delivers whatever it appends;
-/// the threaded [`Network`](crate::Network) keeps one behind a mutex, a
-/// [`SocketNode`](crate::SocketNode) runs one over encoded envelope
-/// bytes, and the virtual-time simulator owns one outright. So the same
-/// seed yields the same per-link fault sequence on all three.
+/// a [`SocketNode`](crate::SocketNode) runs one over encoded envelope
+/// bytes behind a mutex, and the virtual-time simulator owns one
+/// outright. So the same seed yields the same per-link fault sequence
+/// on both.
 ///
 /// The link table hashes with the standard library's seeded hasher:
 /// the socket services fill it from frame fields, which a peer

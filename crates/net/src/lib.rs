@@ -1,58 +1,57 @@
-//! Simulated message transport for the PISA parties.
+//! Message transport plumbing for the PISA parties.
 //!
 //! The paper's prototype connects four kinds of parties — PUs, SUs, the
 //! SDC server and the STP — over a network whose *communication
 //! overhead* is one of the two evaluation criteria (§VI-A: a 29 MB
 //! request, a 0.05 MB PU update, a 4.1 kb response). This crate provides
-//! an in-memory network with:
+//! what every transport of the reproduction shares:
 //!
-//! * typed party addresses ([`Party`]),
-//! * reliable in-order delivery over [`crossbeam`] channels,
+//! * typed party addresses ([`Party`]) and the delivered-message
+//!   [`Envelope`],
 //! * per-link byte and message accounting ([`NetMetrics`]) driven by the
 //!   [`WireSize`] trait,
 //! * a configurable latency model ([`LatencyModel`]) for estimating
-//!   end-to-end protocol latency from the accounted traffic, and
+//!   end-to-end protocol latency from the accounted traffic,
 //! * deterministic, seedable fault injection ([`FaultConfig`]) with
 //!   per-link drop/duplicate/reorder/corrupt probabilities, run by one
 //!   [`FaultPipeline`] behind every transport, with absorbed-fault
-//!   counters surfaced through [`NetMetrics`].
+//!   counters surfaced through [`NetMetrics`], and
+//! * a framed TCP transport ([`socket`]) that runs the SDC, the STP and
+//!   the SU swarm as separate processes.
+//!
+//! The virtual-time transport lives in `pisa-sim`, which hands each
+//! frame to the same [`FaultPipeline`] and schedules what comes out.
 //!
 //! # Examples
 //!
 //! ```
-//! use pisa_net::{Network, Party, WireSize};
+//! use pisa_net::{FaultConfig, FaultPipeline, FaultPlan, NetMetrics, Party};
 //!
-//! #[derive(Clone)]
-//! struct Ping(Vec<u8>);
-//! impl WireSize for Ping {
-//!     fn wire_bytes(&self) -> usize { self.0.len() }
-//! }
-//!
-//! let net: Network<Ping> = Network::new();
-//! let sdc = net.endpoint(Party::Sdc);
-//! let stp = net.endpoint(Party::Stp);
-//! sdc.send(Party::Stp, Ping(vec![0; 128]));
-//! assert_eq!(stp.recv().unwrap().payload.0.len(), 128);
-//! assert_eq!(net.metrics().total_bytes(), 128);
+//! let metrics = NetMetrics::new();
+//! let config = FaultConfig::new(7).with_default_plan(FaultPlan::none().with_duplicate(1.0));
+//! let mut pipeline: FaultPipeline<Vec<u8>> = FaultPipeline::new(config, 0.0, metrics.clone());
+//! let mut frames = Vec::new();
+//! pipeline.inject(Party::Su(0), Party::Sdc, vec![0; 128], &mut frames);
+//! // Sent once, delivered twice; the fault is counted on its link.
+//! assert_eq!(frames.len(), 2);
+//! assert_eq!(metrics.fault_totals().duplicated, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
-mod error;
 mod fault;
 mod latency;
 mod metrics;
 pub mod socket;
 mod transport;
 
-pub use error::NetError;
 pub use fault::{Corruptor, FaultConfig, FaultPipeline, FaultPlan};
 pub use latency::LatencyModel;
 pub use metrics::{FaultKind, FaultStats, LinkCounter, LinkStats, NetMetrics, SessionStats};
 pub use socket::{FrameCodec, SocketConfig, SocketError, SocketEvent, SocketNode};
-pub use transport::{Endpoint, Envelope, Network, Party};
+pub use transport::{Envelope, Party};
 
 /// Serialized size of a message on the wire, in bytes.
 ///

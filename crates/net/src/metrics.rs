@@ -126,7 +126,8 @@ impl SessionStats {
     }
 }
 
-/// Shared traffic metrics for a [`Network`](crate::Network).
+/// Shared traffic metrics for one transport: the simulator's network,
+/// a socket node, or a single-threaded storm loop.
 ///
 /// Cloning shares the counters.
 #[derive(Clone, Default)]

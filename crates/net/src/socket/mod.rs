@@ -1,10 +1,9 @@
 //! Framed TCP transport for PISA parties.
 //!
-//! The in-memory [`Network`](crate::Network) keeps all four parties in
-//! one address space — fine for measurement, wrong for the paper's
-//! trust model, where SU, SDC and STP are *separate trust domains*.
-//! This module promotes the wire codec to a real socket protocol so a
-//! storm can run as three processes on loopback or across hosts:
+//! The paper's trust model has SU, SDC and STP as *separate trust
+//! domains*. This module promotes the wire codec to a real socket
+//! protocol so a storm can run as three processes on loopback or across
+//! hosts:
 //!
 //! * [`frame`] — `u32` length-prefixed frames with a hard size ceiling,
 //!   an incremental [`FrameBuffer`] deframer, and the envelope format
@@ -14,8 +13,8 @@
 //!   in-band graceful shutdown. Given
 //!   a [`FaultConfig`](crate::FaultConfig), it runs its outbound
 //!   envelope bytes through the same
-//!   [`FaultPipeline`](crate::FaultPipeline) as the in-memory
-//!   transports, and writes any held-back frame when it stops.
+//!   [`FaultPipeline`](crate::FaultPipeline) as the virtual-time
+//!   simulator, and writes any held-back frame when it stops.
 //!
 //! Everything is `std` networking — no new dependencies.
 

@@ -21,7 +21,7 @@
 //! [`FaultPipeline`](crate::FaultPipeline) as **encoded envelope
 //! bytes**, just before they are written. Corruption flips one
 //! tweak-chosen bit of the *payload* region — the exact bytes the
-//! in-memory corruption oracle flips — and keeps the frame only if the
+//! simulator's corruption oracle flips — and keeps the frame only if the
 //! payload still decodes; otherwise the frame is absorbed like a drop.
 
 use super::frame::{

@@ -1,14 +1,15 @@
 //! `pisa-sim`: a deterministic discrete-event simulator for PISA
 //! session storms.
 //!
-//! The threaded storm engine in `pisa-core` answers "does the protocol
-//! survive a hostile network?" — but it runs on wall-clock time, so a
-//! big storm is slow and a failing storm is hard to replay. This crate
-//! re-runs the same protocol on *virtual* time: a single thread pops
-//! events off a `(virtual_time, seq)`-keyed heap, the network runs the
-//! [`FaultPipeline`](pisa_net::FaultPipeline) the threaded and socket
-//! transports run, and the parties are the `pisa-core` session engines
-//! the services run. [`Fidelity::Real`] runs them on the Paillier
+//! "Does the protocol survive a hostile network?" Over sockets
+//! (`pisa-core`'s services) a storm runs on wall-clock time, so a big
+//! storm is slow and a failing one is hard to replay. This crate runs
+//! the same protocol on *virtual* time: a single thread pops events off
+//! a `(virtual_time, seq)`-keyed heap, the network runs the
+//! [`FaultPipeline`](pisa_net::FaultPipeline) the socket transport
+//! runs, and the parties are the `pisa-core` session engines the
+//! services run. Every faulty in-process storm of the workspace runs
+//! here. [`Fidelity::Real`] runs them on the Paillier
 //! backend; [`Fidelity::Modeled`] runs them on a plaintext backend that
 //! trades the Paillier arithmetic for the WATCH decision oracle — which
 //! is what makes a 10⁵-session storm finish in seconds.

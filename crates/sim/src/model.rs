@@ -181,9 +181,9 @@ pub struct ModelOracle {
 }
 
 impl ModelOracle {
-    /// Builds the oracle for the canonical storm population: one PU at
-    /// block 0 tuned to channel 0 (the `pisa storm` recipe), SU `i` at
-    /// block `i % blocks` requesting channel `i % channels`.
+    /// Builds the oracle for the canonical storm population
+    /// (`pisa::storm_fixture`): one PU at block 0 tuned to channel 0,
+    /// SU `i` at block `i % blocks` requesting channel `i % channels`.
     pub fn new(cfg: &WatchConfig) -> Self {
         let mut watch = WatchSdc::new(cfg.clone());
         watch.pu_update(0, PuInput::tuned(cfg, BlockId(0), Channel(0)));

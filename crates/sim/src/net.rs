@@ -1,8 +1,7 @@
 //! Virtual-time front end for the shared [`FaultPipeline`].
 //!
 //! [`SimNet::send`] hands each message to the same [`FaultPipeline`]
-//! the threaded [`pisa_net::Network`] and the TCP
-//! [`SocketNode`](pisa_net::SocketNode) run — latency, drop, corrupt,
+//! the TCP [`SocketNode`](pisa_net::SocketNode) runs — latency, drop, corrupt,
 //! one-slot reorder holdback, duplicate — but instead of sleeping and
 //! pushing into mailboxes it returns the scheduled [`Delivery`] records
 //! for the event heap. One pipeline means one set of per-link fault
@@ -33,8 +32,8 @@ pub struct Delivery<M> {
     pub msg: M,
 }
 
-/// The virtual-time network: the threaded [`pisa_net::Network`]'s
-/// fault pipeline, inverted control.
+/// The virtual-time network: the socket transport's fault pipeline,
+/// inverted control.
 pub struct SimNet<M> {
     pipeline: FaultPipeline<M>,
     /// Per-send scratch for the pipeline's output, reused so the hot
@@ -63,8 +62,8 @@ impl<M: WireSize + Clone> SimNet<M> {
         &self.metrics
     }
 
-    /// Installs the corruption oracle (see
-    /// [`pisa_net::Network::set_corruptor`]).
+    /// Installs the corruption oracle: how a bit flip mangles a payload
+    /// (`None` = the flipped frame no longer parses and is absorbed).
     pub fn set_corruptor(&mut self, corruptor: Corruptor<M>) {
         self.pipeline.set_corruptor(corruptor);
     }
@@ -88,8 +87,8 @@ impl<M: WireSize + Clone> SimNet<M> {
     }
 
     /// Delivers every message the reorder stage still holds, at virtual
-    /// time `now`, in link order. Returns how many were flushed (mirrors
-    /// [`pisa_net::Network::flush_holdback`]).
+    /// time `now`, in link order. Returns how many were flushed (what a
+    /// stopping [`SocketNode`](pisa_net::SocketNode) writes out).
     pub fn flush_holdback(&mut self, now: u64, out: &mut Vec<Delivery<M>>) -> usize {
         let held = self.pipeline.drain_held();
         let n = held.len();
@@ -110,9 +109,7 @@ impl<M: WireSize + Clone> SimNet<M> {
 mod tests {
     use super::*;
     use pisa_net::codec::CodecError;
-    use pisa_net::{
-        FaultPlan, FrameCodec, LatencyModel, Network, SocketConfig, SocketEvent, SocketNode,
-    };
+    use pisa_net::{FaultPlan, FrameCodec, LatencyModel, SocketConfig, SocketEvent, SocketNode};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -178,29 +175,55 @@ mod tests {
         })
     }
 
-    /// The threaded network, the simulator and a loopback socket pair
-    /// run one pipeline, so under every fault kind at once they deliver
-    /// the same payloads in the same order and count the same faults.
-    /// The seed leaves the last frame held back, so each transport's
-    /// end-of-run flush (the socket's through `stop`) is exercised too.
+    /// A socket node that only receives, and one that dials `peers` of
+    /// it and sends through `cfg`'s faults. Data frames name their own
+    /// parties, so the nodes' parties do not matter here.
+    fn socket_link(
+        cfg: &FaultConfig,
+        peers: impl IntoIterator<Item = Party>,
+    ) -> (SocketNode<Raw>, SocketNode<Raw>) {
+        let rx: SocketNode<Raw> =
+            SocketNode::new(Party::Sdc, SocketConfig::default(), NetMetrics::new(), None);
+        let addr = rx.bind("127.0.0.1:0").expect("bind").to_string();
+        let tx: SocketNode<Raw> = SocketNode::new(
+            Party::Su(0),
+            SocketConfig::default(),
+            NetMetrics::new(),
+            Some(cfg.clone()),
+        );
+        for peer in peers {
+            tx.add_peer(peer, addr.clone());
+        }
+        (rx, tx)
+    }
+
+    /// Takes `want` frames off `rx`, then checks nothing more arrives.
+    fn drain(rx: &SocketNode<Raw>, want: usize) -> Vec<Vec<u8>> {
+        let mut seen = Vec::new();
+        while seen.len() < want {
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Some(SocketEvent::Frame(env)) => seen.push(env.payload.0),
+                _ => break,
+            }
+        }
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_none(),
+            "the socket pair delivered extra frames"
+        );
+        seen
+    }
+
+    /// The simulator and a loopback socket pair run one pipeline, so
+    /// under every fault kind at once they deliver the same payloads in
+    /// the same order and count the same faults. The seed leaves the
+    /// last frame held back, so each transport's end-of-run flush (the
+    /// socket's through `stop`) is exercised too.
     #[test]
     fn every_transport_sees_the_same_faults() {
         let cfg = FaultConfig::new(0x51fd)
             .with_default_plan(FaultPlan::uniform(0.3))
             .with_latency(LatencyModel::lan());
         let payloads: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i, !i, i ^ 0x5a]).collect();
-
-        let threaded: Network<Vec<u8>> = Network::with_faults(cfg.clone());
-        threaded.set_corruptor(flip_bit());
-        let a = threaded.endpoint(Party::Su(0));
-        let b = threaded.endpoint(Party::Sdc);
-        for p in &payloads {
-            a.send(Party::Sdc, p.clone());
-        }
-        assert_eq!(threaded.flush_holdback(), 1);
-        let threaded_seen: Vec<Vec<u8>> = std::iter::from_fn(|| b.try_recv())
-            .map(|env| env.payload)
-            .collect();
 
         let mut sim: SimNet<Vec<u8>> = SimNet::new(Some(cfg.clone()), 0.0);
         sim.set_corruptor(flip_bit());
@@ -211,41 +234,20 @@ mod tests {
         assert_eq!(sim.flush_holdback(0, &mut out), 1);
         let sim_seen: Vec<Vec<u8>> = out.into_iter().map(|d| d.msg).collect();
 
-        let server: SocketNode<Raw> =
-            SocketNode::new(Party::Sdc, SocketConfig::default(), NetMetrics::new(), None);
-        let addr = server.bind("127.0.0.1:0").expect("bind").to_string();
-        let client: SocketNode<Raw> = SocketNode::new(
-            Party::Su(0),
-            SocketConfig::default(),
-            NetMetrics::new(),
-            Some(cfg),
-        );
-        client.add_peer(Party::Sdc, addr);
+        let (server, client) = socket_link(&cfg, [Party::Sdc]);
         for p in &payloads {
             client
                 .send_from(Party::Su(0), Party::Sdc, &Raw(p.clone()))
                 .expect("send");
         }
         client.stop();
-        let mut socket_seen = Vec::new();
-        while socket_seen.len() < threaded_seen.len() {
-            match server.recv_timeout(Duration::from_secs(10)) {
-                Some(SocketEvent::Frame(env)) => socket_seen.push(env.payload.0),
-                _ => break,
-            }
-        }
-        assert!(
-            server.recv_timeout(Duration::from_millis(100)).is_none(),
-            "the socket pair delivered extra frames"
-        );
+        let socket_seen = drain(&server, sim_seen.len());
         server.stop();
 
-        let totals = threaded.metrics().fault_totals();
+        let totals = sim.metrics().fault_totals();
         assert!(totals.dropped > 0 && totals.duplicated > 0);
         assert!(totals.reordered > 0 && totals.corrupted > 0);
-        assert_eq!(sim_seen, threaded_seen);
-        assert_eq!(socket_seen, threaded_seen);
-        assert_eq!(sim.metrics().fault_totals(), totals);
+        assert_eq!(socket_seen, sim_seen);
         assert_eq!(client.metrics().fault_totals(), totals);
     }
 
@@ -332,29 +334,61 @@ mod tests {
         assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0);
     }
 
-    /// The simulator counts through link handles and the threaded
-    /// network through `NetMetrics::record`; the numbers agree.
+    /// The simulator counts through link handles, a socket node through
+    /// `NetMetrics::record` as it writes and as it reads; on the same
+    /// lossy traffic all of them count every link alike. Each direction
+    /// gets its own sending and receiving node, so every sender can stop
+    /// (writing out its held-back frames) while the receivers still read.
     #[test]
-    fn traffic_counts_match_the_threaded_network() {
+    fn traffic_counts_match_the_socket_transport() {
         let cfg = FaultConfig::new(0xc1).with_default_plan(FaultPlan::uniform(0.2));
         let mut sim: SimNet<Vec<u8>> = SimNet::new(Some(cfg.clone()), 0.0);
+        sim.set_corruptor(flip_bit());
         storm_traffic(&mut sim);
 
-        let threaded: Network<Vec<u8>> = Network::with_faults(cfg);
-        let sdc = threaded.endpoint(Party::Sdc);
-        let sus: Vec<_> = (0..5).map(|i| threaded.endpoint(Party::Su(i))).collect();
+        let (sdc_rx, su_tx) = socket_link(&cfg, [Party::Sdc]);
+        let (su_rx, sdc_tx) = socket_link(&cfg, (0..5).map(Party::Su));
         for i in 0..300u32 {
-            let su = &sus[(i % 5) as usize];
-            su.send(Party::Sdc, vec![0; 10 + (i % 7) as usize]);
-            sdc.send(Party::Su(i % 5), vec![1; 3]);
+            let su = Party::Su(i % 5);
+            let request = Raw(vec![0; 10 + (i % 7) as usize]);
+            su_tx.send_from(su, Party::Sdc, &request).expect("send");
+            sdc_tx
+                .send_from(Party::Sdc, su, &Raw(vec![1; 3]))
+                .expect("send");
         }
-        threaded.flush_holdback();
+        su_tx.stop();
+        sdc_tx.stop();
 
-        assert_eq!(sim.metrics().snapshot(), threaded.metrics().snapshot());
-        assert_eq!(
-            sim.metrics().fault_totals(),
-            threaded.metrics().fault_totals()
-        );
+        let want = sim.metrics().snapshot();
+        let inbound = |to_sdc: bool| -> usize {
+            want.iter()
+                .filter(|((_, to), _)| (*to == Party::Sdc) == to_sdc)
+                .map(|(_, link)| link.messages as usize)
+                .sum()
+        };
+        drain(&sdc_rx, inbound(true));
+        drain(&su_rx, inbound(false));
+        sdc_rx.stop();
+        su_rx.stop();
+
+        let merged = |a: &SocketNode<Raw>, b: &SocketNode<Raw>| {
+            let mut links = a.metrics().snapshot();
+            links.extend(b.metrics().snapshot());
+            links.sort_by_key(|(link, _)| *link);
+            links
+        };
+        assert_eq!(merged(&su_tx, &sdc_tx), want, "counted as written");
+        assert_eq!(merged(&sdc_rx, &su_rx), want, "counted as read");
+        for ((from, to), _) in &want {
+            let sender = if *to == Party::Sdc { &su_tx } else { &sdc_tx };
+            assert_eq!(
+                sender.metrics().link_faults(*from, *to),
+                sim.metrics().link_faults(*from, *to),
+                "{from} -> {to}"
+            );
+        }
+        let faults = sim.metrics().fault_totals();
+        assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0);
     }
 
     #[test]

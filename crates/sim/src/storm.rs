@@ -1,7 +1,7 @@
 //! The storm driver: one event loop, two fidelities.
 //!
-//! [`run_sim_storm`] replays the `pisa storm` scenario — N concurrent
-//! SU sessions against one SDC and one STP over a faulty network — on
+//! [`run_sim_storm`] runs the canonical storm — N concurrent SU
+//! sessions against one SDC and one STP over a faulty network — on
 //! virtual time, through [`SimNet`](crate::SimNet). Every party is a
 //! `pisa-core` session engine, so both fidelities run the replay,
 //! resend, reject and retry rules the services run. In
@@ -20,13 +20,11 @@ use crate::model::{corrupt_model_frame, su_session, ModelOracle, PlainSdc};
 use crate::net::{Delivery, SimNet};
 use crate::report::{decisions_digest, SimOutcome, StormReport};
 use pisa::{
-    corrupt_session_frame, Backend, EngineConfig, Outbox, PisaError, PuClient, SdcServer,
-    SdcSessionEngine, SessionMsg, StpServer, StpSessionEngine, SuAction, SuClient, SuEvent,
+    corrupt_session_frame, storm_fixture, Backend, EngineConfig, Outbox, PisaError,
+    SdcSessionEngine, SessionMsg, StormFixture, StpSessionEngine, SuAction, SuEvent,
     SuSessionEngine, SuSessionParams, SystemConfig,
 };
-use pisa_net::{FaultConfig, FaultPlan, LatencyModel, Party, WireSize};
-use pisa_radio::tv::Channel;
-use pisa_radio::BlockId;
+use pisa_net::{FaultConfig, FaultPlan, LatencyModel, NetMetrics, Party, WireSize};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -116,8 +114,8 @@ impl SimConfig {
         self
     }
 
-    /// The fault config this storm hands the lottery (same
-    /// `seed ^ 0xfa17` derivation as the threaded `pisa storm`).
+    /// The fault config this storm hands the lottery (the
+    /// `seed ^ 0xfa17` derivation the socket roles use too).
     fn fault_config(&self, seed: u64) -> FaultConfig {
         let mut cfg = FaultConfig::new(seed ^ 0xfa17).with_default_plan(self.plan);
         if let Some(model) = self.latency {
@@ -129,9 +127,9 @@ impl SimConfig {
 
 /// An event on the heap: a scheduled delivery, or an SU receive
 /// deadline. The epoch stamps a deadline to its arming; re-arming
-/// bumps the epoch so stale timers pop as no-ops (the threaded engine
-/// gets this for free from `recv_timeout`). A delivery keeps only what
-/// the loop reads: its instant is the heap key's.
+/// bumps the epoch so stale timers pop as no-ops (a socket SU gets
+/// this for free from `recv_timeout`). A delivery keeps only what the
+/// loop reads: its instant is the heap key's.
 enum Ev<M> {
     Deliver { to: Party, msg: SessionMsg<M> },
     SuTimeout { su: u32, epoch: u32 },
@@ -320,8 +318,7 @@ fn drive<B: Backend>(p: &mut Parties<B>, net: &mut SimNet<SessionMsg<B::Msg>>) -
                 }
                 Party::Su(id) => {
                     // A corrupted frame can name a party that does not
-                    // exist; the threaded network's send just errors,
-                    // here the delivery is simply unclaimed.
+                    // exist; the delivery is simply unclaimed.
                     if let Some(i) = p.slot_of(id).filter(|&i| !st.is_done(i)) {
                         if let Some(su) = p.sus.get_mut(slot(i)) {
                             let action = su.on_event(SuEvent::Frame(msg), &mut st.outbox);
@@ -342,8 +339,8 @@ fn drive<B: Backend>(p: &mut Parties<B>, net: &mut SimNet<SessionMsg<B::Msg>>) -
         st.commit();
     }
 
-    // Mirror the threaded engine's end-of-run drain: stranded holdback
-    // messages still count as delivered traffic.
+    // Stranded holdback messages still count as delivered traffic, as
+    // a stopping socket node writes them out.
     net.flush_holdback(now, &mut st.deliveries);
     st.deliveries.clear();
 
@@ -440,35 +437,30 @@ fn assemble(
     }
 }
 
-/// Runs a real-fidelity storm on virtual time over explicitly built
-/// parties — the same signature shape as `pisa::run_storm`, which is
-/// exactly what the sim-vs-threaded equivalence test wants. The per-SU
-/// request randomness, the SDC/STP engine seeds and the fault streams
-/// all derive from `seed` the way the threaded storm derives them, so
-/// a fault-free sim storm and a fault-free threaded storm of the same
-/// seed make identical decisions.
+/// Runs a real-fidelity storm on virtual time over an explicitly built
+/// fixture, returning the report and the network's traffic, fault and
+/// per-session counters. The per-SU request randomness, the SDC/STP
+/// engine seeds and the fault streams all derive from `seed` the way
+/// [`pisa::run_storm`] and the socket roles derive them, so a
+/// fault-free sim storm and a [`pisa::run_storm`] of the same seed make
+/// identical decisions.
+///
+/// # Errors
+///
+/// [`PisaError::UnknownSu`] if an SU of the fixture never registered
+/// with its STP.
 pub fn run_sim_storm_with(
-    sus: Vec<(SuClient, Vec<Channel>)>,
-    sdc: SdcServer,
-    stp: StpServer,
+    fixture: StormFixture,
     faults: Option<FaultConfig>,
     engine: &EngineConfig,
     seed: u64,
     jitter: f64,
-) -> Result<StormReport, PisaError> {
+) -> Result<(StormReport, NetMetrics), PisaError> {
+    let su_keys = fixture.su_keys()?;
+    let StormFixture { sus, sdc, stp } = fixture;
     let cfg = sdc.config().clone();
     let pk_g = stp.public_key().clone();
     let signing = sdc.signing_public_key().clone();
-    let su_keys: HashMap<_, _> = sus
-        .iter()
-        .map(|(su, _)| {
-            let pk = stp
-                .su_key(su.id())
-                .ok_or(PisaError::UnknownSu(su.id()))?
-                .clone();
-            Ok((su.id(), pk))
-        })
-        .collect::<Result<_, PisaError>>()?;
     let corrupt_possible = faults.as_ref().is_some_and(FaultConfig::any_corruption);
 
     let mut net: SimNet<SessionMsg> = SimNet::new(faults, jitter);
@@ -487,8 +479,8 @@ pub fn run_sim_storm_with(
         .into_iter()
         .enumerate()
         .map(|(i, (su, channels))| {
-            // The same dedicated request-randomness stream as the
-            // threaded storm's SU thread.
+            // The same dedicated request-randomness stream as every
+            // other storm driver gives SU `i`.
             let mut rng = StdRng::seed_from_u64(seed ^ (0x50 + i as u64));
             SuSessionEngine::new(su, &channels, &params, &mut rng)
         })
@@ -499,45 +491,29 @@ pub fn run_sim_storm_with(
         engines,
     );
     let result = drive(&mut parties, &mut net);
-    Ok(assemble(seed, Fidelity::Real, &net, result, Vec::new()))
+    Ok((
+        assemble(seed, Fidelity::Real, &net, result, Vec::new()),
+        metrics,
+    ))
 }
 
-/// Runs one seeded storm of the canonical `pisa storm` population —
-/// one PU at block 0 on channel 0, SU `i` at block `i % blocks`
-/// requesting channel `i % channels` — and returns its report.
+/// Runs one seeded storm of the canonical population —
+/// [`pisa::storm_fixture`] at real fidelity: one PU at block 0 on
+/// channel 0, SU `i` at block `i % blocks` requesting channel
+/// `i % channels` — and returns its report.
 /// Bit-deterministic: the same `(seed, config)` always produces a
 /// byte-identical [`StormReport::to_json`].
 pub fn run_sim_storm(seed: u64, config: &SimConfig) -> StormReport {
     let faults = Some(config.fault_config(seed));
     match config.fidelity {
         Fidelity::Real => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let cfg = SystemConfig::small_test();
-            let mut stp = StpServer::new(&mut rng, cfg.paillier_bits());
-            let mut sdc =
-                SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.storm", &mut rng);
-            let mut pu = PuClient::new(0, BlockId(0));
-            let e = sdc.e_matrix().clone();
-            let update = pu.tune(Some(Channel(0)), &cfg, &e, stp.public_key(), &mut rng);
-            sdc.handle_pu_update(pu.id(), update)
-                // pisa-lint: allow(panic-freedom): setup-time, before any wire traffic — the canonical PU update matches the storm config by construction
-                .expect("canonical PU update matches the storm config");
-            let sus: Vec<(SuClient, Vec<Channel>)> = (0..config.sus)
-                .map(|i| {
-                    let su = SuClient::new(
-                        pisa::SuId(i),
-                        BlockId(slot(i) % cfg.blocks()),
-                        &cfg,
-                        &mut rng,
-                    );
-                    stp.register_su(su.id(), su.public_key().clone());
-                    let channels = vec![Channel(slot(i) % cfg.channels())];
-                    (su, channels)
+            let (report, _metrics) = storm_fixture(config.sus, seed)
+                .and_then(|fixture| {
+                    run_sim_storm_with(fixture, faults, &config.engine, seed, config.jitter)
                 })
-                .collect();
-            run_sim_storm_with(sus, sdc, stp, faults, &config.engine, seed, config.jitter)
-                // pisa-lint: allow(panic-freedom): setup-time, before any wire traffic — every storm SU was registered in the loop above
-                .expect("every storm SU is registered")
+                // pisa-lint: allow(panic-freedom): setup-time, before any wire traffic — the canonical fixture's PU update matches the storm config and it registers every SU
+                .expect("the canonical storm fixture builds and registers every SU");
+            report
         }
         Fidelity::Modeled => {
             let cfg = SystemConfig::small_test();
@@ -573,10 +549,111 @@ pub fn run_sim_storm(seed: u64, config: &SimConfig) -> StormReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pisa::{SdcServer, StpServer, SuClient, SuId};
+    use pisa_radio::tv::Channel;
+    use pisa_radio::BlockId;
     use std::time::Duration;
 
     fn quick_engine() -> EngineConfig {
         EngineConfig::default().with_timeout(Duration::from_millis(50))
+    }
+
+    fn decisions(report: &StormReport) -> Vec<(u32, Option<bool>)> {
+        report.outcomes.iter().map(|o| (o.su, o.granted)).collect()
+    }
+
+    /// `n_sus` SUs and no PU, so every session is granted.
+    fn storm_setup(n_sus: u32, seed: u64) -> StormFixture {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = SystemConfig::small_test();
+        let mut stp = StpServer::new(&mut rng, cfg.paillier_bits());
+        let sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.storm", &mut rng);
+        let sus = (0..n_sus)
+            .map(|i| {
+                let su = SuClient::new(SuId(i), BlockId(i as usize % cfg.blocks()), &cfg, &mut rng);
+                stp.register_su(su.id(), su.public_key().clone());
+                (su, vec![Channel(i as usize % cfg.channels())])
+            })
+            .collect();
+        StormFixture { sus, sdc, stp }
+    }
+
+    /// [`storm_setup`] on a quiet network, then on `faults` with
+    /// `engine`: the faulty run must reach every decision the quiet one
+    /// reached.
+    fn quiet_and_faulty(
+        n: u32,
+        seed: u64,
+        faults: FaultConfig,
+        engine: &EngineConfig,
+    ) -> (StormReport, StormReport) {
+        let quiet = storm_setup(n, seed);
+        let (baseline, _) =
+            run_sim_storm_with(quiet, None, &EngineConfig::default(), seed, 0.0).unwrap();
+        let faulty = storm_setup(n, seed);
+        let (report, _) = run_sim_storm_with(faulty, Some(faults), engine, seed, 0.0).unwrap();
+        (baseline, report)
+    }
+
+    #[test]
+    fn quiet_storm_grants_every_session_first_try() {
+        let quiet = storm_setup(3, 0x570);
+        let (report, metrics) =
+            run_sim_storm_with(quiet, None, &EngineConfig::default(), 0x570, 0.0).unwrap();
+        assert_eq!(report.outcomes.len(), 3);
+        for outcome in &report.outcomes {
+            assert_eq!(outcome.granted, Some(true), "SU {}", outcome.su);
+            assert_eq!(outcome.attempts, 1);
+        }
+        // No faults, no retries, no rejects.
+        let totals = metrics.session_totals();
+        assert_eq!(totals.retries + totals.timeouts + totals.rejected, 0);
+        assert_eq!(metrics.fault_totals().total(), 0);
+    }
+
+    #[test]
+    fn lossy_storm_reaches_the_same_decisions() {
+        let faults = FaultConfig::new(0xbad)
+            .with_default_plan(FaultPlan::none().with_drop(0.15).with_duplicate(0.25));
+        let engine = EngineConfig::default().with_max_retries(12);
+        let (baseline, report) = quiet_and_faulty(4, 0x571, faults, &engine);
+
+        assert_eq!(decisions(&report), decisions(&baseline));
+        assert!(report.outcomes.iter().all(|o| o.granted.is_some()));
+        // The fault layer actually fired and the sessions absorbed it.
+        assert!(report.faults.total() > 0);
+    }
+
+    /// With payload corruption switched on, every malformed frame must
+    /// surface as a decode error → retry, never as a panic inside the
+    /// frame-decode or homomorphic paths — and the final decisions must
+    /// match the fault-free baseline.
+    #[test]
+    fn corrupting_storm_never_panics_and_still_decides() {
+        let faults = FaultConfig::new(0xc0de)
+            .with_default_plan(FaultPlan::none().with_corrupt(0.2).with_drop(0.1));
+        let engine = EngineConfig::default().with_max_retries(16);
+        let (baseline, report) = quiet_and_faulty(3, 0x573, faults, &engine);
+
+        assert_eq!(decisions(&report), decisions(&baseline));
+        assert!(report.outcomes.iter().all(|o| o.granted.is_some()));
+        assert!(
+            report.faults.total() > 0,
+            "corruption faults must actually have fired"
+        );
+    }
+
+    #[test]
+    fn unregistered_su_is_reported_not_panicked() {
+        let mut fixture = storm_setup(2, 0x572);
+        let cfg = SystemConfig::small_test();
+        // Fresh STP that knows neither SU.
+        fixture.stp = StpServer::new(&mut StdRng::seed_from_u64(9), cfg.paillier_bits());
+        let su_id = fixture.sus[0].0.id();
+        fixture.sus.truncate(1);
+        let err =
+            run_sim_storm_with(fixture, None, &EngineConfig::default(), 0x572, 0.0).unwrap_err();
+        assert_eq!(err, PisaError::UnknownSu(su_id));
     }
 
     #[test]

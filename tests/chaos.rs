@@ -1,53 +1,48 @@
-//! Chaos test for the concurrent session engine: many simultaneous SU
-//! sessions over a network injecting deterministic drop / duplicate /
-//! reorder (and, separately, corruption) faults must finish with
-//! *exactly* the grant/deny decisions of the fault-free run under the
-//! same seeds — retries re-send the identical encrypted request and the
-//! SDC's attempt-scoped caching makes recomputation idempotent, so
-//! faults can cost time but never change an answer.
+//! Chaos test for the session engines: many simultaneous SU sessions
+//! over a network injecting deterministic drop / duplicate / reorder
+//! (and, separately, corruption) faults must finish with *exactly* the
+//! grant/deny decisions of the fault-free run under the same seeds —
+//! retries re-send the identical encrypted request and the SDC's
+//! attempt-scoped caching makes recomputation idempotent, so faults can
+//! cost time but never change an answer.
+//!
+//! The storms run on the simulator's virtual time with the Paillier
+//! backend, so a timeout fires only when a frame was really lost.
 
-use pisa::prelude::*;
-use pisa::{run_storm, EngineConfig, EngineReport};
-use pisa_net::{FaultConfig, FaultPlan};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pisa::{storm_fixture, EngineConfig};
+use pisa_net::{FaultConfig, FaultPlan, NetMetrics};
+use pisa_sim::{run_sim_storm_with, StormReport};
 use std::time::Duration;
 
 const SESSIONS: u32 = 16;
 
-/// Builds an identical system for every call with the same seed: the
-/// SDC with one PU tuned in, the STP with every SU registered, and one
+/// One storm of `n_sus` sessions on [`storm_fixture`]: the SDC with one
+/// PU tuned in, the STP with every SU registered, and one
 /// single-channel request per SU. Some SUs land next to the PU on its
 /// channel (denied), the rest don't (granted) — the decision mix is
 /// part of what the chaos run must preserve.
-fn build_system(n_sus: u32, seed: u64) -> (Vec<(SuClient, Vec<Channel>)>, SdcServer, StpServer) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = SystemConfig::small_test();
-    let mut stp = StpServer::new(&mut rng, cfg.paillier_bits());
-    let mut sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.chaos", &mut rng);
-
-    let mut pu = PuClient::new(0, BlockId(0));
-    let e = sdc.e_matrix().clone();
-    let update = pu.tune(Some(Channel(0)), &cfg, &e, stp.public_key(), &mut rng);
-    sdc.handle_pu_update(pu.id(), update).unwrap();
-
-    let sus = (0..n_sus)
-        .map(|i| {
-            let block = BlockId(i as usize % cfg.blocks());
-            let channel = Channel(i as usize % cfg.channels());
-            let su = SuClient::new(SuId(i), block, &cfg, &mut rng);
-            stp.register_su(su.id(), su.public_key().clone());
-            (su, vec![channel])
-        })
-        .collect();
-    (sus, sdc, stp)
+fn storm(
+    n_sus: u32,
+    seed: u64,
+    faults: Option<FaultConfig>,
+    engine: &EngineConfig,
+) -> (StormReport, NetMetrics) {
+    let fixture = storm_fixture(n_sus, seed).unwrap();
+    run_sim_storm_with(fixture, faults, engine, seed, 0.0).unwrap()
 }
 
-fn baseline(n_sus: u32, seed: u64) -> EngineReport {
-    let (sus, sdc, stp) = build_system(n_sus, seed);
+fn decisions(report: &StormReport) -> Vec<(u32, Option<bool>)> {
+    report.outcomes.iter().map(|o| (o.su, o.granted)).collect()
+}
+
+fn all_completed(report: &StormReport) -> bool {
+    report.outcomes.iter().all(|o| o.granted.is_some())
+}
+
+fn baseline(n_sus: u32, seed: u64) -> StormReport {
     let engine = EngineConfig::default().with_timeout(Duration::from_secs(5));
-    let (report, _, _) = run_storm(sus, sdc, stp, None, &engine, seed).unwrap();
-    assert!(report.all_completed(), "fault-free run must complete");
+    let (report, _) = storm(n_sus, seed, None, &engine);
+    assert!(all_completed(&report), "fault-free run must complete");
     report
 }
 
@@ -55,48 +50,45 @@ fn baseline(n_sus: u32, seed: u64) -> EngineReport {
 fn sixteen_sessions_survive_drop_duplicate_reorder() {
     let seed = 0xc0a5;
     let clean = baseline(SESSIONS, seed);
-    let decisions = clean.decisions();
+    let decisions_clean = decisions(&clean);
     // The scenario must exercise both outcomes, or decision equality
     // below would be vacuous.
-    assert!(decisions.iter().any(|(_, g)| *g == Some(true)));
-    assert!(decisions.iter().any(|(_, g)| *g == Some(false)));
+    assert!(decisions_clean.iter().any(|(_, g)| *g == Some(true)));
+    assert!(decisions_clean.iter().any(|(_, g)| *g == Some(false)));
 
-    let (sus, sdc, stp) = build_system(SESSIONS, seed);
     let faults = FaultConfig::new(0xfa17).with_default_plan(
         FaultPlan::none()
             .with_drop(0.10)
             .with_duplicate(0.10)
             .with_reorder(0.10),
     );
-    // The base deadline must absorb queueing behind 15 other sessions'
-    // crypto on one SDC thread, or spurious timeouts snowball into a
-    // retry storm; real losses then cost 1.5–12 s each, bounded by the
-    // 8× backoff cap.
+    // Real losses cost 1.5–12 s of virtual time each, bounded by the 8×
+    // backoff cap.
     let engine = EngineConfig::default()
         .with_timeout(Duration::from_millis(1500))
         .with_max_retries(12);
-    let (report, _, _) = run_storm(sus, sdc, stp, Some(faults), &engine, seed).unwrap();
+    let (report, metrics) = storm(SESSIONS, seed, Some(faults), &engine);
 
-    assert!(report.all_completed(), "{:?}", report.outcomes);
+    assert!(all_completed(&report), "{:?}", report.outcomes);
     assert_eq!(
-        report.decisions(),
-        decisions,
+        decisions(&report),
+        decisions_clean,
         "faults changed a grant/deny decision"
     );
 
     // The chaos actually happened, and the engine's resilience counters
     // surfaced it through NetMetrics.
-    let faults_seen = report.metrics.fault_totals();
+    let faults_seen = metrics.fault_totals();
     assert!(faults_seen.dropped > 0, "{faults_seen:?}");
     assert!(faults_seen.duplicated > 0, "{faults_seen:?}");
     assert!(faults_seen.reordered > 0, "{faults_seen:?}");
-    let sessions = report.metrics.session_totals();
+    let sessions = metrics.session_totals();
     assert!(
         sessions.retries > 0 || sessions.rejected > 0,
         "no session ever retried or rejected under 10% loss: {sessions:?}"
     );
     // Per-session counters are attributable, not just aggregated.
-    assert!(!report.metrics.session_snapshot().is_empty());
+    assert!(!metrics.session_snapshot().is_empty());
 }
 
 #[test]
@@ -104,21 +96,20 @@ fn corruption_is_rejected_not_trusted() {
     let seed = 0xc0a6;
     let clean = baseline(6, seed);
 
-    let (sus, sdc, stp) = build_system(6, seed);
     let faults = FaultConfig::new(0x0bad)
         .with_default_plan(FaultPlan::none().with_drop(0.05).with_corrupt(0.15));
     let engine = EngineConfig::default()
         .with_timeout(Duration::from_millis(800))
         .with_max_retries(12);
-    let (report, _, _) = run_storm(sus, sdc, stp, Some(faults), &engine, seed).unwrap();
+    let (report, metrics) = storm(6, seed, Some(faults), &engine);
 
-    assert!(report.all_completed(), "{:?}", report.outcomes);
+    assert!(all_completed(&report), "{:?}", report.outcomes);
     assert_eq!(
-        report.decisions(),
-        clean.decisions(),
+        decisions(&report),
+        decisions(&clean),
         "a flipped bit changed a grant/deny decision"
     );
-    let faults_seen = report.metrics.fault_totals();
+    let faults_seen = metrics.fault_totals();
     assert!(
         faults_seen.corrupted + faults_seen.corrupt_dropped > 0,
         "{faults_seen:?}"
@@ -142,13 +133,13 @@ fn observability_overhead_is_under_three_percent() {
         if observe {
             pisa_obs::reset();
         }
-        let (sus, sdc, stp) = build_system(SESSIONS, seed);
+        let fixture = storm_fixture(SESSIONS, seed).unwrap();
         let engine = EngineConfig::default().with_timeout(Duration::from_secs(5));
         let start = std::time::Instant::now();
-        let (report, _, _) = run_storm(sus, sdc, stp, None, &engine, seed).unwrap();
+        let (report, _) = run_sim_storm_with(fixture, None, &engine, seed, 0.0).unwrap();
         let elapsed = start.elapsed();
         pisa_obs::set_enabled(false);
-        assert!(report.all_completed());
+        assert!(all_completed(&report));
         elapsed
     };
 

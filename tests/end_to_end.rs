@@ -1,28 +1,24 @@
 //! End-to-end protocol tests: the full Figure 3 / Figure 5 flow.
 
 use pisa::prelude::*;
-use pisa_net::{FaultConfig, LatencyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Runs `sus` through the storm engine on a fault-free LAN with a
-/// generous deadline, so every session completes on its first try:
-/// one request, one blinded query, one reply, one response each.
-fn quiet_lan_storm(
+/// Runs `sus` through the storm engines on a quiet network, so every
+/// session completes on its first try: one request, one blinded query,
+/// one reply, one response each.
+fn quiet_storm(
     sus: Vec<(pisa::SuClient, Vec<Channel>)>,
     sdc: pisa::SdcServer,
     stp: pisa::StpServer,
     seed: u64,
 ) -> pisa::EngineReport {
     let sessions = sus.len() as u64;
-    let lan = FaultConfig::new(seed).with_latency(LatencyModel::lan());
-    let engine = pisa::EngineConfig::default().with_timeout(Duration::from_secs(5));
-    let (report, _sdc, _stp) = pisa::run_storm(sus, sdc, stp, Some(lan), &engine, seed).unwrap();
+    let (report, _sdc, _stp) = pisa::run_storm(sus, sdc, stp, seed).unwrap();
     assert!(report.all_completed());
     assert_eq!(report.metrics.total_messages(), 4 * sessions);
     report
@@ -137,7 +133,7 @@ fn network_execution_matches_direct_decision() {
     let su_id = direct.register_su(BlockId(13), &mut r);
     let direct_outcome = direct.request(su_id, &[Channel(1)], &mut r);
 
-    // Over the simulated network with independent parties.
+    // Through the session engines, with independent parties.
     let mut r2 = rng(8);
     let mut stp = pisa::StpServer::new(&mut r2, cfg.paillier_bits());
     let mut sdc = pisa::SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.net", &mut r2);
@@ -149,7 +145,7 @@ fn network_execution_matches_direct_decision() {
     let su = pisa::SuClient::new(pisa::SuId(0), BlockId(13), &cfg, &mut r2);
     stp.register_su(pisa::SuId(0), su.public_key().clone());
 
-    let report = quiet_lan_storm(vec![(su, vec![Channel(1)])], sdc, stp, 1234);
+    let report = quiet_storm(vec![(su, vec![Channel(1)])], sdc, stp, 1234);
     assert_eq!(
         report.decisions(),
         vec![(pisa::SuId(0), Some(direct_outcome.granted))]
@@ -323,7 +319,7 @@ fn concurrent_sus_interleave_correctly() {
         sus.push((su, vec![ch]));
     }
 
-    let report = quiet_lan_storm(sus, sdc, stp, 0xc0c0);
+    let report = quiet_storm(sus, sdc, stp, 0xc0c0);
     assert_eq!(report.outcomes.len(), 4);
     for outcome in &report.outcomes {
         let expected = expectations[outcome.su_id.0 as usize].2;

@@ -224,69 +224,42 @@ fn fanned_out_encryption_matches_a_sequential_loop() {
 }
 
 // ---------------------------------------------------------------------
-// Simulator-vs-threaded equivalence: the virtual-time storm must agree
-// with the thread-per-party storm wherever the latter is deterministic
-// (no faults, no timeouts): same per-SU decisions, same attempt counts,
-// same wire traffic.
+// Simulator-vs-FIFO equivalence: the virtual-time storm must agree with
+// the single-threaded FIFO storm (`pisa::run_storm`) on a quiet network:
+// same per-SU decisions, same attempt counts, same wire traffic.
 // ---------------------------------------------------------------------
 
-/// The canonical storm population (same recipe as `pisa storm` /
-/// `run_sim_storm`): one PU at block 0 on channel 0, SU `i` at block
-/// `i % blocks` requesting channel `i % channels`.
-fn storm_population(seed: u64, n: u32) -> (Vec<(SuClient, Vec<Channel>)>, SdcServer, StpServer) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = SystemConfig::small_test();
-    let mut stp = StpServer::new(&mut rng, cfg.paillier_bits());
-    let mut sdc = SdcServer::new(cfg.clone(), stp.public_key().clone(), "sdc.storm", &mut rng);
-    let mut pu = PuClient::new(0, BlockId(0));
-    let e = sdc.e_matrix().clone();
-    let update = pu.tune(Some(Channel(0)), &cfg, &e, stp.public_key(), &mut rng);
-    sdc.handle_pu_update(pu.id(), update).unwrap();
-    let clients = (0..n)
-        .map(|i| {
-            let su = SuClient::new(SuId(i), BlockId(i as usize % cfg.blocks()), &cfg, &mut rng);
-            stp.register_su(su.id(), su.public_key().clone());
-            (su, vec![Channel(i as usize % cfg.channels())])
-        })
-        .collect();
-    (clients, sdc, stp)
-}
-
 #[test]
-fn sim_storm_matches_threaded_storm() {
-    use pisa::{run_storm, EngineConfig};
+fn sim_storm_matches_fifo_storm() {
+    use pisa::{run_storm, storm_fixture, EngineConfig, StormFixture};
     use pisa_sim::run_sim_storm_with;
-    use std::time::Duration;
 
     let seed = 0xe405;
     let n = 12;
-    // A timeout far beyond any crypto latency, so the threaded run is
-    // deterministic: no spurious timeouts, exactly one attempt per SU.
-    let engine = EngineConfig::default().with_timeout(Duration::from_secs(120));
 
-    let (clients, sdc, stp) = storm_population(seed, n);
-    let (threaded, _, _) = run_storm(clients, sdc, stp, None, &engine, seed).unwrap();
-    assert!(threaded.all_completed());
+    let StormFixture { sus, sdc, stp } = storm_fixture(n, seed).unwrap();
+    let (fifo, _, _) = run_storm(sus, sdc, stp, seed).unwrap();
+    assert!(fifo.all_completed());
 
-    let (clients, sdc, stp) = storm_population(seed, n);
-    let sim = run_sim_storm_with(clients, sdc, stp, None, &engine, seed, 0.0).unwrap();
+    let fixture = storm_fixture(n, seed).unwrap();
+    let (sim, _) = run_sim_storm_with(fixture, None, &EngineConfig::default(), seed, 0.0).unwrap();
     assert!(sim.all_terminal());
     assert_eq!(sim.fidelity, "real");
 
     // Identical per-SU decisions and attempt counts.
-    let mut threaded_dec: Vec<(u32, Option<bool>, u32)> = threaded
+    let mut fifo_dec: Vec<(u32, Option<bool>, u32)> = fifo
         .outcomes
         .iter()
         .map(|o| (o.su_id.0, o.granted, o.attempts))
         .collect();
-    threaded_dec.sort_unstable();
+    fifo_dec.sort_unstable();
     let mut sim_dec: Vec<(u32, Option<bool>, u32)> = sim
         .outcomes
         .iter()
         .map(|o| (o.su, o.granted, o.attempts))
         .collect();
     sim_dec.sort_unstable();
-    assert_eq!(sim_dec, threaded_dec, "per-SU decisions diverged");
+    assert_eq!(sim_dec, fifo_dec, "per-SU decisions diverged");
     assert!(
         sim_dec
             .iter()
@@ -299,7 +272,7 @@ fn sim_storm_matches_threaded_storm() {
 
     // Identical wire traffic: the virtual network moved the same
     // frames (request, query, reply, response per session).
-    assert_eq!(sim.messages, threaded.metrics.total_messages());
-    assert_eq!(sim.bytes, threaded.metrics.total_bytes());
+    assert_eq!(sim.messages, fifo.metrics.total_messages());
+    assert_eq!(sim.bytes, fifo.metrics.total_bytes());
     assert_eq!(sim.messages, u64::from(n) * 4);
 }

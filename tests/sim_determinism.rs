@@ -259,7 +259,7 @@ fn hundred_thousand_sessions_fast_terminal_and_reproducible() {
 #[test]
 fn obs_virtual_spans_record_session_makespans() {
     // The simulator reports per-session virtual spans through the same
-    // obs registry the threaded engine uses for wall-clock spans. The
+    // obs registry the socket services use for wall-clock spans. The
     // registry is process-global and sibling tests run concurrently, so
     // assert presence rather than exact counts.
     pisa_obs::set_enabled(true);
