@@ -1,5 +1,5 @@
-//! Regenerates **Figure 6** — "System Evaluation" — and prints
-//! **Table I**'s settings.
+//! Regenerates **Figure 6** — "System Evaluation" (`pisa info` prints
+//! Table I's settings).
 //!
 //! The paper reports, at C=100, B=600, n=2048 on an i5-2400:
 //!   request preparation ≈ 221 s  (≈ 11 s with re-randomized refresh)
@@ -31,12 +31,6 @@ const PAPER_PUS: usize = 100;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-
-    println!("Table I: Parameter Settings (paper)");
-    println!("  Number of PUs                        100");
-    println!("  Number of blocks                     600");
-    println!("  Number of channels                   100");
-    println!("  Bit length of integer representation  60\n");
 
     let (cfg, label) = if full {
         (

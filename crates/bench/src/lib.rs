@@ -1,16 +1,16 @@
-//! Shared helpers for the PISA benchmark harness.
+//! Shared helpers for the PISA harness binaries.
 //!
-//! Every table and figure of the paper's evaluation (§VI) has a
-//! regenerating target in this crate:
+//! Each artifact of the paper's evaluation (§VI) has exactly one
+//! regenerating target:
 //!
-//! | Paper artifact | Criterion bench | Harness binary |
-//! |---|---|---|
-//! | Table I (settings) | — | `fig6_system_eval` (header) |
-//! | Table II (Paillier ops) | `table2_paillier` | `table2` |
-//! | Figure 6 (system evaluation) | `fig6_system` | `fig6_system_eval` |
-//! | §VI-A privacy/time trade-off | `privacy_tradeoff` | `privacy_tradeoff` |
-//! | Figures 8–11 (SDR scenarios) | — | `sdr_scenarios` |
-//! | FHE/bitwise comparison claim | `ablation_comparison` | — |
+//! | Paper artifact | Target |
+//! |---|---|
+//! | Table I (settings) | `pisa info` |
+//! | Table II (Paillier ops) | `table2` |
+//! | §IV-B bitwise comparison, cost of privacy, Montgomery vs division | `table2` (rows after Table II) |
+//! | Figure 6 (system evaluation) | `fig6_system_eval` |
+//! | §VI-A privacy/time trade-off | `privacy_tradeoff` |
+//! | Figures 8–11 (SDR scenarios) | the `sdr_experiment` example of `pisa-core` |
 
 #![forbid(unsafe_code)]
 

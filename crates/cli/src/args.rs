@@ -1,15 +1,13 @@
-//! Hand-rolled argument parsing (the CLI has four flags; a parser
-//! dependency would outweigh it).
+//! Hand-rolled argument parsing (a parser dependency would outweigh a
+//! handful of subcommands whose flags are all `--name value` pairs or
+//! switches).
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
 usage: pisa <command> [options]
 
 commands:
-  demo                         run the quickstart protocol flow
   keygen [--bits N]            generate a Paillier key pair (default 1024)
-  simulate [--hours H] [--pus N] [--sus N] [--seed S]
-                               metro-area churn simulation
   sim [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
       [--seed S] [--retries N] [--timeout-ms T] [--mode real|modeled]
       [--sweep] [--metrics-out FILE] [--trace-out FILE]
@@ -52,13 +50,6 @@ commands:
                                deterministic storm and writes its full message
                                trace; --replay re-runs the trace's storm and
                                byte-compares every frame (exit 1 on divergence)
-  bench [--bits N] [--iters N] [--metrics] [--metrics-out FILE]
-        [--pool N]
-                               per-phase protocol timing (paper Tables 2-3);
-                               --pool precomputes N randomizer factors per
-                               party offline; phases fan out over every CPU
-                               the process may use (pin with taskset)
-  attack                       curious-SDC inference demo (WATCH vs PISA)
   info                         print the paper's Table I configuration
 
 all three networked roles must agree on --sessions and --seed: each
@@ -128,23 +119,10 @@ impl Default for DurableFlags {
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Quickstart flow.
-    Demo,
     /// Key generation with modulus size.
     Keygen {
         /// Paillier modulus bits.
         bits: usize,
-    },
-    /// Churn simulation.
-    Simulate {
-        /// Simulated hours.
-        hours: usize,
-        /// Number of PUs.
-        pus: usize,
-        /// Number of SUs.
-        sus: usize,
-        /// RNG seed.
-        seed: u64,
     },
     /// Deterministic discrete-event storm simulation on virtual time.
     Sim {
@@ -209,20 +187,6 @@ pub enum Command {
         /// Where to write the per-phase metrics report as JSON.
         metrics_out: Option<String>,
     },
-    /// Per-phase protocol benchmark mirroring the paper's Tables 2-3.
-    Bench {
-        /// Paillier modulus bits.
-        bits: usize,
-        /// Iterations to average over.
-        iters: usize,
-        /// Print the per-phase metrics table.
-        metrics: bool,
-        /// Where to write the metrics report as JSON.
-        metrics_out: Option<String>,
-        /// Randomizer-pool capacity (0 = pools disabled); refilled
-        /// between iterations, outside the timed phases.
-        pool: usize,
-    },
     /// Golden-trace record/replay regression gate.
     Trace {
         /// Record a storm trace to this file.
@@ -234,8 +198,6 @@ pub enum Command {
         /// Storm seed (record mode).
         seed: u64,
     },
-    /// Inference-attack demo.
-    Attack,
     /// Table I printout.
     Info,
 }
@@ -245,8 +207,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut it = argv.iter();
     let cmd = it.next().ok_or("missing command")?;
     match cmd.as_str() {
-        "demo" => reject_extras(it).map(|()| Command::Demo),
-        "attack" => reject_extras(it).map(|()| Command::Attack),
         "info" => reject_extras(it).map(|()| Command::Info),
         "keygen" => {
             let mut bits = 1024usize;
@@ -261,37 +221,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 other => Err(format!("unknown flag {other}")),
             })?;
             Ok(Command::Keygen { bits })
-        }
-        "simulate" => {
-            let (mut hours, mut pus, mut sus, mut seed) = (4usize, 8usize, 4usize, 2017u64);
-            parse_flags(it, |flag, value| match flag {
-                "--hours" => {
-                    hours = parse_num(flag, value)?;
-                    Ok(())
-                }
-                "--pus" => {
-                    pus = parse_num(flag, value)?;
-                    Ok(())
-                }
-                "--sus" => {
-                    sus = parse_num(flag, value)?;
-                    Ok(())
-                }
-                "--seed" => {
-                    seed = parse_num(flag, value)?;
-                    Ok(())
-                }
-                other => Err(format!("unknown flag {other}")),
-            })?;
-            if hours == 0 || pus == 0 || sus == 0 {
-                return Err("--hours, --pus and --sus must be positive".into());
-            }
-            Ok(Command::Simulate {
-                hours,
-                pus,
-                sus,
-                seed,
-            })
         }
         "sim" => {
             let (mut sus, mut seed, mut retries, mut timeout_ms) = (1024u32, 2017u64, 6u32, 200u64);
@@ -482,52 +411,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 metrics_out,
             })
         }
-        "bench" => {
-            let (mut bits, mut iters) = (512usize, 4usize);
-            let mut metrics = false;
-            let mut metrics_out = None;
-            let mut pool = 0usize;
-            let mut it = it.peekable();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--metrics" => metrics = true,
-                    "--bits" => {
-                        let value = it.next().ok_or("flag --bits needs a value")?;
-                        bits = parse_num(flag, value)?;
-                        // The bench config's blinding budget needs a
-                        // 256-bit plaintext space at minimum.
-                        if bits < 256 || !bits.is_multiple_of(2) {
-                            return Err(format!(
-                                "--bits must be an even number >= 256, got {bits}"
-                            ));
-                        }
-                    }
-                    "--iters" => {
-                        let value = it.next().ok_or("flag --iters needs a value")?;
-                        iters = parse_num(flag, value)?;
-                    }
-                    "--metrics-out" => {
-                        let value = it.next().ok_or("flag --metrics-out needs a value")?;
-                        metrics_out = Some(value.to_owned());
-                    }
-                    "--pool" => {
-                        let value = it.next().ok_or("flag --pool needs a value")?;
-                        pool = parse_num(flag, value)?;
-                    }
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            if iters == 0 {
-                return Err("--iters must be positive".into());
-            }
-            Ok(Command::Bench {
-                bits,
-                iters,
-                metrics,
-                metrics_out,
-                pool,
-            })
-        }
         "--help" | "-h" | "help" => Err("help requested".into()),
         other => Err(format!("unknown command {other:?}")),
     }
@@ -621,8 +504,6 @@ mod tests {
 
     #[test]
     fn simple_commands() {
-        assert_eq!(parse(&argv("demo")).unwrap(), Command::Demo);
-        assert_eq!(parse(&argv("attack")).unwrap(), Command::Attack);
         assert_eq!(parse(&argv("info")).unwrap(), Command::Info);
     }
 
@@ -640,30 +521,6 @@ mod tests {
         assert!(parse(&argv("keygen --bits 65")).is_err());
         assert!(parse(&argv("keygen --bits")).is_err());
         assert!(parse(&argv("keygen --what 1")).is_err());
-    }
-
-    #[test]
-    fn simulate_flags() {
-        assert_eq!(
-            parse(&argv("simulate")).unwrap(),
-            Command::Simulate {
-                hours: 4,
-                pus: 8,
-                sus: 4,
-                seed: 2017
-            }
-        );
-        assert_eq!(
-            parse(&argv("simulate --hours 2 --pus 3 --sus 5 --seed 7")).unwrap(),
-            Command::Simulate {
-                hours: 2,
-                pus: 3,
-                sus: 5,
-                seed: 7
-            }
-        );
-        assert!(parse(&argv("simulate --hours 0")).is_err());
-        assert!(parse(&argv("simulate --hours x")).is_err());
     }
 
     #[test]
@@ -900,42 +757,10 @@ mod tests {
     }
 
     #[test]
-    fn bench_defaults_and_flags() {
-        assert_eq!(
-            parse(&argv("bench")).unwrap(),
-            Command::Bench {
-                bits: 512,
-                iters: 4,
-                metrics: false,
-                metrics_out: None,
-                pool: 0,
-            }
-        );
-        assert_eq!(
-            parse(&argv(
-                "bench --bits 256 --iters 2 --metrics --metrics-out b.json --pool 128"
-            ))
-            .unwrap(),
-            Command::Bench {
-                bits: 256,
-                iters: 2,
-                metrics: true,
-                metrics_out: Some("b.json".into()),
-                pool: 128,
-            }
-        );
-        assert!(parse(&argv("bench --bits 63")).is_err());
-        assert!(parse(&argv("bench --iters 0")).is_err());
-        assert!(parse(&argv("bench --threads 4")).is_err());
-        assert!(parse(&argv("bench --pool")).is_err());
-        assert!(parse(&argv("bench --what 1")).is_err());
-    }
-
-    #[test]
     fn errors() {
         assert!(parse(&[]).is_err());
         assert!(parse(&argv("bogus")).is_err());
-        assert!(parse(&argv("demo extra")).is_err());
+        assert!(parse(&argv("info extra")).is_err());
         assert!(parse(&argv("--help")).is_err());
     }
 }

@@ -1,11 +1,7 @@
 //! Command implementations.
 
 use crate::args::{Command, DurableFlags, NetFlags};
-use pisa::adversary;
 use pisa::prelude::*;
-use pisa_watch::{PuInput, SuRequest, WatchSdc};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -14,14 +10,7 @@ use std::time::Instant;
 /// scripts don't mistake a missing report for a successful run.
 pub fn run(cmd: Command) -> ExitCode {
     match cmd {
-        Command::Demo => done(demo),
         Command::Keygen { bits } => done(|| keygen(bits)),
-        Command::Simulate {
-            hours,
-            pus,
-            sus,
-            seed,
-        } => done(|| simulate(hours, pus, sus, seed)),
         Command::Sim {
             sus,
             drop,
@@ -73,14 +62,6 @@ pub fn run(cmd: Command) -> ExitCode {
             verify,
             metrics_out,
         } => su_storm(&sdc, &net, halt, verify, metrics_out),
-        Command::Bench {
-            bits,
-            iters,
-            metrics,
-            metrics_out,
-            pool,
-        } => bench(bits, iters, metrics, metrics_out, pool),
-        Command::Attack => done(attack),
         Command::Info => done(info),
     }
 }
@@ -617,111 +598,6 @@ fn sim(opts: SimOpts) -> ExitCode {
     }
 }
 
-/// Per-phase protocol benchmark: runs `iters` full request rounds on an
-/// in-process system with obs enabled and prints the phase table the
-/// paper reports as Tables 2-3.
-///
-/// `pool > 0` precomputes that many `rⁿ` factors per party before each
-/// iteration (the paper's §VI-A offline/online split) so the timed
-/// phases pay one multiplication instead of one exponentiation per
-/// entry. Per-entry work fans out over every CPU the process may use.
-fn bench(
-    bits: usize,
-    iters: usize,
-    metrics: bool,
-    metrics_out: Option<String>,
-    pool: usize,
-) -> ExitCode {
-    use pisa_watch::WatchConfig;
-
-    let mut rng = StdRng::seed_from_u64(0xb37c);
-    let cfg = SystemConfig::new(WatchConfig::small_test(), bits, 64, 64);
-    println!(
-        "bench: {} channels x {} blocks, {bits}-bit keys, {iters} iteration(s), \
-         pool {pool}, {} CPU(s)\n",
-        cfg.channels(),
-        cfg.blocks(),
-        std::thread::available_parallelism().map_or(1, usize::from)
-    );
-
-    let mut system = PisaSystem::setup(cfg, &mut rng);
-    system.pu_update(0, BlockId(0), Some(Channel(0)), &mut rng);
-    let su = system.register_su(BlockId(1), &mut rng);
-    if pool > 0 {
-        system.enable_pools(pool);
-    }
-
-    pisa_obs::set_enabled(true);
-    pisa_obs::reset();
-    let t = Instant::now();
-    let mut request_bytes = 0u64;
-    for i in 0..iters {
-        // The offline phase: pools are topped up between rounds, outside
-        // the per-phase spans, mirroring a deployment that precomputes
-        // during idle time.
-        system.refill_pools(&mut rng);
-        let outcome = system.request(su, &[Channel(i % 2)], &mut rng);
-        request_bytes = outcome.request_bytes as u64;
-    }
-    let elapsed = t.elapsed();
-    pisa_obs::set_enabled(false);
-
-    let report = pisa_obs::report();
-    if metrics || metrics_out.is_some() {
-        println!("per-phase breakdown (paper Tables 2-3):");
-        print!("{}", report.render_table());
-        println!();
-    }
-    println!(
-        "{iters} round(s) in {:.2} s; request size {:.1} KiB; totals: \
-         {} mod-exps, {} encryptions, {} decryptions, \
-         {} mod-exps avoided, {} pool misses",
-        elapsed.as_secs_f64(),
-        request_bytes as f64 / 1024.0,
-        report.totals.mod_exps,
-        report.totals.encryptions,
-        report.totals.decryptions,
-        report.totals.mod_exps_avoided,
-        report.totals.pool_misses,
-    );
-    if metrics_out.is_none() && !metrics {
-        println!("(pass --metrics for the per-phase table, --metrics-out FILE for JSON)");
-    }
-    if let Some(path) = metrics_out {
-        if !write_output("metrics report", &path, &report.to_json()) {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn demo() {
-    let mut rng = StdRng::seed_from_u64(42);
-    let config = SystemConfig::small_test();
-    println!(
-        "PISA demo: {} channels x {} blocks, {}-bit Paillier keys\n",
-        config.channels(),
-        config.blocks(),
-        config.paillier_bits()
-    );
-    let mut system = PisaSystem::setup(config, &mut rng);
-    system.pu_update(0, BlockId(12), Some(Channel(1)), &mut rng);
-    println!("PU at block 12 tuned to a hidden channel");
-    let su = system.register_su(BlockId(13), &mut rng);
-    for ch in [Channel(1), Channel(0)] {
-        let t = Instant::now();
-        let outcome = system.request(su, &[ch], &mut rng);
-        println!(
-            "SU request on {ch}: {:<7}  ({} KiB request, {} B response, {:.0} ms)",
-            if outcome.granted { "GRANTED" } else { "DENIED" },
-            outcome.request_bytes / 1024,
-            outcome.response_bytes,
-            t.elapsed().as_secs_f64() * 1000.0,
-        );
-    }
-    println!("\nonly the SU learned those decisions.");
-}
-
 fn keygen(bits: usize) {
     let mut rng = rand::rng();
     let t = Instant::now();
@@ -735,98 +611,6 @@ fn keygen(bits: usize) {
     println!("  ciphertext width: {} bytes", pk.ciphertext_bytes());
     println!("  n = 0x{:x}…", pk.modulus() >> (bits.saturating_sub(64)));
     println!("(secret key held by the in-process STP; use the library API to persist keys)");
-}
-
-fn simulate(hours: usize, pus: usize, sus: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let config = SystemConfig::small_test();
-    let watch_cfg = config.watch().clone();
-    let channels = config.channels();
-    let blocks = config.blocks();
-    println!(
-        "simulating {hours} h: {pus} PUs, {sus} SUs on {channels} channels x {blocks} blocks\n"
-    );
-
-    let mut system = PisaSystem::setup(config, &mut rng);
-    let mut mirror = WatchSdc::new(watch_cfg.clone());
-    let su_ids: Vec<_> = (0..sus)
-        .map(|i| system.register_su(BlockId((i * 7 + 2) % blocks), &mut rng))
-        .collect();
-
-    let (mut grants, mut denials, mut mismatches) = (0usize, 0usize, 0usize);
-    for hour in 0..hours {
-        for pu in 0..pus as u64 {
-            let block = BlockId(((pu as usize) * 5) % blocks);
-            let tuned = if rng.next_u64() % 6 == 0 {
-                None
-            } else {
-                Some(Channel((rng.next_u64() as usize) % channels))
-            };
-            system.pu_update(pu, block, tuned, &mut rng);
-            mirror.pu_update(
-                pu,
-                match tuned {
-                    Some(c) => PuInput::tuned(&watch_cfg, block, c),
-                    None => PuInput::off(block),
-                },
-            );
-        }
-        for (i, &su) in su_ids.iter().enumerate() {
-            let ch = Channel((rng.next_u64() as usize) % channels);
-            let dbm = -45.0 + (rng.next_u64() % 35) as f64;
-            let request =
-                SuRequest::with_power_dbm(&watch_cfg, BlockId((i * 7 + 2) % blocks), &[ch], dbm);
-            let outcome = system.request_with(su, &request, &mut rng).unwrap();
-            if outcome.granted != mirror.process_request(&request).is_granted() {
-                mismatches += 1;
-            }
-            if outcome.granted {
-                grants += 1
-            } else {
-                denials += 1
-            }
-        }
-        println!(
-            "hour {hour}: {} active PUs, totals: {grants} granted / {denials} denied",
-            mirror.active_pus()
-        );
-    }
-    println!("\nencrypted/plaintext mismatches: {mismatches} (must be 0)");
-    assert_eq!(mismatches, 0);
-}
-
-fn attack() {
-    let mut rng = StdRng::seed_from_u64(1337);
-    let cfg = SystemConfig::small_test();
-
-    println!("== plaintext WATCH: total leak ==");
-    let mut watch = WatchSdc::new(cfg.watch().clone());
-    watch.pu_update(0, PuInput::tuned(cfg.watch(), BlockId(12), Channel(1)));
-    for (ch, b) in adversary::infer_pu_channels(&watch) {
-        println!("  SDC reads: viewer at {b} watches {ch}");
-    }
-    let request = SuRequest::with_power_dbm(cfg.watch(), BlockId(17), &[Channel(0)], 20.0);
-    let f = request.f_matrix(cfg.watch());
-    println!(
-        "  SDC reads: SU at {} radiating {:.1} mW",
-        adversary::infer_su_block(&f).unwrap(),
-        adversary::infer_su_eirp_mw(cfg.watch(), &f).unwrap()
-    );
-
-    println!("\n== PISA: chance-level guessing ==");
-    let stp = pisa::StpServer::new(&mut rng, cfg.paillier_bits());
-    let mut su = pisa::SuClient::new(pisa::SuId(0), BlockId(17), &cfg, &mut rng);
-    let runs = 30;
-    let hits = (0..runs)
-        .filter(|_| {
-            let msg = su.build_request(&cfg, stp.public_key(), &[Channel(0)], &mut rng);
-            adversary::guess_su_block_from_ciphertexts(&msg) == Some(BlockId(17))
-        })
-        .count();
-    println!(
-        "  block triangulation on ciphertexts: {hits}/{runs} (chance ≈ {:.1})",
-        runs as f64 / cfg.blocks() as f64
-    );
 }
 
 fn info() {

@@ -1,17 +1,20 @@
 //! `pisa` — command-line interface to the PISA reproduction.
 //!
 //! ```text
-//! pisa demo                     run the quickstart protocol flow
-//! pisa keygen [--bits N]        generate a Paillier key pair
-//! pisa simulate [--hours H] [--pus N] [--sus N] [--seed S]
-//!                               metro-area churn simulation
-//! pisa sim [--sus N] [--drop P] [--dup P] [--reorder P] [--corrupt P]
-//!          [--seed S] [--retries N] [--timeout-ms T] [--mode real|modeled]
-//!                               concurrent sessions over a faulty network,
-//!                               on virtual time
-//! pisa attack                   curious-SDC inference demo (WATCH vs PISA)
-//! pisa info                     print the paper's Table I configuration
+//! pisa keygen       generate a Paillier key pair
+//! pisa sim          concurrent sessions over a faulty network, on
+//!                   virtual time (modeled or real crypto engines)
+//! pisa serve-sdc    the SDC as a TCP service
+//! pisa serve-stp    the STP as a TCP service
+//! pisa su           an SU session storm against a live serve-sdc
+//! pisa trace        golden-trace record/replay
+//! pisa info         print the paper's Table I configuration
 //! ```
+//!
+//! `pisa --help` prints every flag. The protocol demos are the
+//! `pisa-core` examples (`quickstart`, `inference_attack`,
+//! `metro_area`, `sdr_experiment`); the paper's timing artifacts are
+//! the `pisa-bench` binaries.
 
 #![forbid(unsafe_code)]
 

@@ -15,7 +15,7 @@
 //! costs ℓ encryptions client-side, `O(ℓ²)` homomorphic operations
 //! server-side (prefix sums), ℓ decryptions helper-side — versus **one**
 //! encryption, a handful of homomorphic operations and one decryption
-//! for PISA's eq. (14) sign test. The `ablation_comparison` bench
+//! for PISA's eq. (14) sign test. The `table2` binary of `pisa-bench`
 //! measures both.
 
 use pisa_bigint::random::random_range;

@@ -107,11 +107,6 @@ impl Checkpoint {
             .map(|(_, p)| p.as_ref())
     }
 
-    /// Number of sections.
-    pub fn section_count(&self) -> usize {
-        self.sections.len()
-    }
-
     /// Serializes the container, appending the SHA-256 trailer.
     ///
     /// # Errors

@@ -762,21 +762,8 @@ impl SdcServer {
         self.pending.len()
     }
 
-    /// Builds the deterministic encryption of a plaintext matrix under
-    /// `pk_G` — used by tests to cross-check `Ñ`.
-    pub fn encrypt_public_matrix(&self, m: &IntMatrix) -> CipherMatrix {
-        CipherMatrix::encrypt_public(m, &self.pk_g)
-    }
-
-    /// Test/diagnostic: the plaintext the budget matrix *should* hold
-    /// given the plaintext mirror state (E only; PU contributions are
-    /// encrypted and unknown to the SDC).
-    pub fn expected_initial_n(&self) -> IntMatrix {
-        self.e_plain.clone()
-    }
-
     /// Converts a plaintext value into the signed domain used
-    /// throughout the protocol (helper for benches).
+    /// throughout the protocol (helper for tests).
     pub fn to_plain_domain(v: i128) -> Ibig {
         i128_to_ibig(v)
     }

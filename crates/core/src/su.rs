@@ -156,39 +156,6 @@ impl SuClient {
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
     }
 
-    /// Like [`precompute_refresh`](Self::precompute_refresh), but draws the
-    /// `rⁿ` factors from a shared
-    /// [`RandomizerPool`](pisa_crypto::paillier::RandomizerPool) instead
-    /// of computing them inline. The pool must be built for the *global*
-    /// key `pk_g` — the cached request matrix is encrypted under it.
-    /// Returns `false` (leaving the local factor stash untouched) when the
-    /// pool is for a different key, no request was built yet, or the pool
-    /// cannot cover a full refresh, so the caller can fall back to the
-    /// online path.
-    pub fn precompute_refresh_from(
-        &mut self,
-        pk_g: &PaillierPublicKey,
-        pool: &pisa_crypto::paillier::RandomizerPool,
-    ) -> bool {
-        let Some(cached) = self.cached.as_ref() else {
-            return false;
-        };
-        if pool.public_key() != pk_g {
-            return false;
-        }
-        let needed = cached.len();
-        if pool.len() < needed {
-            return false;
-        }
-        let factors = pool.take_batch(needed);
-        if factors.len() < needed {
-            return false;
-        }
-        self.refresh_pool.clear();
-        self.refresh_pool.extend(factors);
-        true
-    }
-
     /// Refreshes the cached request by re-randomization: the ciphertexts
     /// change, the plaintexts do not. With a pool from
     /// [`precompute_refresh`](Self::precompute_refresh) this is one

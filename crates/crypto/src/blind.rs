@@ -15,7 +15,7 @@
 //! *correctness inside Paillier*, `|V|` must stay below `n/2` so the
 //! centered lift does not wrap.
 
-use pisa_bigint::random::{random_below, random_range};
+use pisa_bigint::random::random_range;
 use pisa_bigint::zeroize::Zeroize;
 use pisa_bigint::{Ibig, Sign, Ubig};
 use rand::Rng;
@@ -192,16 +192,6 @@ pub fn sample_eta<R: Rng + ?Sized>(rng: &mut R, modulus: &Ubig) -> Ubig {
     let hi = modulus >> 2;
     assert!(lo < hi, "modulus too small to sample eta");
     random_range(rng, &lo, &hi)
-}
-
-/// Samples a nonzero value below `bound` (helper for protocol tests).
-pub fn sample_nonzero_below<R: Rng + ?Sized>(rng: &mut R, bound: &Ubig) -> Ubig {
-    loop {
-        let v = random_below(rng, bound);
-        if !v.is_zero() {
-            return v;
-        }
-    }
 }
 
 #[cfg(test)]

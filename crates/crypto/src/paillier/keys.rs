@@ -835,12 +835,6 @@ impl PaillierKeyPair {
     pub fn secret(&self) -> &PaillierSecretKey {
         &self.sk
     }
-
-    /// Consumes the pair, returning the secret key (which contains the
-    /// public key).
-    pub fn into_secret(self) -> PaillierSecretKey {
-        self.sk
-    }
 }
 
 /// Serialized form of a public key (just the modulus).

@@ -48,7 +48,7 @@ mod registry;
 mod span;
 
 pub use counters::{count, count_n, counters, Op, OpTotals};
-pub use registry::{record_span, report, reset, FinishedSpan, PhaseReport, Report};
+pub use registry::{report, reset, FinishedSpan, PhaseReport, Report};
 pub use span::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};

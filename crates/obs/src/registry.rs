@@ -62,29 +62,6 @@ pub(crate) fn submit(span: FinishedSpan) {
     }
 }
 
-/// Records a span with externally supplied timestamps — the entry point
-/// for *virtual-time* instrumentation (the discrete-event simulator
-/// reports spans against its own clock rather than the wall clock).
-///
-/// The span lands in the same registry as wall-clock [`span`](crate::span)
-/// guards and flows through the same [`report`]/JSON pipeline; it is
-/// top-level (no parent) and tagged with the reserved tid 0, which real
-/// threads never use. A no-op while instrumentation is disabled.
-pub fn record_span(name: &'static str, start_ns: u64, dur_ns: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    submit(FinishedSpan {
-        name,
-        parent: None,
-        depth: 0,
-        tid: 0,
-        start_ns,
-        dur_ns,
-        ops: OpTotals::default(),
-    });
-}
-
 pub(crate) fn epoch_offset_ns(start: Instant) -> u64 {
     let epoch = state().lock().epoch;
     let offset = start

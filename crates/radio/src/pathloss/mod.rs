@@ -45,15 +45,6 @@ impl LinkGeometry {
             freq_mhz,
         }
     }
-
-    /// A TV broadcast link: 200 m tower, 10 m rooftop antenna.
-    pub fn broadcast_default(freq_mhz: f64) -> Self {
-        LinkGeometry {
-            tx_height_m: 200.0,
-            rx_height_m: 10.0,
-            freq_mhz,
-        }
-    }
 }
 
 /// A propagation model producing path loss as a function of distance.

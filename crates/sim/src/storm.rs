@@ -102,12 +102,6 @@ impl SimConfig {
         self
     }
 
-    /// Replaces the jitter amplitude.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Replaces the engine (timeout / retry) policy.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
@@ -361,13 +355,11 @@ fn drive<B: Backend>(p: &mut Parties<B>, net: &mut SimNet<SessionMsg<B::Msg>>) -
             attempts,
             finished_ns,
         });
-        pisa_obs::record_span("sim.session", 0, finished_ns);
     }
     // Stale timers from already-finished sessions still pop (as
     // no-ops), so "last popped event" overstates the storm: the
     // makespan is when the last session went terminal.
     let makespan_ns = st.finish_ns.iter().copied().max().unwrap_or(0);
-    pisa_obs::record_span("sim.storm", 0, makespan_ns);
 
     DriveResult {
         outcomes,

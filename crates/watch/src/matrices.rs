@@ -100,13 +100,6 @@ impl IntMatrix {
         &self.data
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_in_place(&mut self, mut f: impl FnMut(i128) -> i128) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Multiplies every entry by a scalar (the paper's ⊗ in plaintext).
     pub fn scale(&self, k: i128) -> IntMatrix {
         IntMatrix {

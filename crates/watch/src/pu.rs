@@ -62,11 +62,6 @@ impl PuInput {
         self.block
     }
 
-    /// The tuned channel (the private datum PISA protects).
-    pub fn tuned_channel(&self) -> Option<Channel> {
-        self.tuned
-    }
-
     /// Quantized mean TV signal strength at the receiver.
     pub fn signal_q(&self) -> i128 {
         self.signal_q

@@ -218,6 +218,31 @@ fn region_restricted_request_still_correct() {
 }
 
 #[test]
+fn request_frame_is_exactly_linear_in_the_region() {
+    // §VI-A's trade-off in bytes: the encoded request carries one
+    // ciphertext per channel per covered block over one fixed header,
+    // for every region from the SU's own block to the whole area.
+    let mut r = rng(14);
+    let cfg = SystemConfig::small_test();
+    let stp = pisa::StpServer::new(&mut r, cfg.paillier_bits());
+    let mut su = pisa::SuClient::new(pisa::SuId(0), BlockId(0), &cfg, &mut r);
+    let ct_bytes = stp.public_key().ciphertext_bytes();
+    let mut header = None;
+    for region in 1..=cfg.blocks() {
+        su.set_privacy(pisa::LocationPrivacy::Region(region));
+        let request = su.build_request(&cfg, stp.public_key(), &[Channel(0)], &mut r);
+        let frame = pisa::PisaMessage::SuRequest(request)
+            .encode()
+            .unwrap()
+            .len();
+        let payload = cfg.channels() * region * ct_bytes;
+        let a = *header.get_or_insert_with(|| frame.checked_sub(payload).expect("header"));
+        assert_eq!(frame, a + payload, "region of {region} blocks");
+    }
+    assert_eq!(cfg.blocks(), 25);
+}
+
+#[test]
 fn many_pus_aggregate() {
     let mut r = rng(12);
     let mut system = PisaSystem::setup(SystemConfig::small_test(), &mut r);
