@@ -43,7 +43,6 @@ mod ibig;
 pub mod modular;
 pub mod prime;
 pub mod random;
-mod serde_impl;
 mod ubig;
 pub mod zeroize;
 

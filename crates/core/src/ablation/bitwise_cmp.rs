@@ -59,11 +59,6 @@ impl BitwiseComparison {
         BitwiseComparison::new(60)
     }
 
-    /// Bit width ℓ.
-    pub fn ell(&self) -> usize {
-        self.ell
-    }
-
     /// Client step: encrypts `a` bit by bit (most significant first).
     ///
     /// # Panics

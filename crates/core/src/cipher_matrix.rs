@@ -2,7 +2,6 @@
 
 use pisa_bigint::Ibig;
 use pisa_crypto::paillier::{Ciphertext, PaillierPublicKey};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ use std::sync::Arc;
 /// let dec = enc.decrypt(kp.secret());
 /// assert_eq!(dec, m);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct CipherMatrix {
     channels: usize,
     blocks: usize,

@@ -31,7 +31,9 @@
 //! Checkpoints are **plaintext state dumps, not sealed storage**: the
 //! SDC section embeds the RSA signing key and the per-SU blinding sign
 //! vectors ε (see `SdcServer::snapshot`). The state directory must have
-//! the same protection as the service's key material.
+//! the same protection as the service's key material, so on unix
+//! [`write_atomic`] creates it owner-only (0700) and the checkpoint
+//! owner-only (0600).
 
 use pisa_crypto::sha256::sha256;
 use pisa_net::codec::{CodecError, Reader, Writer};
@@ -233,7 +235,9 @@ impl From<DurableError> for crate::PisaError {
 /// The frame is first written to `<dir>/<name>.tmp` and fsynced, then
 /// renamed into place — rename is atomic on POSIX filesystems, so a
 /// crash mid-write leaves the previous checkpoint intact. Returns the
-/// final path.
+/// final path. On unix a missing `dir` is created with mode 0700 and
+/// the temp file with mode 0600; a stale temp file is removed first, so
+/// it cannot lend its mode to the checkpoint.
 ///
 /// # Errors
 ///
@@ -243,9 +247,21 @@ impl From<DurableError> for crate::PisaError {
 pub fn write_atomic(dir: &Path, name: &str, ckpt: &Checkpoint) -> Result<PathBuf, DurableError> {
     let _span = pisa_obs::span("checkpoint.write");
     let frame = ckpt.encode()?;
-    fs::create_dir_all(dir)?;
+    let mut builder = fs::DirBuilder::new();
+    builder.recursive(true);
+    #[cfg(unix)]
+    std::os::unix::fs::DirBuilderExt::mode(&mut builder, 0o700);
+    builder.create(dir)?;
     let tmp = dir.join(format!("{name}.tmp"));
-    let mut f = fs::File::create(&tmp)?;
+    match fs::remove_file(&tmp) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+        _ => {}
+    }
+    let mut opts = fs::OpenOptions::new();
+    opts.write(true).create_new(true);
+    #[cfg(unix)]
+    std::os::unix::fs::OpenOptionsExt::mode(&mut opts, 0o600);
+    let mut f = opts.open(&tmp)?;
     f.write_all(&frame)?;
     f.sync_all()?;
     drop(f);
@@ -377,6 +393,31 @@ mod tests {
         let back = load(&path).unwrap();
         assert_eq!(back.encode().unwrap(), c.encode().unwrap());
         assert!(!dir.join(format!("{SDC_CHECKPOINT_FILE}.tmp")).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The checkpoint holds the RSA signing key: neither it nor its
+    /// directory may grant any group or other permission, also when an
+    /// older binary left a world-readable temp file behind.
+    #[cfg(unix)]
+    #[test]
+    fn checkpoint_and_state_dir_are_owner_only() {
+        use std::os::unix::fs::PermissionsExt;
+        let mode = |p: &Path| fs::metadata(p).unwrap().permissions().mode() & 0o777;
+        let dir = std::env::temp_dir().join(format!("pisa-durable-mode-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let c = sample();
+        let path = write_atomic(&dir, SDC_CHECKPOINT_FILE, &c).unwrap();
+        assert_eq!(mode(&dir) & 0o077, 0, "state dir is {:o}", mode(&dir));
+        assert_eq!(mode(&path) & 0o077, 0, "checkpoint is {:o}", mode(&path));
+
+        let tmp = dir.join(format!("{SDC_CHECKPOINT_FILE}.tmp"));
+        fs::write(&tmp, b"stale").unwrap();
+        fs::set_permissions(&tmp, fs::Permissions::from_mode(0o644)).unwrap();
+        let path = write_atomic(&dir, SDC_CHECKPOINT_FILE, &c).unwrap();
+        assert_eq!(mode(&dir) & 0o077, 0, "state dir is {:o}", mode(&dir));
+        assert_eq!(mode(&path) & 0o077, 0, "checkpoint is {:o}", mode(&path));
+        assert_eq!(load(&path).unwrap().encode().unwrap(), c.encode().unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -2,14 +2,11 @@
 
 use pisa_crypto::paillier::{PaillierKeyPair, PaillierPublicKey, PaillierSecretKey};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a registered secondary user.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SuId(pub u32);
 
 impl fmt::Display for SuId {

@@ -9,7 +9,6 @@
 use crate::keys::SuId;
 use pisa_crypto::rsa::{RsaKeyPair, RsaPublicKey, Signature};
 use pisa_crypto::sha256::{sha256, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// An (unsigned) transmission permission license.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// than embedded verbatim — a 29 MB request matrix inside every license
 /// would defeat the 4.1 kb response size of Figure 6, and a SHA-256
 /// binding is equally tamper-evident.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct License {
     /// The requesting SU.
     pub su_id: SuId,

@@ -1,7 +1,6 @@
 //! The SU location-privacy trade-off (§VI-A).
 
 use crate::config::SystemConfig;
-use serde::{Deserialize, Serialize};
 
 /// How much of the service area an SU's request covers.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// region (e.g. "the north half of the map") lets the SU ship — and the
 /// SDC process — a proportionally smaller matrix. The paper shows the
 /// cost is asymptotically linear in the exposed region size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocationPrivacy {
     /// The SDC learns nothing about the SU's position: the request
     /// covers every block.
@@ -28,11 +27,6 @@ impl LocationPrivacy {
             LocationPrivacy::Region(n) => (*n).min(cfg.blocks()),
         }
     }
-
-    /// Fraction of the SU's location entropy still hidden (1.0 = full).
-    pub fn privacy_level(&self, cfg: &SystemConfig) -> f64 {
-        self.region_blocks(cfg) as f64 / cfg.blocks() as f64
-    }
 }
 
 #[cfg(test)]
@@ -43,7 +37,6 @@ mod tests {
     fn full_covers_everything() {
         let cfg = SystemConfig::small_test();
         assert_eq!(LocationPrivacy::Full.region_blocks(&cfg), 25);
-        assert_eq!(LocationPrivacy::Full.privacy_level(&cfg), 1.0);
     }
 
     #[test]
@@ -51,6 +44,5 @@ mod tests {
         let cfg = SystemConfig::small_test();
         assert_eq!(LocationPrivacy::Region(10).region_blocks(&cfg), 10);
         assert_eq!(LocationPrivacy::Region(999).region_blocks(&cfg), 25);
-        assert!((LocationPrivacy::Region(10).privacy_level(&cfg) - 0.4).abs() < 1e-12);
     }
 }

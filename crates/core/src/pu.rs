@@ -19,17 +19,12 @@ use rand::Rng;
 pub struct PuClient {
     id: u64,
     block: BlockId,
-    tuned: Option<Channel>,
 }
 
 impl PuClient {
     /// A PU registered at `block`, initially off.
     pub fn new(id: u64, block: BlockId) -> Self {
-        PuClient {
-            id,
-            block,
-            tuned: None,
-        }
+        PuClient { id, block }
     }
 
     /// This PU's registration id.
@@ -40,11 +35,6 @@ impl PuClient {
     /// The (public) block.
     pub fn block(&self) -> BlockId {
         self.block
-    }
-
-    /// The (private) tuned channel.
-    pub fn tuned(&self) -> Option<Channel> {
-        self.tuned
     }
 
     /// Tunes to `channel` (or off) and builds the encrypted update for
@@ -62,7 +52,6 @@ impl PuClient {
         pk_g: &PaillierPublicKey,
         rng: &mut R,
     ) -> PuUpdateMsg {
-        self.tuned = channel;
         let input = match channel {
             Some(c) => PuInput::tuned(cfg.watch(), self.block, c),
             None => PuInput::off(self.block),
@@ -102,7 +91,6 @@ mod tests {
         let mut pu = PuClient::new(0, BlockId(3));
         let msg = pu.tune(Some(Channel(1)), &cfg, &e, kp.public(), &mut rng);
         assert_eq!(msg.w_column.len(), cfg.channels());
-        assert_eq!(pu.tuned(), Some(Channel(1)));
     }
 
     #[test]
@@ -129,7 +117,6 @@ mod tests {
         for ct in &msg.w_column {
             assert!(kp.secret().decrypt(ct).is_zero());
         }
-        assert_eq!(pu.tuned(), None);
     }
 
     #[test]

@@ -203,17 +203,10 @@ impl EngineConfig {
         self.max_retries = max_retries;
         self
     }
-
-    /// The SU receive deadline for a given attempt (exponential
-    /// backoff: `timeout · 2^min(attempt, 3)`, saturating at
-    /// [`Duration::MAX`]).
-    pub fn deadline(&self, attempt: u32) -> Duration {
-        backoff(self.timeout, attempt)
-    }
 }
 
-/// The rule behind [`EngineConfig::deadline`], for an engine that keeps
-/// only the base timeout.
+/// The SU receive deadline for a given attempt (exponential backoff:
+/// `timeout · 2^min(attempt, 3)`, saturating at [`Duration::MAX`]).
 pub(crate) fn backoff(timeout: Duration, attempt: u32) -> Duration {
     timeout
         .checked_mul(1u32 << attempt.min(3))
@@ -387,13 +380,12 @@ mod tests {
     /// so a huge base timeout cannot panic a retrying session.
     #[test]
     fn deadline_backs_off_and_saturates() {
-        let engine = EngineConfig::default().with_timeout(Duration::from_millis(50));
-        let deadlines: Vec<u128> = (0..6).map(|a| engine.deadline(a).as_millis()).collect();
+        let base = Duration::from_millis(50);
+        let deadlines: Vec<u128> = (0..6).map(|a| backoff(base, a).as_millis()).collect();
         assert_eq!(deadlines, vec![50, 100, 200, 400, 400, 400]);
-        let huge = EngineConfig::default().with_timeout(Duration::MAX);
-        assert_eq!(huge.deadline(0), Duration::MAX);
-        assert_eq!(huge.deadline(1), Duration::MAX);
-        assert_eq!(huge.deadline(u32::MAX), Duration::MAX);
+        assert_eq!(backoff(Duration::MAX, 0), Duration::MAX);
+        assert_eq!(backoff(Duration::MAX, 1), Duration::MAX);
+        assert_eq!(backoff(Duration::MAX, u32::MAX), Duration::MAX);
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl SuClient {
         self.refresh_pool.clear();
     }
 
-    /// Current privacy level.
-    pub fn privacy(&self) -> LocationPrivacy {
-        self.privacy
-    }
-
     /// Builds a fresh encrypted transmission request for the given
     /// channels at the regulatory maximum EIRP (eq. 5 + encryption).
     ///

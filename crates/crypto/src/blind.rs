@@ -19,7 +19,6 @@ use pisa_bigint::random::random_range;
 use pisa_bigint::zeroize::Zeroize;
 use pisa_bigint::{Ibig, Sign, Ubig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One-time blinding factors for a single matrix entry.
@@ -54,7 +53,7 @@ impl Drop for BlindingFactors {
 }
 
 /// The ε factor of equation (14): a uniformly random sign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignFlip {
     /// ε = +1.
     Keep,

@@ -8,7 +8,6 @@ use pisa_bigint::random::random_below;
 use pisa_bigint::zeroize::{Zeroize, Zeroizing};
 use pisa_bigint::{prime, Ibig, Sign, Ubig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Minimum supported modulus size in bits (small enough to admit
@@ -834,25 +833,6 @@ impl PaillierKeyPair {
     /// The secret half.
     pub fn secret(&self) -> &PaillierSecretKey {
         &self.sk
-    }
-}
-
-/// Serialized form of a public key (just the modulus).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PublicKeyBytes {
-    /// Big-endian modulus bytes.
-    pub n: Ubig,
-}
-
-impl From<&PaillierPublicKey> for PublicKeyBytes {
-    fn from(pk: &PaillierPublicKey) -> Self {
-        PublicKeyBytes { n: pk.n.clone() }
-    }
-}
-
-impl From<PublicKeyBytes> for PaillierPublicKey {
-    fn from(b: PublicKeyBytes) -> Self {
-        PaillierPublicKey::from_modulus(b.n)
     }
 }
 

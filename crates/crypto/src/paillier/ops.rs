@@ -2,7 +2,6 @@
 
 use pisa_bigint::zeroize::Zeroize;
 use pisa_bigint::Ubig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Paillier ciphertext: an element of `Z_{n²}*`.
@@ -11,7 +10,7 @@ use std::fmt;
 /// [`PaillierPublicKey`](super::PaillierPublicKey), which holds the
 /// modulus and the precomputed Montgomery context. This keeps ciphertexts
 /// cheap to serialize and ship between the PISA parties.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Ciphertext(Ubig);
 
 impl Ciphertext {

@@ -30,7 +30,6 @@ use pisa_bigint::modular::{lcm, MontCtx};
 use pisa_bigint::zeroize::Zeroize;
 use pisa_bigint::{prime, Ubig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Public RSA exponent (F4).
 pub const PUBLIC_EXPONENT: u64 = 65537;
@@ -96,7 +95,7 @@ impl RsaPublicKey {
 
 /// An RSA signature, exposed as an integer so PISA can embed it in a
 /// Paillier plaintext (equation 17).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature(pub Ubig);
 
 impl Signature {

@@ -1,10 +1,14 @@
-//! Finding and report types, with rustc-style text rendering and a
-//! hand-rolled JSON emitter (the workspace has no serde_json).
+//! Finding and report types, with rustc-style text rendering and a JSON
+//! report built on `pisa-obs`'s JSON writer.
 
 use std::fmt::Write as _;
 
+use pisa_obs::json::Value;
+
+use crate::rules::dead_api::TestOnly;
+
 /// All rule families, in the order they run.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 9] = [
     "secret-hygiene",
     "panic-freedom",
     "secret-branching",
@@ -13,6 +17,7 @@ pub const RULES: [&str; 8] = [
     "blocking-call",
     "secret-flow",
     "dead-allow",
+    "dead-api",
 ];
 
 /// Severity a finding is reported at.
@@ -51,6 +56,9 @@ pub struct Report {
     pub files_scanned: usize,
     /// Files that failed to parse (path, error) — reported as warnings.
     pub parse_failures: Vec<(String, String)>,
+    /// Public fns that only tests call; `None` when the dead-api rule
+    /// did not run (a single-crate layout).
+    pub test_only: Option<Vec<TestOnly>>,
 }
 
 impl Report {
@@ -108,73 +116,47 @@ impl Report {
 
     /// Renders the full report (including suppressed findings) as JSON.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"files_scanned\": ");
-        let _ = write!(out, "{}", self.files_scanned);
-        let _ = write!(
-            out,
-            ",\n  \"errors\": {},\n  \"warnings\": {},\n  \"allowed\": {},\n  \"findings\": [",
-            self.deny_count(),
-            self.warn_count(),
-            self.allowed_count()
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            let _ = write!(out, "\"rule\": {}", json_str(f.rule));
-            let _ = write!(out, ", \"file\": {}", json_str(&f.file));
-            let _ = write!(out, ", \"line\": {}", f.line);
-            let _ = write!(
-                out,
-                ", \"level\": {}",
-                json_str(match f.level {
-                    Level::Deny => "deny",
-                    Level::Warn => "warn",
-                })
-            );
-            let _ = write!(out, ", \"message\": {}", json_str(&f.message));
-            out.push_str(", \"notes\": [");
-            for (j, n) in f.notes.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_str(n));
-            }
-            out.push(']');
-            match &f.allowed {
-                Some(reason) => {
-                    let _ = write!(out, ", \"allowed\": {}", json_str(reason));
-                }
-                None => out.push_str(", \"allowed\": null"),
-            }
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
+        let text = |s: &str| Value::Str(s.to_string());
+        let texts = |v: &[String]| Value::Arr(v.iter().map(|s| text(s)).collect());
+        let num = |n: usize| Value::from_u64(n as u64);
+        let findings = self.findings.iter().map(|f| {
+            let level = match f.level {
+                Level::Deny => "deny",
+                Level::Warn => "warn",
+            };
+            Value::object(vec![
+                ("rule", text(f.rule)),
+                ("file", text(&f.file)),
+                ("line", Value::from_u64(f.line.into())),
+                ("level", text(level)),
+                ("message", text(&f.message)),
+                ("notes", texts(&f.notes)),
+                ("allowed", f.allowed.as_deref().map_or(Value::Null, text)),
+            ])
+        });
+        let test_only = self.test_only.as_ref().map_or(Value::Null, |fns| {
+            let fns = fns.iter().map(|t| {
+                Value::object(vec![
+                    ("fn", text(&t.name)),
+                    ("file", text(&t.file)),
+                    ("line", Value::from_u64(t.line.into())),
+                    ("callers", texts(&t.callers)),
+                ])
+            });
+            Value::Arr(fns.collect())
+        });
+        let mut out = Value::object(vec![
+            ("files_scanned", num(self.files_scanned)),
+            ("errors", num(self.deny_count())),
+            ("warnings", num(self.warn_count())),
+            ("allowed", num(self.allowed_count())),
+            ("findings", Value::Arr(findings.collect())),
+            ("test_only", test_only),
+        ])
+        .to_json();
+        out.push('\n');
         out
     }
-}
-
-/// Escapes a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -205,6 +187,7 @@ mod tests {
             ],
             files_scanned: 2,
             parse_failures: vec![],
+            test_only: None,
         }
     }
 
@@ -221,8 +204,11 @@ mod tests {
     fn json_includes_allowed_and_escapes() {
         let r = sample();
         let json = r.render_json();
-        assert!(json.contains("\"rule\": \"conventions\""));
+        assert!(json.contains("\"rule\":\"conventions\""));
         assert!(json.contains("legacy \\\"quoted\\\" reason"));
-        assert!(json.contains("\"allowed\": null"));
+        assert!(json.contains("\"allowed\":null"));
+        let parsed = Value::parse(&json).unwrap();
+        assert_eq!(parsed.get("allowed").and_then(Value::as_u64), Some(1));
+        assert_eq!(parsed.get("test_only"), Some(&Value::Null));
     }
 }

@@ -112,6 +112,8 @@ pub struct FnIr<'a> {
     pub self_ty: Option<String>,
     pub trait_: Option<String>,
     pub has_self: bool,
+    /// Declared plain `pub`.
+    pub is_pub: bool,
     pub line: u32,
     pub sig: &'a syn::Signature,
     pub body: &'a [Token],
@@ -137,6 +139,7 @@ pub fn build(ws: &Workspace) -> Program<'_> {
                 self_ty: ctx.self_ty.map(|s| s.to_string()),
                 trait_: ctx.trait_.map(|s| s.to_string()),
                 has_self: ctx.func.sig.has_self,
+                is_pub: ctx.func.is_pub,
                 line: ctx.func.line,
                 sig: &ctx.func.sig,
                 body: &ctx.func.body,

@@ -75,6 +75,7 @@ pub fn run_lint(root: &Path, cfg: &Config, levels: &LevelOverrides) -> Report {
     let vocab = dataflow::secret_vocab(&ws, cfg);
     let (_sums, witnesses) = dataflow::flow_analysis(&prog, &graph, &vocab, cfg);
     rules::flow::run(&witnesses, cfg, &mut findings);
+    let test_only = rules::dead_api::run(&ws, &prog, &graph, &mut findings);
 
     let usage = allow::apply_allows(&ws, cfg, &mut findings);
     allow::dead_allow_findings(&ws, cfg, &usage, &mut findings);
@@ -100,5 +101,6 @@ pub fn run_lint(root: &Path, cfg: &Config, levels: &LevelOverrides) -> Report {
         findings,
         files_scanned: ws.files.len(),
         parse_failures,
+        test_only,
     }
 }

@@ -92,7 +92,7 @@ usage: pisa-lint [options]
   --quiet        suppress text output (exit code only)
 
 rules: secret-hygiene, panic-freedom, secret-branching, conventions,
-       lock-discipline, blocking-call, secret-flow, dead-allow";
+       lock-discipline, blocking-call, secret-flow, dead-allow, dead-api";
 
 fn need(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} needs a value"))

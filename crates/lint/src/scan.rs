@@ -24,8 +24,21 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// Crate path prefixes found (e.g. `crates/core`).
     pub crates: Vec<String>,
+    /// Code outside `crates/*/src` that calls into it (workspace layout
+    /// only); no rule checks these files, the dead-api rule counts their
+    /// calls.
+    pub callers: Vec<CallerFile>,
     /// Files that failed to read or parse.
     pub failures: Vec<(String, String)>,
+}
+
+/// A parsed file of callers: an integration test, an example or the
+/// benchmark harness.
+pub struct CallerFile {
+    pub rel_path: String,
+    /// `true` for test code (`tests/*.rs`, `crates/*/tests/*.rs`).
+    pub test: bool,
+    pub ast: File,
 }
 
 /// Scans `root`. Two layouts are understood:
@@ -36,6 +49,7 @@ pub fn scan_workspace(root: &Path) -> Workspace {
     let mut ws = Workspace {
         files: Vec::new(),
         crates: Vec::new(),
+        callers: Vec::new(),
         failures: Vec::new(),
     };
     let crates_dir = root.join("crates");
@@ -57,7 +71,11 @@ pub fn scan_workspace(root: &Path) -> Workspace {
             let crate_path = format!("crates/{name}");
             ws.crates.push(crate_path.clone());
             scan_crate(&dir, root, &crate_path, &mut ws);
+            scan_callers(&dir.join("tests"), root, true, &mut ws);
         }
+        scan_callers(&root.join("tests"), root, true, &mut ws);
+        scan_callers(&root.join("examples"), root, false, &mut ws);
+        scan_callers(&root.join("perfbench/src"), root, false, &mut ws);
     } else if root.join("src").is_dir() {
         ws.crates.push(String::new());
         scan_crate(root, root, "", &mut ws);
@@ -75,30 +93,61 @@ fn scan_crate(dir: &Path, root: &Path, crate_path: &str, ws: &mut Workspace) {
     collect_rs(&src, &mut rs_files);
     rs_files.sort();
     for path in rs_files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = match fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                ws.failures.push((rel, e.to_string()));
-                continue;
-            }
-        };
-        match syn::parse_file(&source) {
-            Ok(ast) => {
-                let is_crate_root = rel.ends_with("src/lib.rs") || rel.ends_with("src/main.rs");
-                ws.files.push(SourceFile {
-                    rel_path: rel,
-                    crate_path: crate_path.to_string(),
-                    is_crate_root,
-                    source,
-                    ast,
-                });
-            }
-            Err(e) => ws.failures.push((rel, e.to_string())),
+        if let Some((rel_path, source, ast)) = parse(&path, root, ws) {
+            let is_crate_root =
+                rel_path.ends_with("src/lib.rs") || rel_path.ends_with("src/main.rs");
+            ws.files.push(SourceFile {
+                rel_path,
+                crate_path: crate_path.to_string(),
+                is_crate_root,
+                source,
+                ast,
+            });
+        }
+    }
+}
+
+/// Parses the top-level `.rs` files of `dir` as caller files (Cargo
+/// finds integration tests and examples there).
+fn scan_callers(dir: &Path, root: &Path, test: bool, ws: &mut Workspace) {
+    let Ok(rd) = fs::read_dir(dir) else { return };
+    let mut paths: Vec<PathBuf> = rd
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.is_file() && p.extension().is_some_and(|e| e == "rs"))
+        .collect();
+    paths.sort();
+    for path in paths {
+        if let Some((rel_path, _, ast)) = parse(&path, root, ws) {
+            ws.callers.push(CallerFile {
+                rel_path,
+                test,
+                ast,
+            });
+        }
+    }
+}
+
+/// Reads and parses `path` into (workspace-relative path, source, AST);
+/// a failure is recorded in `ws.failures`.
+fn parse(path: &Path, root: &Path, ws: &mut Workspace) -> Option<(String, String, File)> {
+    let rel = path
+        .strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/");
+    let parsed = fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|source| {
+            syn::parse_file(&source)
+                .map(|ast| (source, ast))
+                .map_err(|e| e.to_string())
+        });
+    match parsed {
+        Ok((source, ast)) => Some((rel, source, ast)),
+        Err(e) => {
+            ws.failures.push((rel, e));
+            None
         }
     }
 }

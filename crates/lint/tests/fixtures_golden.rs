@@ -2,7 +2,7 @@
 //! linted with its own `lint.toml` and the rendered report must match
 //! the checked-in `expected.txt` byte for byte.
 //!
-//! The fixtures prove both directions of every rule family: the four
+//! The fixtures prove both directions of every rule family: the
 //! `*_bad` crates show the rules *fire* on violating code (with the
 //! exact messages, line numbers, and taint-chain notes pinned), and
 //! `clean` shows they stay *quiet* on well-behaved code.
@@ -73,6 +73,45 @@ fn blocking_bad_fires_direct_and_interprocedural() {
 #[test]
 fn flow_bad_fires_laundered_taint() {
     check_fixture("flow_bad");
+}
+
+#[test]
+fn dead_api_bad_fires_on_uncalled_public_fns() {
+    check_fixture("dead_api_bad");
+}
+
+/// Functions that only tests reach are listed with their callers, not
+/// reported; on a single-crate layout the rule does not run at all.
+#[test]
+fn dead_api_lists_test_only_fns_with_their_callers() {
+    let root = fixture_root("dead_api_bad");
+    let cfg = parse_config(&std::fs::read_to_string(root.join("lint.toml")).unwrap()).unwrap();
+    let report = run_lint(&root, &cfg, &LevelOverrides::default());
+    let listed: Vec<(&str, Vec<&str>)> = report
+        .test_only
+        .as_ref()
+        .expect("dead-api runs on a workspace layout")
+        .iter()
+        .map(|t| {
+            (
+                t.name.as_str(),
+                t.callers.iter().map(String::as_str).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        listed,
+        vec![
+            ("only_in_macro_test", vec!["crates/app/tests/it.rs:3"]),
+            ("only_unit_tested", vec!["crates/app/src/lib.rs::unit"]),
+            ("decode", vec!["crates/app/tests/it.rs::decodes"]),
+        ]
+    );
+    let clean = fixture_root("clean");
+    let cfg = parse_config(&std::fs::read_to_string(clean.join("lint.toml")).unwrap()).unwrap();
+    assert!(run_lint(&clean, &cfg, &LevelOverrides::default())
+        .test_only
+        .is_none());
 }
 
 /// Reports are byte-stable: two runs over the same tree render
@@ -155,7 +194,7 @@ fn panic_bad_allowed_finding_survives_in_json() {
     assert_eq!(report.allowed_count(), 1);
     let json = report.render_json();
     assert!(
-        json.contains("\"allowed\": 1"),
+        json.contains("\"allowed\":1"),
         "JSON must count the suppressed finding: {json}"
     );
     assert!(

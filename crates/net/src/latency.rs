@@ -1,7 +1,6 @@
 //! Link latency model.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A simple affine latency model: per-message overhead plus serialization
@@ -22,7 +21,7 @@ use std::time::Duration;
 /// let t = lan.transfer_time(1_000_000, 1); // 1 MB over ~1 Gb/s
 /// assert!(t > Duration::from_millis(7) && t < Duration::from_millis(12));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Fixed per-message latency.
     pub per_message: Duration,

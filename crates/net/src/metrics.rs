@@ -196,11 +196,6 @@ impl NetMetrics {
         self.sum(|_| true, |s| s.messages)
     }
 
-    /// Bytes sent *to* a party (e.g. everything the SDC received).
-    pub fn bytes_to(&self, to: Party) -> u64 {
-        self.sum(|(_, t)| *t == to, |s| s.bytes)
-    }
-
     /// Bytes sent *by* a party.
     pub fn bytes_from(&self, from: Party) -> u64 {
         self.sum(|(f, _)| *f == from, |s| s.bytes)
@@ -315,7 +310,6 @@ mod tests {
         m.record(Party::Sdc, Party::Stp, 10);
         assert_eq!(m.total_bytes(), 160);
         assert_eq!(m.total_messages(), 3);
-        assert_eq!(m.bytes_to(Party::Sdc), 150);
         assert_eq!(m.bytes_from(Party::Sdc), 10);
         assert_eq!(m.link(Party::Stp, Party::Sdc), None);
     }
@@ -400,10 +394,6 @@ mod tests {
                 bytes: 701 + 64 * 1024
             })
         );
-        assert_eq!(
-            by_handle.bytes_to(Party::Sdc),
-            by_record.bytes_to(Party::Sdc)
-        );
         assert_eq!(format!("{by_handle:?}"), format!("{by_record:?}"));
     }
 
@@ -436,7 +426,6 @@ mod tests {
         assert_eq!(m.link(Party::Pu(1), Party::Sdc), None);
         assert_eq!(m.snapshot().len(), 1);
         assert_eq!(m.total_messages(), 1);
-        assert_eq!(m.bytes_to(Party::Sdc), 3);
         assert_eq!(m.bytes_from(Party::Pu(1)), 0);
     }
 

@@ -33,12 +33,12 @@ use crate::fault::{FaultConfig, FaultPipeline};
 use crate::metrics::NetMetrics;
 use crate::transport::{Envelope, Party};
 use crate::WireSize;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,7 +97,10 @@ struct NodeInner<M> {
     /// Static dial addresses for peers this node initiates to.
     peers: Mutex<HashMap<Party, String>>,
     inbound_tx: Sender<SocketEvent<M>>,
-    inbound_rx: Receiver<SocketEvent<M>>,
+    /// One receiving thread per node: a service loop or the SU
+    /// dispatcher. The lock only makes the receiver shareable through
+    /// the node's clones, which the other threads use to `stop()`.
+    inbound_rx: Mutex<Receiver<SocketEvent<M>>>,
     stop: AtomicBool,
     local_addr: Mutex<Option<SocketAddr>>,
 }
@@ -136,7 +139,7 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
             pipeline.set_corruptor(Arc::new(corrupt_envelope::<M>));
             Mutex::new(pipeline)
         });
-        let (inbound_tx, inbound_rx) = unbounded();
+        let (inbound_tx, inbound_rx) = channel();
         SocketNode {
             inner: Arc::new(NodeInner {
                 party,
@@ -146,16 +149,11 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
                 routes: Mutex::new(HashMap::new()),
                 peers: Mutex::new(HashMap::new()),
                 inbound_tx,
-                inbound_rx,
+                inbound_rx: Mutex::new(inbound_rx),
                 stop: AtomicBool::new(false),
                 local_addr: Mutex::new(None),
             }),
         }
-    }
-
-    /// This node's own address.
-    pub fn party(&self) -> Party {
-        self.inner.party
     }
 
     /// The shared traffic metrics.
@@ -235,7 +233,7 @@ impl<M: FrameCodec + Send + 'static> SocketNode<M> {
 
     /// Receives the next inbound event, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<SocketEvent<M>> {
-        self.inner.inbound_rx.recv_timeout(timeout).ok()
+        self.inner.inbound_rx.lock().recv_timeout(timeout).ok()
     }
 
     /// Asks the accept loop and every reader thread to wind down (they

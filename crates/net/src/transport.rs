@@ -1,10 +1,9 @@
 //! Party addressing and the delivered-message envelope.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Address of a protocol party.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Party {
     /// The spectrum database controller.
     Sdc,

@@ -1,8 +1,9 @@
 //! Minimal JSON document model, writer, and parser.
 //!
-//! The workspace vendors no `serde_json`, so the obs layer carries its
-//! own ~300-line JSON kernel: enough to write the metrics report and
-//! Chrome-trace files, and to parse them back in round-trip tests.
+//! The workspace vendors no JSON library, so the obs layer carries its
+//! own ~300-line JSON kernel: enough to write the metrics report, the
+//! Chrome-trace files and pisa-lint's report, and to parse them back in
+//! round-trip tests.
 //! Numbers are `f64` (every value we emit is well below 2⁵³, so
 //! integers round-trip exactly); non-finite floats serialize as
 //! `null` since JSON has no NaN.

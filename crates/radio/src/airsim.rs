@@ -12,10 +12,9 @@
 use crate::grid::Point;
 use crate::pathloss::{FreeSpace, LinkGeometry, PathLossModel};
 use crate::units::Dbm;
-use serde::{Deserialize, Serialize};
 
 /// A radio node in the testbed (USRP stand-in).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Human-readable name ("SU1", "PU", …).
     pub name: String,
@@ -40,7 +39,7 @@ impl Node {
 }
 
 /// One packet transmission on the shared channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transmission {
     /// Index of the transmitting node.
     pub node: usize,
@@ -52,7 +51,7 @@ pub struct Transmission {
 
 /// A packet as seen by the observing node: arrival time and envelope
 /// amplitude (normalized so 0 dBm received = 1.0).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketObservation {
     /// Name of the transmitting node.
     pub from: String,
@@ -110,11 +109,6 @@ impl AirSim {
     pub fn add_node(&mut self, node: Node) -> usize {
         self.nodes.push(node);
         self.nodes.len() - 1
-    }
-
-    /// The registered nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
     }
 
     /// Schedules a packet transmission from node `node`.

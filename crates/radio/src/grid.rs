@@ -6,13 +6,10 @@
 //! (Table I).
 
 use crate::RadioError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one block in the service area (row-major index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub usize);
 
 impl fmt::Display for BlockId {
@@ -22,7 +19,7 @@ impl fmt::Display for BlockId {
 }
 
 /// A point in the service-area plane, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in meters.
     pub x: f64,
@@ -54,7 +51,7 @@ impl Point {
 /// let area = ServiceArea::paper(); // 20 × 30 = 600 blocks of 10 m
 /// assert_eq!(area.num_blocks(), 600);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceArea {
     rows: usize,
     cols: usize,
@@ -83,24 +80,9 @@ impl ServiceArea {
         ServiceArea::new(20, 30, 10.0)
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Total number of blocks `B`.
     pub fn num_blocks(&self) -> usize {
         self.rows * self.cols
-    }
-
-    /// Block edge length in meters.
-    pub fn block_size_m(&self) -> f64 {
-        self.block_size_m
     }
 
     /// Validates a block id.
@@ -178,9 +160,6 @@ mod tests {
     fn paper_dimensions() {
         let area = ServiceArea::paper();
         assert_eq!(area.num_blocks(), 600);
-        assert_eq!(area.rows(), 20);
-        assert_eq!(area.cols(), 30);
-        assert_eq!(area.block_size_m(), 10.0);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl IrregularTerrain {
         }
     }
 
-    /// The underlying terrain.
-    pub fn terrain(&self) -> &Terrain {
-        &self.terrain
-    }
-
     /// Path loss between two concrete points, sampling terrain roughness
     /// along the path.
     pub fn path_loss_between(&self, a: Point, b: Point, geom: &LinkGeometry) -> Db {

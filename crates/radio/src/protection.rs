@@ -15,10 +15,9 @@
 use crate::pathloss::{invert_path_loss, LinkGeometry, PathLossModel};
 use crate::tv::Channel;
 use crate::units::{Db, Dbm};
-use serde::{Deserialize, Serialize};
 
 /// Regulatory protection parameters (public data per §III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtectionParams {
     /// Required TV SINR `Δ_TV_SINR` in dB (ATSC planning factor: 15 dB).
     pub tv_sinr_db: f64,

@@ -8,7 +8,6 @@
 //! and SPLAT" per §VI-A.
 
 use crate::RadioError;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-point quantizer mapping linear milliwatt values to integers.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let v = q.quantize(1.5).unwrap();
 /// assert!((q.dequantize(v) - 1.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quantizer {
     frac_bits: u32,
     total_bits: u32,
@@ -50,11 +49,6 @@ impl Quantizer {
     /// bits (values up to ~10⁶ mW, resolution ~10⁻¹² mW).
     pub fn paper() -> Self {
         Quantizer::new(40, 60)
-    }
-
-    /// Number of fractional bits.
-    pub fn frac_bits(&self) -> u32 {
-        self.frac_bits
     }
 
     /// Total integer width in bits.
@@ -125,7 +119,6 @@ mod tests {
     fn paper_settings() {
         let q = Quantizer::paper();
         assert_eq!(q.total_bits(), 60);
-        assert_eq!(q.frac_bits(), 40);
         assert_eq!(q.max_value(), (1i128 << 60) - 1);
     }
 

@@ -9,7 +9,6 @@
 //! exercises the same code paths (see DESIGN.md, substitutions).
 
 use crate::grid::Point;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic synthetic terrain model.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let e = t.elevation_m(Point { x: 100.0, y: 250.0 });
 /// assert!(e >= 0.0 && e <= 120.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Terrain {
     seed: u64,
     /// Peak-to-valley elevation range in meters.

@@ -3,15 +3,12 @@
 use crate::grid::Point;
 use crate::pathloss::{IrregularTerrain, LinkGeometry};
 use crate::units::{Db, Dbm};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A (physical) TV channel index `c ∈ [0, C)`.
 ///
 /// US UHF channel `14 + c`, 6 MHz wide starting at 470 MHz.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Channel(pub usize);
 
 impl Channel {
@@ -34,7 +31,7 @@ impl fmt::Display for Channel {
 }
 
 /// A TV broadcast transmitter (public knowledge in WATCH and PISA).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TvTransmitter {
     /// Tower location.
     pub location: Point,
@@ -80,7 +77,7 @@ impl TvTransmitter {
 }
 
 /// An active TV receiver (a PU in PISA's terminology).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TvReceiver {
     /// Receiver location (fixed and registered — public per §III-D).
     pub location: Point,

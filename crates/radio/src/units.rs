@@ -3,20 +3,19 @@
 //! Newtypes keep logarithmic and linear quantities from being mixed up
 //! (adding two dBm values is meaningless; adding dB to dBm is a gain).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
 /// A relative gain or loss in decibels.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Db(pub f64);
 
 /// An absolute power level in dB-milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Dbm(pub f64);
 
 /// An absolute power in linear milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MilliWatts(pub f64);
 
 impl Db {

@@ -9,12 +9,9 @@
 
 use crate::tv::Channel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A virtual channel number, what the viewer actually zaps through.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualChannel(pub usize);
 
 /// The virtual → physical channel lineup of a market.
@@ -29,7 +26,7 @@ pub struct VirtualChannel(pub usize);
 /// assert_eq!(lineup.num_virtual(), 12);
 /// assert_eq!(lineup.physical_of(VirtualChannel(4)).0, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelLineup {
     /// `mapping[v]` = physical channel of virtual channel `v`.
     mapping: Vec<Channel>,
@@ -69,14 +66,6 @@ impl ChannelLineup {
         self.mapping.len()
     }
 
-    /// Number of distinct physical channels.
-    pub fn num_physical(&self) -> usize {
-        let mut chans: Vec<usize> = self.mapping.iter().map(|c| c.0).collect();
-        chans.sort_unstable();
-        chans.dedup();
-        chans.len()
-    }
-
     /// The physical channel carrying a virtual channel.
     ///
     /// # Panics
@@ -89,7 +78,7 @@ impl ChannelLineup {
 
 /// A memoryless viewer that switches virtual channels at a fixed hourly
 /// rate (the paper's 2.3–2.7/hour) with uniform destination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewerModel {
     /// Average virtual-channel switches per hour.
     pub switches_per_hour: f64,
@@ -165,7 +154,6 @@ mod tests {
     fn uniform_lineup_structure() {
         let lineup = ChannelLineup::uniform(5, 4);
         assert_eq!(lineup.num_virtual(), 20);
-        assert_eq!(lineup.num_physical(), 5);
         assert_eq!(lineup.physical_of(VirtualChannel(0)), Channel(0));
         assert_eq!(lineup.physical_of(VirtualChannel(19)), Channel(4));
     }
@@ -174,7 +162,8 @@ mod tests {
     fn custom_mapping() {
         let lineup = ChannelLineup::from_mapping(vec![Channel(7), Channel(7), Channel(9)]);
         assert_eq!(lineup.num_virtual(), 3);
-        assert_eq!(lineup.num_physical(), 2);
+        assert_eq!(lineup.physical_of(VirtualChannel(1)), Channel(7));
+        assert_eq!(lineup.physical_of(VirtualChannel(2)), Channel(9));
     }
 
     #[test]

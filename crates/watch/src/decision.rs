@@ -1,13 +1,12 @@
 //! The SDC's grant/deny decision.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Outcome of a transmission request (§IV-A3).
 ///
 /// In plaintext WATCH the SDC sees this directly; in PISA only the SU
 /// learns it, by whether the license signature verifies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Decision {
     /// Every interference-budget entry stays strictly positive.
     Granted,

@@ -1,6 +1,5 @@
 //! Dense channel × block matrices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -20,7 +19,7 @@ use std::ops::{Add, Sub};
 /// assert_eq!(m.get(1, 2), 42);
 /// assert_eq!(m.get(0, 0), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntMatrix {
     channels: usize,
     blocks: usize,

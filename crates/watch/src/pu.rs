@@ -3,7 +3,6 @@
 use crate::{IntMatrix, WatchConfig};
 use pisa_radio::tv::Channel;
 use pisa_radio::BlockId;
-use serde::{Deserialize, Serialize};
 
 /// One PU's operational input: its (public) block and its (private)
 /// tuned channel with the mean TV signal strength there.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(pu.block(), BlockId(7));
 /// assert!(pu.t_matrix(&cfg).get(2, 7) > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PuInput {
     block: BlockId,
     /// `None` = receiver off.

@@ -3,7 +3,6 @@
 use crate::{IntMatrix, WatchConfig};
 use pisa_radio::tv::Channel;
 use pisa_radio::BlockId;
-use serde::{Deserialize, Serialize};
 
 /// A secondary user's transmission request: its block, requested
 /// channels and EIRP — all private in PISA.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `F(c, i) = S^SU_c · h(d_{i,j})` (eq. 5): the signal this SU would
 /// deposit in every block `i` within the protection distance `d^c` of
 /// its own block `j`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuRequest {
     block: BlockId,
     /// Requested EIRP per channel in linear milliwatts (0 = channel not

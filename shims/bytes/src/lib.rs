@@ -6,10 +6,12 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// An immutable, cheaply cloneable byte buffer.
+/// An immutable, cheaply cloneable byte buffer. It owns the `Vec` it
+/// was built from, so freezing a [`BytesMut`] or converting a `Vec<u8>`
+/// moves the buffer instead of copying it.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
@@ -20,7 +22,9 @@ impl Bytes {
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: data.into() }
+        Bytes {
+            data: Arc::new(data.to_vec()),
+        }
     }
 
     /// Length in bytes.
@@ -49,7 +53,7 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes { data: v.into() }
+        Bytes { data: Arc::new(v) }
     }
 }
 
@@ -121,9 +125,7 @@ impl BytesMut {
 
     /// Converts into an immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data.into(),
-        }
+        Bytes::from(self.data)
     }
 }
 
@@ -230,6 +232,17 @@ mod tests {
         assert_eq!(r.get_u32(), 0xdead_beef);
         assert_eq!(r.get_u64(), 42);
         assert_eq!(r, b"xy");
+    }
+
+    #[test]
+    fn freezing_and_converting_keep_the_buffer() {
+        let mut w = BytesMut::with_capacity(4096);
+        w.put_slice(&[7; 4096]);
+        let at = w.as_ptr();
+        assert_eq!(w.freeze().as_ptr(), at, "freeze copied the buffer");
+        let v = vec![9u8; 4096];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at, "From<Vec<u8>> copied");
     }
 
     #[test]

@@ -146,6 +146,8 @@ pub struct Signature {
 #[derive(Debug, Clone)]
 pub struct ItemFn {
     pub attrs: Vec<Attribute>,
+    /// `true` for a plain `pub` (not `pub(crate)`, `pub(super)`, …).
+    pub is_pub: bool,
     pub sig: Signature,
     /// Body tokens, *excluding* the outer braces.
     pub body: Vec<Token>,
@@ -185,8 +187,9 @@ pub enum Item {
     Impl(ItemImpl),
     Fn(ItemFn),
     Mod(ItemMod),
-    /// Anything else (use, const, trait, macro invocation, …).
-    Other,
+    /// Anything else (use, const, trait, macro invocation, …), kept as
+    /// its raw tokens.
+    Other(Vec<Token>),
 }
 
 /// Parses `src` into a [`File`]. Resilient: unknown constructs are
@@ -345,18 +348,6 @@ impl Parser {
         out
     }
 
-    /// Skips any single balanced group or single token.
-    fn skip_group_or_token(&mut self) {
-        match self.peek(0).map(|t| t.kind) {
-            Some(TokenKind::Open(c)) => {
-                self.balanced_group(c);
-            }
-            _ => {
-                self.bump();
-            }
-        }
-    }
-
     fn items_until_end(&mut self) -> Result<Vec<Item>, Error> {
         let mut items = Vec::new();
         while self.peek(0).is_some() {
@@ -377,11 +368,14 @@ impl Parser {
 
     fn item(&mut self) -> Result<Item, Error> {
         let attrs = self.outer_attrs();
-        // Skip visibility: `pub`, `pub(crate)`, `pub(in …)`.
+        // Visibility: `pub`, `pub(crate)`, `pub(in …)`.
+        let mut is_pub = false;
         if self.at_ident("pub") {
             self.bump();
+            is_pub = true;
             if self.at_open('(') {
                 self.balanced_group('(');
+                is_pub = false;
             }
         }
         // Skip qualifiers that may precede fn/struct keywords.
@@ -412,7 +406,7 @@ impl Parser {
             return self.item_impl(attrs).map(Item::Impl);
         }
         if self.at_ident("fn") {
-            return self.item_fn(attrs).map(Item::Fn);
+            return self.item_fn(attrs, is_pub).map(Item::Fn);
         }
         if self.at_ident("mod") {
             return self.item_mod(attrs).map(Item::Mod);
@@ -423,6 +417,7 @@ impl Parser {
     /// Skips an unmodelled item: consume tokens until a top-level `;` or
     /// a balanced `{…}` block ends the item.
     fn skip_to_item_end(&mut self) -> Item {
+        let start = self.pos;
         while let Some(t) = self.peek(0) {
             match t.kind {
                 TokenKind::Punct if t.text == ";" => {
@@ -442,7 +437,7 @@ impl Parser {
                 }
             }
         }
-        Item::Other
+        Item::Other(self.tokens[start..self.pos].to_vec())
     }
 
     /// Skips a generics list `<…>` if present (angle-depth aware).
@@ -847,7 +842,7 @@ impl Parser {
         last
     }
 
-    fn item_fn(&mut self, attrs: Vec<Attribute>) -> Result<ItemFn, Error> {
+    fn item_fn(&mut self, attrs: Vec<Attribute>, is_pub: bool) -> Result<ItemFn, Error> {
         let line = self.line();
         self.bump(); // fn
         let ident = match self.bump() {
@@ -927,6 +922,7 @@ impl Parser {
         };
         Ok(ItemFn {
             attrs,
+            is_pub,
             sig: Signature {
                 ident,
                 inputs,
@@ -1039,12 +1035,6 @@ impl Parser {
             line,
         })
     }
-}
-
-// Silence "method never used" on helper kept for API completeness.
-#[allow(dead_code)]
-fn _assert_api(p: &mut Parser) {
-    p.skip_group_or_token();
 }
 
 #[cfg(test)]
